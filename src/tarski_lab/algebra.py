@@ -1,8 +1,8 @@
 """The partial order and lattice algebra on consequence operators.
 
 ``le(a, b)`` holds when a(X) ⊆ b(X) for every subset X.  Finite universes
-are decided by an exhaustive sweep in ascending bitmask order (so witnesses
-are the least counterexample).  On the infinite universe the comparison is
+are decided on both tables in ascending bitmask order (so witnesses are
+the least counterexample).  On the infinite universe the comparison is
 decided exactly through closed-form case analysis on the two parametric
 families (plus the identity and the top map); anything else raises rather
 than samples.
@@ -11,9 +11,10 @@ than samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING
 
-from .sets import Mode, ModeError, SentenceSet, Universe, UniverseMismatchError, all_subsets
+from .sets import Mode, ModeError, SentenceSet, Universe, UniverseMismatchError
 from .operators import (
     ClosureSystem,
     Compose,
@@ -28,6 +29,7 @@ from .operators import (
     Top,
     WeakJoin,
     evaluate,
+    table,
     to_closure_system,
 )
 
@@ -54,9 +56,9 @@ def le(a: OperatorExpr, b: OperatorExpr) -> Comparison:
     if a.universe != b.universe:
         raise UniverseMismatchError("operands from different universes")
     if a.universe.mode is Mode.FINITE:
-        for s in all_subsets(a.universe):
-            if not evaluate(a, s).is_subset(evaluate(b, s)):
-                return Comparison(False, s)
+        for m, (p, q) in enumerate(zip(table(a), table(b))):
+            if p & ~q:
+                return Comparison(False, a.universe.from_mask(m))
         return Comparison(True)
     return _le_cofinite(a, b)
 
@@ -66,7 +68,7 @@ def equivalent(a: OperatorExpr, b: OperatorExpr) -> bool:
     if a.universe != b.universe:
         raise UniverseMismatchError("operands from different universes")
     if a.universe.mode is Mode.FINITE:
-        return all(evaluate(a, s) == evaluate(b, s) for s in all_subsets(a.universe))
+        return table(a) == table(b)
     return le(a, b).holds and le(b, a).holds
 
 
@@ -199,11 +201,8 @@ def relative_complement(
     if not (le(c, c1).holds and not equivalent(c, c1)):
         raise OperatorConstraintError("the operands must be strictly ordered")
 
-    table = []
-    for s in all_subsets(universe):
-        value = evaluate(c1, s).difference(evaluate(c, s)).union(s)
-        table.append(value.mask)
-    candidate = FromTable(universe, tuple(table))
+    values = ((q & ~p) | m for m, (p, q) in enumerate(zip(table(c), table(c1))))
+    candidate = FromTable(universe, tuple(values))
     report = check_axioms(candidate)
     lattice_ok = equivalent(naive_join(c, candidate), c1) and equivalent(
         meet(c, candidate), ident
@@ -305,23 +304,6 @@ class SublatticeReport:
         )
 
 
-def _family_table(x_mask: int, b_mask: int, n: int) -> tuple[int, ...]:
-    return tuple(m | x_mask if m & b_mask else m for m in range(1 << n))
-
-
-def _weak_join_table(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[int, ...]:
-    size = len(t1)
-    common = [m for m in range(size) if t1[m] == m and t2[m] == m]
-    out = []
-    for m in range(size):
-        value = size - 1  # the full-universe mask, always a common fixed point
-        for fixed in common:
-            if fixed & m == m:
-                value &= fixed
-        out.append(value)
-    return tuple(out)
-
-
 def sublattice_report(b: SentenceSet, generators: list[SentenceSet]) -> SublatticeReport:
     """Verify the lattice structure of the family {Cxy(X, b) : X in generators}.
 
@@ -340,32 +322,23 @@ def sublattice_report(b: SentenceSet, generators: list[SentenceSet]) -> Sublatti
     for g in generators:
         if g.universe != universe:
             raise UniverseMismatchError("generator from a different universe")
-    n = universe.size
-    full = (1 << n) - 1
+    full = (1 << universe.size) - 1
     b_mask = b.mask
-    tables = [_family_table(g.mask, b_mask, n) for g in generators]
+    ops = [Cxy(g, b) for g in generators]
+    tables = [table(op) for op in ops]
 
-    inf_table = tables[0]
-    for t in tables[1:]:
+    inf_table = sup_table = tables[0]
+    for op, t in zip(ops[1:], tables[1:]):
         inf_table = tuple(p & q for p, q in zip(inf_table, t))
-    inf_mask = generators[0].mask
-    for g in generators[1:]:
-        inf_mask &= g.mask
-    inf_ok = inf_table == _family_table(inf_mask, b_mask, n)
-
-    sup_table = tables[0]
-    for t in tables[1:]:
-        sup_table = _weak_join_table(sup_table, t)
-    sup_mask = 0
-    for g in generators:
-        sup_mask |= g.mask
-    sup_ok = sup_table == _family_table(sup_mask, b_mask, n)
+        sup_table = table(WeakJoin(FromTable(universe, sup_table), op))
+    inf_ok = inf_table == table(Cxy(reduce(SentenceSet.intersect, generators), b))
+    sup_ok = sup_table == table(Cxy(reduce(SentenceSet.union, generators), b))
 
     joins_agree = True
-    for i, t1 in enumerate(tables):
-        for t2 in tables[i:]:
+    for i, (op1, t1) in enumerate(zip(ops, tables)):
+        for op2, t2 in zip(ops[i:], tables[i:]):
             naive = tuple(p | q for p, q in zip(t1, t2))
-            if naive != _weak_join_table(t1, t2):
+            if naive != table(WeakJoin(op1, op2)):
                 joins_agree = False
     distributive = True
     for t1 in tables:

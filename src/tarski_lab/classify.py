@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -29,13 +28,14 @@ from .operators import (
     ClosureSystem,
     CPrime,
     Cxy,
+    FromSystem,
     FromTable,
     Identity,
     OperatorExpr,
     Top,
     evaluate,
+    table,
 )
-from .algebra import equivalent
 
 EXHAUSTIVE = "exhaustive"
 CLOSED_FORM = "closed-form"
@@ -244,42 +244,30 @@ def default_universe(n: int) -> Universe:
     return make_universe(Mode.FINITE, tuple("abcdefghij"[:n]))
 
 
-def _scan_range(n: int, lo: int, hi: int) -> list[int]:
-    """Family bitmasks in [lo, hi) that contain L and are intersection-closed."""
-    full_bit = 1 << ((1 << n) - 1)
-    found = []
-    for fam in range(lo, hi):
-        if not fam & full_bit:
-            continue
-        members = [m for m in range(1 << n) if fam >> m & 1]
-        ok = True
-        for i, mi in enumerate(members):
-            for mj in members[i + 1 :]:
-                if not fam >> (mi & mj) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(fam)
-    return found
-
-
 @lru_cache(maxsize=None)
-def _moore_family_masks(n: int, workers: int = 1) -> tuple[int, ...]:
-    total = 1 << (1 << n)
-    if workers <= 1:
-        return tuple(_scan_range(n, 0, total))
-    chunks = []
-    step = max(1, total // (workers * 4))
-    bounds = list(range(0, total, step)) + [total]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_scan_range, n, lo, hi) for lo, hi in zip(bounds, bounds[1:])
-        ]
-        for future in futures:
-            chunks.append(future.result())
-    return tuple(mask for chunk in chunks for mask in chunk)
+def _moore_family_masks(n: int) -> tuple[int, ...]:
+    """Family bitmasks of every closure system on n symbols, ascending.
+
+    Subsets are decided from L downward, excluding before including; the
+    intersection of two chosen sets is forced in.  Later subsets are
+    numerically smaller, so none can force an excluded one: every leaf is a
+    closure system.
+    """
+    found: list[int] = []
+
+    def decide(s: int, family: int, forced: int, chosen: tuple[int, ...]) -> None:
+        if s < 0:
+            found.append(family)
+            return
+        if not forced >> s & 1:
+            decide(s - 1, family, forced, chosen)
+        for c in chosen:
+            forced |= 1 << (c & s)
+        decide(s - 1, family | 1 << s, forced, chosen + (s,))
+
+    full = (1 << n) - 1
+    decide(full, 0, 1 << full, ())
+    return tuple(found)
 
 
 def system_from_family_mask(n: int, family_mask: int) -> ClosureSystem:
@@ -290,9 +278,7 @@ def system_from_family_mask(n: int, family_mask: int) -> ClosureSystem:
     return ClosureSystem(universe, closed)
 
 
-def enumerate_operators(
-    n: int, include_top: bool = True, workers: int = 1
-) -> Iterator[ClosureSystem]:
+def enumerate_operators(n: int, include_top: bool = True) -> Iterator[ClosureSystem]:
     """All closure systems on an n-element universe, in canonical order.
 
     ``include_top=False`` drops the single {L}-only family (the map sending
@@ -301,7 +287,7 @@ def enumerate_operators(
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"enumeration is supported for 1 <= n <= {ENUMERATION_LIMIT}")
     top_mask = 1 << ((1 << n) - 1)
-    for family_mask in _moore_family_masks(n, workers):
+    for family_mask in _moore_family_masks(n):
         if not include_top and family_mask == top_mask:
             continue
         yield system_from_family_mask(n, family_mask)
@@ -328,41 +314,18 @@ def e0_family(universe: Universe) -> list[OperatorExpr]:
     return members
 
 
-def _system_table(system: ClosureSystem) -> tuple[int, ...]:
-    n = system.universe.size
-    masks = system.masks()
-    full = (1 << n) - 1
-    out = []
-    for m in range(1 << n):
-        value = full
-        for closed in masks:
-            if closed & m == m:
-                value &= closed
-        out.append(value)
-    return tuple(out)
-
-
-def _operator_table(op: OperatorExpr) -> tuple[int, ...]:
-    return tuple(evaluate(op, s).mask for s in all_subsets(op.universe))
-
-
 def is_atom(op: OperatorExpr, oracle: Iterable[ClosureSystem]) -> bool:
     """Whether nothing lies strictly between the identity and ``op``."""
     universe = op.universe
     if universe.mode is not Mode.FINITE:
         raise ModeError("atom checks run in finite mode only")
-    if equivalent(op, Identity(universe)):
-        raise ValueError("the identity is not eligible for the atom check")
-    target = _operator_table(op)
-    identity = tuple(range(len(target)))
+    target = table(op)
+    identity = table(Identity(universe))
     if target == identity:
         raise ValueError("the identity is not eligible for the atom check")
     for system in oracle:
-        table = _system_table(system)
-        if table == identity or table == target:
-            continue
-        between = all(t & ~u == 0 for t, u in zip(table, target))
-        if between:
+        values = table(FromSystem(system))
+        if values not in (identity, target) and all(t & ~u == 0 for t, u in zip(values, target)):
             return False
     return True
 
@@ -391,12 +354,12 @@ def dense_cover_check(
         return CoverResult(True)
     universe = systems[0].universe
     members = e0_family(universe) if candidates is None else candidates
-    tables = [_operator_table(op) for op in members]
+    tables = [table(op) for op in members]
     for system in systems:
-        table = _system_table(system)
-        if table[0] == 0:
+        values = table(FromSystem(system))
+        if values[0] == 0:
             continue  # axiomless: the empty set is closed
-        if not any(all(e & ~t == 0 for e, t in zip(etab, table)) for etab in tables):
+        if not any(all(e & ~t == 0 for e, t in zip(etab, values)) for etab in tables):
             return CoverResult(False, system)
     return CoverResult(True)
 
@@ -407,7 +370,11 @@ def dense_cover_check(
 def seeded_rng(seed: int | None = None) -> random.Random:
     """RNG seeded from the argument or the TARSKI_LAB_SEED environment var."""
     if seed is None:
-        seed = int(os.environ.get("TARSKI_LAB_SEED", DEFAULT_SEED))
+        raw = os.environ.get("TARSKI_LAB_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"TARSKI_LAB_SEED must be an integer, got {raw!r}") from None
     return random.Random(seed)
 
 

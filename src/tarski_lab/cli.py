@@ -295,14 +295,13 @@ def descend(ctx, as_json, count) -> None:
 @json_option
 @click.option("--n", "size", type=int, required=True, help="Universe size (1..4).")
 @click.option("--include-top", is_flag=True, help="Include the map sending everything to L.")
-@click.option("--workers", type=int, default=1, show_default=True, help="Parallel scan workers.")
 @click.option("--list-systems", is_flag=True, help="List every closed-set family.")
 @click.pass_context
-def enumerate(ctx, as_json, size, include_top, workers, list_systems) -> None:
+def enumerate(ctx, as_json, size, include_top, list_systems) -> None:
     """Count (and optionally list) all closure systems on a tiny universe."""
     started = time.perf_counter()
     try:
-        systems = list(enumerate_operators(size, include_top=include_top, workers=workers))
+        systems = list(enumerate_operators(size, include_top=include_top))
     except ValueError as error:
         raise _usage(error) from error
     data: dict = {"n": size, "include-top": include_top, "count": len(systems)}
@@ -317,14 +316,13 @@ def enumerate(ctx, as_json, size, include_top, workers, list_systems) -> None:
 @main.command()
 @json_option
 @click.option("--n", "size", type=int, required=True, help="Universe size (2..4).")
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.pass_context
-def atoms(ctx, as_json, size, workers) -> None:
+def atoms(ctx, as_json, size) -> None:
     """Check that the single-element candidates are atoms and densely cover."""
     started = time.perf_counter()
     try:
         universe = default_universe(size)
-        systems = list(enumerate_operators(size, include_top=True, workers=workers))
+        systems = list(enumerate_operators(size, include_top=True))
         members = e0_family(universe)
         verdicts = {render_operator(op): is_atom(op, systems) for op in members}
         cover = dense_cover_check(systems)
@@ -558,8 +556,8 @@ def demo(ctx, as_json, list_demos, name) -> None:
         return
     try:
         report = run_demo(name)
-    except KeyError as error:
-        raise click.UsageError(str(error)) from error
+    except (KeyError, ValueError) as error:
+        raise _usage(error) from error
     _emit(ctx, report, started, as_json, 0 if report.verdict else 1)
 
 

@@ -18,6 +18,9 @@ operators; the naive join of two closure operators need not be idempotent.
 ``WeakJoin`` denotes the least common closed superset: the smallest
 Y ⊇ A fixed by both operands, computed by iterating the operands to a
 fixed point.  ``Compose`` is function composition (outer after inner).
+
+In finite mode, ``table(op)`` is the whole map at once: ``table(op)[m]`` is
+the image mask of the subset with mask m, compiled bottom-up on ints.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .sets import (
+    MAX_SWEEP_SIZE,
     Mode,
     ModeError,
     SentenceSet,
     Universe,
     UniverseMismatchError,
-    all_subsets,
 )
 
 
@@ -322,13 +325,7 @@ def _eval_composite(op: OperatorExpr, x: SentenceSet) -> SentenceSet:
 def _eval_weak_join(op: WeakJoin, x: SentenceSet) -> SentenceSet:
     universe = op.universe
     if universe.mode is Mode.FINITE:
-        y = x
-        for _ in range((1 << universe.size) + 1):
-            z = _eval(op.right, _eval(op.left, y))
-            if z == y:
-                return y
-            y = z
-        raise OperatorConstraintError("weak join iteration did not reach a fixed point")
+        return _settle(lambda y: _eval(op.right, _eval(op.left, y)), x, (1 << universe.size) + 1)
     # Cofinite mode: only combinations with a derived closed form are
     # evaluated; anything else is rejected rather than approximated.
     left, right = op.left, op.right
@@ -344,9 +341,72 @@ def _eval_weak_join(op: WeakJoin, x: SentenceSet) -> SentenceSet:
     )
 
 
+def _settle(step, y, rounds: int):
+    """Iterate ``step`` from ``y`` until it stops changing, within ``rounds``."""
+    for _ in range(rounds):
+        z = step(y)
+        if z == y:
+            return y
+        y = z
+    raise OperatorConstraintError("weak join iteration did not reach a fixed point")
+
+
 def compose(outer: OperatorExpr, inner: OperatorExpr) -> OperatorExpr:
     """Expression denoting x -> outer(inner(x)); not necessarily a closure."""
     return Compose(outer, inner)
+
+
+def table(op: OperatorExpr) -> tuple[int, ...]:
+    """The mask of ``evaluate(op, X)`` for every subset X, indexed by X's mask."""
+    universe = op.universe
+    n = universe.size  # a ModeError on the infinite universe
+    if n > MAX_SWEEP_SIZE:
+        raise ValueError(f"universe of size {n} is too large for exhaustive sweeps")
+    try:
+        return _table(op, 1 << n)
+    except OperatorConstraintError:
+        # _table runs every operand at every argument; evaluation may not reach the failing one.
+        return tuple(_eval(op, universe.from_mask(m)).mask for m in range(1 << n))
+
+
+def _table(op: OperatorExpr, size: int) -> tuple[int, ...]:
+    full = size - 1
+    if isinstance(op, Identity):
+        return tuple(range(size))
+    if isinstance(op, Top):
+        return (full,) * size
+    if isinstance(op, Cxy):
+        x, y = op.x.mask, op.y.mask
+        return tuple(m | x if m & y else m for m in range(size))
+    if isinstance(op, CPrime):
+        x, y = op.x.mask, op.y.mask
+        return tuple(m | x if m & y == y else m for m in range(size))
+    if isinstance(op, SExample):
+        base, trigger = op.m.mask, 1 << op.b
+        return tuple(full if m & trigger else m | base for m in range(size))
+    if isinstance(op, FromTable):
+        return op.table
+    if isinstance(op, Meet):
+        return tuple(p & q for p, q in zip(_table(op.left, size), _table(op.right, size)))
+    if isinstance(op, NaiveJoin):
+        return tuple(p | q for p, q in zip(_table(op.left, size), _table(op.right, size)))
+    if isinstance(op, Compose):
+        outer = _table(op.outer, size)
+        return tuple(outer[v] for v in _table(op.inner, size))
+    if isinstance(op, FromSystem):
+        closed = op.system.masks()
+        out = []
+        for m in range(size):
+            value = full
+            for c in closed:
+                if c & m == m:
+                    value &= c
+            out.append(value)
+        return tuple(out)
+    if isinstance(op, WeakJoin):
+        left, right = _table(op.left, size), _table(op.right, size)
+        return tuple(_settle(lambda y: right[left[y]], m, size + 1) for m in range(size))
+    raise TypeError(f"unknown operator expression {op!r}")
 
 
 def to_closure_system(op: OperatorExpr) -> ClosureSystem:
@@ -359,7 +419,7 @@ def to_closure_system(op: OperatorExpr) -> ClosureSystem:
     universe = op.universe
     if universe.mode is not Mode.FINITE:
         raise ModeError("closed-set families are enumerated in finite mode only")
-    fixed = tuple(s for s in all_subsets(universe) if _eval(op, s) == s)
+    fixed = tuple(universe.from_mask(m) for m, v in enumerate(table(op)) if v == m)
     return ClosureSystem(universe, fixed)
 
 

@@ -200,11 +200,6 @@ class TestEnumeration:
         bitmasks = [family_bitmask(m) for m in first]
         assert bitmasks == sorted(bitmasks)
 
-    def test_workers_do_not_change_the_stream(self):
-        sequential = [s.masks() for s in enumerate_operators(3, workers=1)]
-        parallel = [s.masks() for s in enumerate_operators(3, workers=2)]
-        assert sequential == parallel
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_operators(5))

@@ -1,0 +1,142 @@
+"""The finite-mode table compiler against pointwise evaluation, and the
+Moore-family search against a brute-force scan of every family bitmask."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tarski_lab.sets import Mode, ModeError, make_universe
+from tarski_lab.operators import (
+    ClosureSystem,
+    Compose,
+    CPrime,
+    Cxy,
+    FromSystem,
+    FromTable,
+    Identity,
+    Meet,
+    NaiveJoin,
+    OperatorConstraintError,
+    SExample,
+    Top,
+    WeakJoin,
+    evaluate,
+    table,
+)
+from tarski_lab.algebra import Comparison, equivalent, le
+from tarski_lab.classify import _moore_family_masks
+
+SYMBOLS = "abcd"
+
+
+def masks(u):
+    return st.integers(0, (1 << u.size) - 1)
+
+
+@st.composite
+def leaves(draw, u):
+    n, size = u.size, 1 << u.size
+    kind = draw(st.sampled_from(["I", "U", "cxy", "cprime", "s", "table", "system"]))
+    if kind == "I":
+        return Identity(u)
+    if kind == "U":
+        return Top(u)
+    if kind in ("cxy", "cprime"):
+        family = Cxy if kind == "cxy" else CPrime
+        return family(u.from_mask(draw(masks(u))), u.from_mask(draw(masks(u))))
+    if kind == "s" and n >= 3:
+        b = draw(st.integers(0, n - 1))
+        others = [i for i in range(n) if i != b]
+        base = draw(st.lists(st.sampled_from(others), min_size=1, max_size=n - 2, unique=True))
+        return SExample(u.subset(base), b)
+    if kind == "system":
+        closed = {size - 1}
+        for m in draw(st.lists(masks(u), max_size=6)):
+            closed |= {m & c for c in closed} | {m}
+        return FromSystem(ClosureSystem(u, tuple(u.from_mask(m) for m in closed)))
+    values = draw(st.lists(masks(u), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        values = [m | v for m, v in enumerate(values)]  # extensive
+    return FromTable(u, tuple(values))
+
+
+@st.composite
+def expressions(draw, u, depth=2):
+    if depth == 0 or draw(st.booleans()):
+        return draw(leaves(u))
+    node = draw(st.sampled_from([Meet, NaiveJoin, Compose, WeakJoin]))
+    return node(draw(expressions(u, depth - 1)), draw(expressions(u, depth - 1)))
+
+
+@st.composite
+def operator_pairs(draw):
+    u = make_universe(Mode.FINITE, SYMBOLS[: draw(st.integers(1, 4))])
+    return draw(expressions(u)), draw(expressions(u))
+
+
+def pointwise(op):
+    u = op.universe
+    return tuple(evaluate(op, u.from_mask(m)).mask for m in range(1 << u.size))
+
+
+def literal_le(a, b):
+    u = a.universe
+    for m in range(1 << u.size):
+        s = u.from_mask(m)
+        if not evaluate(a, s).is_subset(evaluate(b, s)):
+            return Comparison(False, s)
+    return Comparison(True)
+
+
+def outcome(f, *args):
+    """The result, or the message of the constraint error raised."""
+    try:
+        return f(*args)
+    except OperatorConstraintError as error:
+        return str(error)
+
+
+class TestTable:
+    @settings(deadline=None)
+    @given(operator_pairs())
+    def test_table_matches_pointwise_evaluation(self, pair):
+        for op in pair:
+            assert outcome(table, op) == outcome(pointwise, op)
+
+    @settings(deadline=None)
+    @given(operator_pairs())
+    def test_order_and_equivalence_match_the_literal_sweep(self, pair):
+        a, b = pair
+        if any(isinstance(outcome(pointwise, op), str) for op in pair):
+            # A weak join that never settles somewhere is rejected as a
+            # whole, even where the literal sweep would stop earlier.
+            with pytest.raises(OperatorConstraintError):
+                le(a, b)
+            return
+        assert le(a, b) == literal_le(a, b)
+        assert equivalent(a, b) == (pointwise(a) == pointwise(b))
+
+    def test_infinite_universe_has_no_table(self):
+        with pytest.raises(ModeError):
+            table(Identity(make_universe(Mode.COFINITE)))
+
+
+def is_closure_system(n, fam):
+    """Whether the family bitmask contains L and is intersection-closed."""
+    members = [m for m in range(1 << n) if fam >> m & 1]
+    closed = all(fam >> (a & b) & 1 for i, a in enumerate(members) for b in members[i + 1 :])
+    return bool(fam >> ((1 << n) - 1) & 1) and closed
+
+
+class TestMooreSearch:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stream_equals_brute_force_scan(self, n):
+        scan = [fam for fam in range(1 << (1 << n)) if is_closure_system(n, fam)]
+        assert list(_moore_family_masks(n)) == scan
+
+    @pytest.mark.parametrize("n,count", [(1, 2), (2, 7), (3, 61), (4, 2480)])
+    def test_published_counts(self, n, count):
+        families = _moore_family_masks(n)
+        assert len(families) == count
+        assert list(families) == sorted(set(families))
+        assert all(is_closure_system(n, fam) for fam in families)
