@@ -1,7 +1,6 @@
 """Laboratory for consequence (closure) operators over a sentence universe."""
 
 from .sets import (
-    Kind,
     Mode,
     ModeError,
     Polarity,
@@ -9,9 +8,6 @@ from .sets import (
     Universe,
     UniverseMismatchError,
     all_subsets,
-    boolean_algebra,
-    finite_subsets,
-    is_subset,
     make_universe,
 )
 from .operators import (

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 
 from .sets import Mode, ModeError, SentenceSet, Universe, UniverseMismatchError
 from .operators import (
-    ClosureSystem,
     Compose,
     CPrime,
     Cxy,
@@ -30,7 +29,7 @@ from .operators import (
     WeakJoin,
     evaluate,
     table,
-    to_closure_system,
+    weak_join_table,
 )
 
 
@@ -308,8 +307,8 @@ def sublattice_report(b: SentenceSet, generators: list[SentenceSet]) -> Sublatti
     """Verify the lattice structure of the family {Cxy(X, b) : X in generators}.
 
     Checks the closed forms of the family infimum and supremum, that the
-    naive join agrees with the weak join on every pair, distributivity on
-    every triple, and emits a non-comparability witness (a qualifying set
+    naive join agrees with the weak join on every pair, distributivity of
+    the meet and the weak join on every triple, and emits a non-comparability witness (a qualifying set
     A, the singleton D, and the probe set) whenever some set in the
     union/intersection closure of the generators satisfies the
     non-chain hypothesis: nonempty b ⊆ A with A ≠ b and A ≠ L.
@@ -324,38 +323,18 @@ def sublattice_report(b: SentenceSet, generators: list[SentenceSet]) -> Sublatti
             raise UniverseMismatchError("generator from a different universe")
     full = (1 << universe.size) - 1
     b_mask = b.mask
-    ops = [Cxy(g, b) for g in generators]
-    tables = [table(op) for op in ops]
+    tables = [table(Cxy(g, b)) for g in generators]
 
     inf_table = sup_table = tables[0]
-    for op, t in zip(ops[1:], tables[1:]):
+    for t in tables[1:]:
         inf_table = tuple(p & q for p, q in zip(inf_table, t))
-        sup_table = table(WeakJoin(FromTable(universe, sup_table), op))
+        sup_table = weak_join_table(sup_table, t)
     inf_ok = inf_table == table(Cxy(reduce(SentenceSet.intersect, generators), b))
     sup_ok = sup_table == table(Cxy(reduce(SentenceSet.union, generators), b))
 
-    joins_agree = True
-    for i, (op1, t1) in enumerate(zip(ops, tables)):
-        for op2, t2 in zip(ops[i:], tables[i:]):
-            naive = tuple(p | q for p, q in zip(t1, t2))
-            if naive != table(WeakJoin(op1, op2)):
-                joins_agree = False
-    distributive = True
-    for t1 in tables:
-        for t2 in tables:
-            for t3 in tables:
-                join23 = tuple(p | q for p, q in zip(t2, t3))
-                lhs = tuple(p & q for p, q in zip(t1, join23))
-                rhs = tuple(
-                    (p & q) | (p & r) for p, q, r in zip(t1, t2, t3)
-                )
-                meet23 = tuple(p & q for p, q in zip(t2, t3))
-                lhs2 = tuple(p | q for p, q in zip(t1, meet23))
-                rhs2 = tuple(
-                    (p | q) & (p | r) for p, q, r in zip(t1, t2, t3)
-                )
-                if lhs != rhs or lhs2 != rhs2:
-                    distributive = False
+    joins = {(t1, t2): weak_join_table(t1, t2) for t1 in tables for t2 in tables}
+    joins_agree = all(tuple(p | q for p, q in zip(t1, t2)) == w for (t1, t2), w in joins.items())
+    distributive = _distributive(tables, joins)
 
     witness = None
     if b_mask:
@@ -380,6 +359,32 @@ def sublattice_report(b: SentenceSet, generators: list[SentenceSet]) -> Sublatti
     return SublatticeReport(
         tuple(generators), inf_ok, sup_ok, joins_agree, distributive, witness
     )
+
+
+def _distributive(tables: list[tuple[int, ...]], joins: dict) -> bool:
+    """Both distributive laws on every triple of tables, in the operator lattice.
+
+    The meet is ``&`` on tables and the join is the weak join; ``joins``
+    holds the weak joins already computed, keyed by operand pair, and
+    grows with the ones the laws need.
+    """
+
+    def join(p, q):
+        if (p, q) not in joins:
+            joins[p, q] = weak_join_table(p, q)
+        return joins[p, q]
+
+    def meet(p, q):
+        return tuple(x & y for x, y in zip(p, q))
+
+    for t1 in tables:
+        for t2 in tables:
+            for t3 in tables:
+                if meet(t1, join(t2, t3)) != join(meet(t1, t2), meet(t1, t3)):
+                    return False
+                if join(t1, meet(t2, t3)) != meet(join(t1, t2), join(t1, t3)):
+                    return False
+    return True
 
 
 # -- the strictly descending chain ------------------------------------------------
@@ -409,12 +414,3 @@ def descending_chain(universe: Universe, n: int) -> list[OperatorExpr]:
         if not le(lower, upper).holds or le(upper, lower).holds:
             raise OperatorConstraintError("chain is not strictly decreasing")
     return chain
-
-
-def closed_sets_intersection(a: OperatorExpr, b: OperatorExpr) -> ClosureSystem:
-    """The intersection of two closed-set families (finite mode)."""
-    sys_a = to_closure_system(a)
-    sys_b = to_closure_system(b)
-    masks_b = set(sys_b.masks())
-    kept = tuple(s for s in sys_a.closed if s.mask in masks_b)
-    return ClosureSystem(a.universe, kept)

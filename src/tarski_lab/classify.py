@@ -272,10 +272,8 @@ def _moore_family_masks(n: int) -> tuple[int, ...]:
 
 def system_from_family_mask(n: int, family_mask: int) -> ClosureSystem:
     universe = default_universe(n)
-    closed = tuple(
-        universe.from_mask(m) for m in range(1 << n) if family_mask >> m & 1
-    )
-    return ClosureSystem(universe, closed)
+    subsets = all_subsets(universe)
+    return ClosureSystem(universe, tuple(s for m, s in enumerate(subsets) if family_mask >> m & 1))
 
 
 def enumerate_operators(n: int, include_top: bool = True) -> Iterator[ClosureSystem]:

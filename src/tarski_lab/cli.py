@@ -3,16 +3,24 @@
 Exit codes: 0 for a true verdict (or plain success), 1 for a false verdict
 (the report carries the witness), 2 for usage or spec errors.  All
 commands accept --json for byte-stable machine-readable reports.
+
+Every command is registered through ``command(group, name, operands)``.
+Its body parses its arguments, computes, and returns a ``Report``; the
+decorator adds ``--json`` (and, with ``operands``, ``--spec``/``--universe``,
+handing the body the parsed ``SpecContext`` as ``sctx``), times the body,
+turns ``ValueError``/``KeyError`` into a usage error, prints the report,
+and exits 0 or 1 on its verdict.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from pathlib import Path
 
 import click
 
-from .sets import Mode, make_universe
+from .sets import Mode, all_subsets, make_universe
 from .operators import evaluate, to_closure_system
 from .algebra import (
     descending_chain,
@@ -35,7 +43,7 @@ from .classify import (
 from .concurrence import is_concurrent
 from .demos import DEMOS, run_demo
 from .parsing import SpecContext, parse_operator, parse_set, parse_spec, render_operator
-from .report import Report, axiom_report_payload
+from .report import Report, axiom_report_payload, sublattice_payload
 from . import words as words_mod
 
 
@@ -50,32 +58,32 @@ def _context(spec_path: str | None, universe_spec: str | None) -> SpecContext:
     return SpecContext(make_universe(Mode.FINITE, symbols))
 
 
-def _emit(ctx: click.Context, report: Report, started: float, as_json: bool, code: int) -> None:
-    report.timing_ms = (time.perf_counter() - started) * 1000.0
-    click.echo(report.to_json() if as_json else report.to_text(), nl=False)
-    ctx.exit(code)
+def command(group: click.Group, name: str | None = None, operands: bool = False):
+    """Register ``body`` as a command of ``group`` that reports on stdout."""
 
+    def register(body):
+        @functools.wraps(body)
+        def run_body(as_json: bool, **params) -> None:
+            started = time.perf_counter()
+            try:
+                if operands:
+                    params["sctx"] = _context(params.pop("spec_path"), params.pop("universe_spec"))
+                report = body(**params)
+            except (ValueError, KeyError) as error:
+                # str() of a KeyError is the repr of its message; show the message.
+                message = error.args[0] if isinstance(error, KeyError) and error.args else error
+                raise click.UsageError(str(message)) from error
+            report.timing_ms = (time.perf_counter() - started) * 1000.0
+            click.echo(report.to_json() if as_json else report.to_text(), nl=False)
+            click.get_current_context().exit(0 if report.verdict else 1)
 
-def _usage(error: Exception) -> click.UsageError:
-    return click.UsageError(str(error))
+        click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")(run_body)
+        if operands:
+            click.option("--universe", "universe_spec", help="Inline universe: comma-separated symbols, or 'cofinite'.")(run_body)
+            click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), help="Spec file with universe and named bindings.")(run_body)
+        return group.command(name=name)(run_body)
 
-
-universe_options = [
-    click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), help="Spec file with universe and named bindings."),
-    click.option("--universe", "universe_spec", help="Inline universe: comma-separated symbols, or 'cofinite'."),
-]
-
-
-def add_options(options):
-    def wrap(f):
-        for option in reversed(options):
-            f = option(f)
-        return f
-
-    return wrap
-
-
-json_option = click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
+    return register
 
 
 @click.group()
@@ -90,290 +98,183 @@ def main() -> None:
     """
 
 
-@main.command()
-@add_options(universe_options)
-@json_option
+@command(main, operands=True)
 @click.option("--cap", type=int, default=64, show_default=True, help="Bounded-search horizon for non-closed-form operators on the infinite universe.")
 @click.argument("expression")
-@click.pass_context
-def check(ctx, spec_path, universe_spec, as_json, cap, expression) -> None:
+def check(sctx, cap, expression) -> Report:
     """Report the axiom verdicts of an operator expression."""
-    started = time.perf_counter()
-    try:
-        sctx = _context(spec_path, universe_spec)
-        op = parse_operator(expression, sctx)
-        report = check_axioms(op, cap=cap)
-    except ValueError as error:
-        raise _usage(error) from error
-    out = Report(
+    op = parse_operator(expression, sctx)
+    report = check_axioms(op, cap=cap)
+    return Report(
         command=f"check {expression}",
         verdict=report.is_consequence,
         data={"operator": render_operator(op), "axiom-report": axiom_report_payload(report)},
     )
-    _emit(ctx, out, started, as_json, 0 if report.is_consequence else 1)
 
 
-@main.command()
-@add_options(universe_options)
-@json_option
+@command(main, operands=True)
 @click.argument("left")
 @click.argument("right")
-@click.pass_context
-def order(ctx, spec_path, universe_spec, as_json, left, right) -> None:
+def order(sctx, left, right) -> Report:
     """Decide left <= right pointwise; a false verdict carries a witness."""
-    started = time.perf_counter()
-    try:
-        sctx = _context(spec_path, universe_spec)
-        a = parse_operator(left, sctx)
-        b = parse_operator(right, sctx)
-        result = le(a, b)
-    except ValueError as error:
-        raise _usage(error) from error
+    a = parse_operator(left, sctx)
+    b = parse_operator(right, sctx)
+    result = le(a, b)
     data = {"left": render_operator(a), "right": render_operator(b)}
     if not result.holds and result.witness is not None:
         data["witness"] = result.witness.literal()
         data["left-value"] = evaluate(a, result.witness).literal()
         data["right-value"] = evaluate(b, result.witness).literal()
-    out = Report(command=f"order {left} {right}", verdict=result.holds, data=data)
-    _emit(ctx, out, started, as_json, 0 if result.holds else 1)
+    return Report(command=f"order {left} {right}", verdict=result.holds, data=data)
 
 
-def _binary_operator_command(name: str, builder, doc: str):
-    @main.command(name=name, help=doc)
-    @add_options(universe_options)
-    @json_option
-    @click.option("--at", "at_set", help="Evaluate the result at this set literal.")
-    @click.argument("left")
-    @click.argument("right")
-    @click.pass_context
-    def command(ctx, spec_path, universe_spec, as_json, at_set, left, right) -> None:
-        started = time.perf_counter()
-        try:
-            sctx = _context(spec_path, universe_spec)
-            a = parse_operator(left, sctx)
-            b = parse_operator(right, sctx)
-            combined = builder(a, b)
-            data = {"operator": render_operator(combined)}
-            if at_set is not None:
-                probe = parse_set(at_set, sctx)
-                data["at"] = probe.literal()
-                data["value"] = evaluate(combined, probe).literal()
-            elif sctx.universe.mode is Mode.FINITE:
-                system = to_closure_system(combined)
-                data["closed-sets"] = [s.literal() for s in system.closed]
-            else:
-                raise click.UsageError("--at SET is required on the infinite universe")
-        except click.UsageError:
-            raise
-        except ValueError as error:
-            raise _usage(error) from error
-        out = Report(command=f"{name} {left} {right}", verdict=True, data=data)
-        _emit(ctx, out, started, as_json, 0)
-
-    return command
+def _combine(name, builder, sctx, at_set, left, right) -> Report:
+    combined = builder(parse_operator(left, sctx), parse_operator(right, sctx))
+    data = {"operator": render_operator(combined)}
+    if at_set is not None:
+        probe = parse_set(at_set, sctx)
+        data["at"] = probe.literal()
+        data["value"] = evaluate(combined, probe).literal()
+    elif sctx.universe.mode is Mode.FINITE:
+        data["closed-sets"] = [s.literal() for s in to_closure_system(combined).closed]
+    else:
+        raise click.UsageError("--at SET is required on the infinite universe")
+    return Report(command=f"{name} {left} {right}", verdict=True, data=data)
 
 
-_binary_operator_command("meet", meet_op, "Pointwise-intersection meet of two operators.")
-_binary_operator_command("wjoin", weak_join, "Least upper bound (common-closure join) of two operators.")
+at_option = click.option("--at", "at_set", help="Evaluate the result at this set literal.")
 
 
-@main.command()
-@add_options(universe_options)
-@json_option
+@command(main, operands=True)
+@at_option
+@click.argument("left")
+@click.argument("right")
+def meet(sctx, at_set, left, right) -> Report:
+    """Pointwise-intersection meet of two operators."""
+    return _combine("meet", meet_op, sctx, at_set, left, right)
+
+
+@command(main, operands=True)
+@at_option
+@click.argument("left")
+@click.argument("right")
+def wjoin(sctx, at_set, left, right) -> Report:
+    """Least upper bound (common-closure join) of two operators."""
+    return _combine("wjoin", weak_join, sctx, at_set, left, right)
+
+
+@command(main, operands=True)
 @click.option("--include-top", is_flag=True, help="Allow the top map as the complement target.")
 @click.argument("lower")
 @click.argument("upper")
-@click.pass_context
-def complement(ctx, spec_path, universe_spec, as_json, include_top, lower, upper) -> None:
+def complement(sctx, include_top, lower, upper) -> Report:
     """Relative complement of LOWER inside UPPER, with axiom verdicts."""
-    started = time.perf_counter()
-    try:
-        sctx = _context(spec_path, universe_spec)
-        c = parse_operator(lower, sctx)
-        c1 = parse_operator(upper, sctx)
-        result = relative_complement(c, c1, include_top=include_top)
-    except ValueError as error:
-        raise _usage(error) from error
-    ok = result.report.all_pass and result.lattice_ok
-    out = Report(
+    c = parse_operator(lower, sctx)
+    c1 = parse_operator(upper, sctx)
+    result = relative_complement(c, c1, include_top=include_top)
+    return Report(
         command=f"complement {lower} {upper}",
-        verdict=ok,
+        verdict=result.report.all_pass and result.lattice_ok,
         data={
             "candidate": render_operator(result.candidate),
             "axiom-report": axiom_report_payload(result.report),
             "lattice-check": result.lattice_ok,
         },
     )
-    _emit(ctx, out, started, as_json, 0 if ok else 1)
 
 
-@main.command()
-@add_options(universe_options)
-@json_option
+@command(main, operands=True)
 @click.argument("expressions", nargs=-1, required=True)
-@click.pass_context
-def chain(ctx, spec_path, universe_spec, as_json, expressions) -> None:
+def chain(sctx, expressions) -> Report:
     """Whether the given operators are pairwise comparable."""
-    started = time.perf_counter()
-    try:
-        sctx = _context(spec_path, universe_spec)
-        ops = [parse_operator(e, sctx) for e in expressions]
-        result = is_chain(ops)
-    except ValueError as error:
-        raise _usage(error) from error
+    ops = [parse_operator(e, sctx) for e in expressions]
+    result = is_chain(ops)
     data: dict = {"members": [render_operator(op) for op in ops]}
     if result.violating_pair is not None:
-        pair = result.violating_pair
-        data["incomparable-pair"] = [render_operator(pair[0]), render_operator(pair[1])]
-    out = Report(command="chain " + " ".join(expressions), verdict=result.holds, data=data)
-    _emit(ctx, out, started, as_json, 0 if result.holds else 1)
+        data["incomparable-pair"] = [render_operator(op) for op in result.violating_pair]
+    return Report(command="chain " + " ".join(expressions), verdict=result.holds, data=data)
 
 
-@main.command()
-@add_options(universe_options)
-@json_option
+@command(main, operands=True)
 @click.option("--b", "b_literal", required=True, help="The fixed trigger set.")
 @click.option("--all-generators", is_flag=True, help="Use every subset as a generator.")
 @click.argument("generators", nargs=-1)
-@click.pass_context
-def sublattice(ctx, spec_path, universe_spec, as_json, b_literal, all_generators, generators) -> None:
+def sublattice(sctx, b_literal, all_generators, generators) -> Report:
     """Verify the lattice structure of the fixed-trigger family."""
-    from .sets import all_subsets
-
-    started = time.perf_counter()
-    try:
-        sctx = _context(spec_path, universe_spec)
-        b = parse_set(b_literal, sctx)
-        if all_generators:
-            gens = list(all_subsets(sctx.universe))
-        else:
-            gens = [parse_set(g, sctx) for g in generators]
-        result = sublattice_report(b, gens)
-    except ValueError as error:
-        raise _usage(error) from error
-    data = {
-        "trigger": b.literal(),
-        "generators": [g.literal() for g in result.generators],
-        "inf-closed-form": result.inf_closed_form,
-        "sup-closed-form": result.sup_closed_form,
-        "joins-agree": result.joins_agree,
-        "distributive": result.distributive,
-    }
-    if result.non_chain_witness is not None:
-        a_set, d_set, probe = result.non_chain_witness
-        data["non-chain-witness"] = {
-            "first": a_set.literal(),
-            "second": d_set.literal(),
-            "probe": probe.literal(),
-        }
-    out = Report(command=f"sublattice --b {b_literal}", verdict=result.ok, data=data)
-    _emit(ctx, out, started, as_json, 0 if result.ok else 1)
-
-
-@main.command()
-@json_option
-@click.argument("count", type=int)
-@click.pass_context
-def descend(ctx, as_json, count) -> None:
-    """A strictly descending chain of COUNT operators on the naturals."""
-    started = time.perf_counter()
-    try:
-        universe = make_universe(Mode.COFINITE)
-        ops = descending_chain(universe, count)
-    except ValueError as error:
-        raise _usage(error) from error
-    shown = [render_operator(op) for op in ops[: min(len(ops), 8)]]
-    out = Report(
-        command=f"descend {count}",
-        verdict=True,
-        data={"length": len(ops), "first-members": shown},
+    b = parse_set(b_literal, sctx)
+    if all_generators:
+        gens = list(all_subsets(sctx.universe))
+    else:
+        gens = [parse_set(g, sctx) for g in generators]
+    result = sublattice_report(b, gens)
+    literals = [g.literal() for g in result.generators]
+    return Report(
+        command=f"sublattice --b {b_literal}",
+        verdict=result.ok,
+        data=sublattice_payload(b, literals, result),
     )
-    _emit(ctx, out, started, as_json, 0)
 
 
-@main.command()
-@json_option
+@command(main)
+@click.argument("count", type=int)
+def descend(count) -> Report:
+    """A strictly descending chain of COUNT operators on the naturals."""
+    ops = descending_chain(make_universe(Mode.COFINITE), count)
+    data = {"length": len(ops), "first-members": [render_operator(op) for op in ops[:8]]}
+    return Report(command=f"descend {count}", verdict=True, data=data)
+
+
+@command(main, name="enumerate")
 @click.option("--n", "size", type=int, required=True, help="Universe size (1..4).")
 @click.option("--include-top", is_flag=True, help="Include the map sending everything to L.")
 @click.option("--list-systems", is_flag=True, help="List every closed-set family.")
-@click.pass_context
-def enumerate(ctx, as_json, size, include_top, list_systems) -> None:
+def enumerate_systems(size, include_top, list_systems) -> Report:
     """Count (and optionally list) all closure systems on a tiny universe."""
-    started = time.perf_counter()
-    try:
-        systems = list(enumerate_operators(size, include_top=include_top))
-    except ValueError as error:
-        raise _usage(error) from error
+    systems = list(enumerate_operators(size, include_top=include_top))
     data: dict = {"n": size, "include-top": include_top, "count": len(systems)}
     if list_systems:
         data["systems"] = [
             "[" + ";".join(s.literal() for s in system.closed) + "]" for system in systems
         ]
-    out = Report(command=f"enumerate --n {size}", verdict=True, data=data)
-    _emit(ctx, out, started, as_json, 0)
+    return Report(command=f"enumerate --n {size}", verdict=True, data=data)
 
 
-@main.command()
-@json_option
+@command(main)
 @click.option("--n", "size", type=int, required=True, help="Universe size (2..4).")
-@click.pass_context
-def atoms(ctx, as_json, size) -> None:
+def atoms(size) -> Report:
     """Check that the single-element candidates are atoms and densely cover."""
-    started = time.perf_counter()
-    try:
-        universe = default_universe(size)
-        systems = list(enumerate_operators(size, include_top=True))
-        members = e0_family(universe)
-        verdicts = {render_operator(op): is_atom(op, systems) for op in members}
-        cover = dense_cover_check(systems)
-    except ValueError as error:
-        raise _usage(error) from error
-    ok = all(verdicts.values()) and cover.holds
-    out = Report(
+    universe = default_universe(size)
+    systems = list(enumerate_operators(size, include_top=True))
+    members = e0_family(universe)
+    verdicts = {render_operator(op): is_atom(op, systems) for op in members}
+    cover = dense_cover_check(systems)
+    return Report(
         command=f"atoms --n {size}",
-        verdict=ok,
+        verdict=all(verdicts.values()) and cover.holds,
         data={"atoms": verdicts, "dense-cover": cover.holds, "operator-count": len(systems)},
     )
-    _emit(ctx, out, started, as_json, 0 if ok else 1)
 
 
-@main.command()
-@add_options(universe_options)
-@json_option
+@command(main, operands=True)
 @click.argument("expression")
-@click.pass_context
-def lemma26(ctx, spec_path, universe_spec, as_json, expression) -> None:
+def lemma26(sctx, expression) -> Report:
     """Least element whose co-singleton closes to the whole universe."""
-    started = time.perf_counter()
-    try:
-        sctx = _context(spec_path, universe_spec)
-        op = parse_operator(expression, sctx)
-        witness = lemma26_witness(op)
-    except ValueError as error:
-        raise _usage(error) from error
-    out = Report(
+    op = parse_operator(expression, sctx)
+    witness = lemma26_witness(op)
+    return Report(
         command=f"lemma26 {expression}",
         verdict=True,
         data={"operator": render_operator(op), "witness": sctx.universe.name_of(witness)},
     )
-    _emit(ctx, out, started, as_json, 0)
 
 
-@main.command()
-@add_options(universe_options)
-@json_option
+@command(main, operands=True)
 @click.argument("expression")
-@click.pass_context
-def theories(ctx, spec_path, universe_spec, as_json, expression) -> None:
+def theories(sctx, expression) -> Report:
     """List the deductive systems (fixed points) of an operator."""
-    started = time.perf_counter()
-    try:
-        sctx = _context(spec_path, universe_spec)
-        op = parse_operator(expression, sctx)
-        system = to_closure_system(op)
-    except ValueError as error:
-        raise _usage(error) from error
-    out = Report(
+    op = parse_operator(expression, sctx)
+    system = to_closure_system(op)
+    return Report(
         command=f"theories {expression}",
         verdict=True,
         data={
@@ -382,7 +283,6 @@ def theories(ctx, spec_path, universe_spec, as_json, expression) -> None:
             "closed-sets": [s.literal() for s in system.closed],
         },
     )
-    _emit(ctx, out, started, as_json, 0)
 
 
 @main.group()
@@ -393,7 +293,7 @@ def words(ctx, alphabet_text) -> None:
     try:
         ctx.obj = words_mod.alphabet(alphabet_text)
     except ValueError as error:
-        raise _usage(error) from error
+        raise click.UsageError(str(error)) from error
 
 
 def _parse_pieces(alpha: words_mod.Alphabet, text: str) -> words_mod.PartialSeq:
@@ -401,77 +301,49 @@ def _parse_pieces(alpha: words_mod.Alphabet, text: str) -> words_mod.PartialSeq:
     return words_mod.seq_of_pieces(pieces)
 
 
-@words.command("encode")
-@json_option
+@command(words, name="encode")
 @click.argument("text")
-@click.pass_context
-def words_encode(ctx, as_json, text) -> None:
+@click.pass_obj
+def words_encode(alpha, text) -> Report:
     """Shortlex code of a word."""
-    started = time.perf_counter()
-    try:
-        code = words_mod.encode(ctx.obj.word(text))
-    except (ValueError, KeyError) as error:
-        raise _usage(error) from error
-    out = Report(command=f"words encode {text}", verdict=True, data={"word": text, "code": code})
-    _emit(ctx, out, started, as_json, 0)
+    code = words_mod.encode(alpha.word(text))
+    return Report(command=f"words encode {text}", verdict=True, data={"word": text, "code": code})
 
 
-@words.command("decode")
-@json_option
+@command(words, name="decode")
 @click.argument("code", type=int)
-@click.pass_context
-def words_decode(ctx, as_json, code) -> None:
+@click.pass_obj
+def words_decode(alpha, code) -> Report:
     """Word addressed by a shortlex code."""
-    started = time.perf_counter()
-    try:
-        word = words_mod.decode(ctx.obj, code)
-    except ValueError as error:
-        raise _usage(error) from error
-    out = Report(command=f"words decode {code}", verdict=True, data={"code": code, "word": word.text()})
-    _emit(ctx, out, started, as_json, 0)
+    word = words_mod.decode(alpha, code)
+    return Report(command=f"words decode {code}", verdict=True, data={"code": code, "word": word.text()})
 
 
-@words.command("split")
-@json_option
+@command(words, name="split")
 @click.option("--k", "arity", type=int, required=True, help="Number of cut points.")
 @click.argument("text")
-@click.pass_context
-def words_split(ctx, as_json, arity, text) -> None:
+@click.pass_obj
+def words_split(alpha, arity, text) -> Report:
     """All arity-k decompositions of a word, in cut-mask order."""
-    started = time.perf_counter()
-    try:
-        word = ctx.obj.word(text)
-        splits = [
-            ",".join(p.text() for p in _pieces_of(seq))
-            for seq in words_mod.decompositions(word, arity)
-        ]
-    except (ValueError, KeyError) as error:
-        raise _usage(error) from error
-    out = Report(
+    splits = [
+        ",".join(words_mod.decode(alpha, code).text() for code in reversed(seq.codes))
+        for seq in words_mod.decompositions(alpha.word(text), arity)
+    ]
+    return Report(
         command=f"words split {text} --k {arity}",
         verdict=True,
         data={"word": text, "k": arity, "count": len(splits), "splits": splits},
     )
-    _emit(ctx, out, started, as_json, 0)
 
 
-def _pieces_of(seq: words_mod.PartialSeq) -> list[words_mod.Word]:
-    return [words_mod.decode(seq.alphabet, code) for code in reversed(seq.codes)]
-
-
-@words.command("classify")
-@json_option
+@command(words, name="classify")
 @click.argument("text")
-@click.pass_context
-def words_classify(ctx, as_json, text) -> None:
+@click.pass_obj
+def words_classify(alpha, text) -> Report:
     """Size, maximal split arity, and decomposition count of a word."""
-    started = time.perf_counter()
-    try:
-        word = ctx.obj.word(text)
-        cls = words_mod.class_of(words_mod.seq_of_word(word))
-    except (ValueError, KeyError) as error:
-        raise _usage(error) from error
-    out = Report(
+    word = alpha.word(text)
+    cls = words_mod.class_of(words_mod.seq_of_word(word))
+    return Report(
         command=f"words classify {text}",
         verdict=True,
         data={
@@ -482,83 +354,69 @@ def words_classify(ctx, as_json, text) -> None:
             "code": words_mod.encode(word),
         },
     )
-    _emit(ctx, out, started, as_json, 0)
 
 
-@words.command("equiv")
-@json_option
+@command(words, name="equiv")
 @click.argument("first")
 @click.argument("second")
-@click.pass_context
-def words_equiv(ctx, as_json, first, second) -> None:
+@click.pass_obj
+def words_equiv(alpha, first, second) -> Report:
     """Whether two comma-separated piece sequences denote the same word."""
-    started = time.perf_counter()
-    try:
-        f = _parse_pieces(ctx.obj, first)
-        g = _parse_pieces(ctx.obj, second)
-        verdict = words_mod.equivalent_seqs(f, g)
-    except (ValueError, KeyError) as error:
-        raise _usage(error) from error
-    out = Report(
+    f = _parse_pieces(alpha, first)
+    g = _parse_pieces(alpha, second)
+    return Report(
         command=f"words equiv {first} {second}",
-        verdict=verdict,
+        verdict=words_mod.equivalent_seqs(f, g),
         data={
             "first": words_mod.word_of_seq(f).text(),
             "second": words_mod.word_of_seq(g).text(),
         },
     )
-    _emit(ctx, out, started, as_json, 0 if verdict else 1)
 
 
-@main.command()
-@json_option
+def _edge_pairs(handle) -> list[tuple[str, str]]:
+    pairs = []
+    for number, line in enumerate(handle, 1):
+        fields = line.split("#", 1)[0].split()
+        if len(fields) == 2:
+            pairs.append((fields[0], fields[1]))
+        elif fields:
+            raise ValueError(f"line {number}: expected 'x y'")
+    return pairs
+
+
+@command(main)
 @click.option("--domain", "domain_text", help="Comma-separated domain; defaults to the left elements in file order.")
 @click.argument("edges", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
-@click.pass_context
-def concurrent(ctx, as_json, domain_text, edges) -> None:
+def concurrent(domain_text, edges) -> Report:
     """Concurrence of a relation read as an edge list ('x y' per line)."""
-    started = time.perf_counter()
-    try:
-        with click.open_file(edges) as handle:
-            lines = [line.split("#", 1)[0].split() for line in handle]
-        pairs = [(parts[0], parts[1]) for parts in lines if parts]
-        if domain_text:
-            domain = [part.strip() for part in domain_text.split(",") if part.strip()]
-        else:
-            domain = list(dict.fromkeys(x for x, _ in pairs))
-        result = is_concurrent(pairs, domain)
-    except (ValueError, IndexError) as error:
-        raise _usage(error) from error
+    with click.open_file(edges) as handle:
+        pairs = _edge_pairs(handle)
+    if domain_text:
+        domain = [part.strip() for part in domain_text.split(",") if part.strip()]
+    else:
+        domain = list(dict.fromkeys(x for x, _ in pairs))
+    result = is_concurrent(pairs, domain)
     data: dict = {"domain": domain}
     if result.concurrent:
         data["bound"] = result.bound
     elif result.failing_subset is not None:
         data["failing-subset"] = list(result.failing_subset)
-    out = Report(command=f"concurrent {edges}", verdict=result.concurrent, data=data)
-    _emit(ctx, out, started, as_json, 0 if result.concurrent else 1)
+    return Report(command=f"concurrent {edges}", verdict=result.concurrent, data=data)
 
 
-@main.command()
-@json_option
+@command(main)
 @click.option("--list", "list_demos", is_flag=True, help="List the available demos.")
 @click.argument("name", required=False)
-@click.pass_context
-def demo(ctx, as_json, list_demos, name) -> None:
+def demo(list_demos, name) -> Report:
     """Run a named demonstration; expected failures count as demonstrated."""
-    started = time.perf_counter()
     if list_demos or name is None:
-        out = Report(
+        return Report(
             command="demo --list",
             verdict=True,
             data={"demos": {key: summary for key, (summary, _) in sorted(DEMOS.items())}},
         )
-        _emit(ctx, out, started, as_json, 0)
-        return
-    try:
-        report = run_demo(name)
-    except (KeyError, ValueError) as error:
-        raise _usage(error) from error
-    _emit(ctx, report, started, as_json, 0 if report.verdict else 1)
+    return run_demo(name)
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -39,29 +39,24 @@ from .classify import (
 )
 from .concurrence import monotone_union_check
 from .parsing import render_operator
-from .report import Report, axiom_report_payload
+from .report import Report, axiom_report_payload, sublattice_payload
 
 
 def _l3():
     return make_universe(Mode.FINITE, ("a", "b", "c"))
 
 
-def demo_example_2_8() -> Report:
-    """The naive (pointwise-union) join of two closure operators can fail
-    idempotence; replayed starting from the empty set."""
-    u = _l3()
-    adder = CPrime(u.of_names("b"), u.empty())
-    example = SExample(u.of_names("a"), u.index_of("b"))
-    joined = naive_join(adder, example)
-    start = u.empty()
-    once = evaluate(joined, start)
-    twice = evaluate(joined, once)
-    report = check_axioms(joined)
+def _idempotence_failure(name: str, op, start) -> Report:
+    """Apply ``op`` twice from ``start``: a changed second value shows that
+    idempotence fails, and the axiom report must agree."""
+    once = evaluate(op, start)
+    twice = evaluate(op, once)
+    report = check_axioms(op)
     return Report(
-        command="demo example-2.8",
+        command=f"demo {name}",
         verdict=not report.axiom_i.passed and twice != once,
         data={
-            "operator": render_operator(joined),
+            "operator": render_operator(op),
             "start": start.literal(),
             "applied-once": once.literal(),
             "applied-twice": twice.literal(),
@@ -70,32 +65,26 @@ def demo_example_2_8() -> Report:
             "axiom-report": axiom_report_payload(report),
         },
     )
+
+
+def _adder_and_example():
+    """The two closure operators that examples 2.8 and 3.4 combine."""
+    u = _l3()
+    return CPrime(u.of_names("b"), u.empty()), SExample(u.of_names("a"), u.index_of("b"))
+
+
+def demo_example_2_8() -> Report:
+    """The naive (pointwise-union) join of two closure operators can fail
+    idempotence; replayed starting from the empty set."""
+    adder, example = _adder_and_example()
+    return _idempotence_failure("example-2.8", naive_join(adder, example), adder.universe.empty())
 
 
 def demo_example_3_4() -> Report:
     """Composition of two closure operators need not be one; replayed
     starting from the base set M of the example operator."""
-    u = _l3()
-    adder = CPrime(u.of_names("b"), u.empty())
-    example = SExample(u.of_names("a"), u.index_of("b"))
-    composite = compose(adder, example)
-    start = example.m
-    once = evaluate(composite, start)
-    twice = evaluate(composite, once)
-    report = check_axioms(composite)
-    return Report(
-        command="demo example-3.4",
-        verdict=not report.axiom_i.passed and twice != once,
-        data={
-            "operator": render_operator(composite),
-            "start": start.literal(),
-            "applied-once": once.literal(),
-            "applied-twice": twice.literal(),
-            "idempotent": twice == once,
-            "demonstration-witness": start.literal(),
-            "axiom-report": axiom_report_payload(report),
-        },
-    )
+    adder, example = _adder_and_example()
+    return _idempotence_failure("example-3.4", compose(adder, example), example.m)
 
 
 def demo_example_3_2() -> Report:
@@ -178,25 +167,10 @@ def demo_thm_3_1() -> Report:
     b = u.of_names("b")
     generators = list(all_subsets(u))
     result = sublattice_report(b, generators)
-    data = {
-        "trigger": b.literal(),
-        "generators": len(generators),
-        "inf-closed-form": result.inf_closed_form,
-        "sup-closed-form": result.sup_closed_form,
-        "joins-agree": result.joins_agree,
-        "distributive": result.distributive,
-    }
-    if result.non_chain_witness is not None:
-        a_set, d_set, probe = result.non_chain_witness
-        data["non-chain-witness"] = {
-            "first": a_set.literal(),
-            "second": d_set.literal(),
-            "probe": probe.literal(),
-        }
     return Report(
         command="demo thm-3.1",
         verdict=result.ok and result.non_chain_witness is not None,
-        data=data,
+        data=sublattice_payload(b, len(generators), result),
     )
 
 

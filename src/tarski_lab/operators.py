@@ -201,21 +201,22 @@ class ClosureSystem:
             if s.universe != self.universe:
                 raise UniverseMismatchError("closed set from a different universe")
         masks = [s.mask for s in self.closed]
-        if len(set(masks)) != len(masks):
+        present = set(masks)
+        if len(present) != len(masks):
             raise OperatorConstraintError("duplicate closed sets")
-        order = sorted(range(len(masks)), key=lambda i: masks[i])
-        canon = tuple(self.closed[order[i]] for i in range(len(order)))
+        order = sorted(range(len(masks)), key=masks.__getitem__)
+        canon = tuple(self.closed[i] for i in order)
         if canon != self.closed:
             object.__setattr__(self, "closed", canon)
-        present = {s.mask for s in canon}
-        full = (1 << self.universe.size) - 1
-        if full not in present:
+        masks = [masks[i] for i in order]
+        if (1 << self.universe.size) - 1 not in present:
             raise OperatorConstraintError("the family must contain the whole universe")
-        for i, a in enumerate(canon):
-            for b in canon[i + 1 :]:
-                if a.mask & b.mask not in present:
+        for i, a in enumerate(masks):
+            for j in range(i + 1, len(masks)):
+                if a & masks[j] not in present:
+                    first, second = canon[i].literal(), canon[j].literal()
                     raise OperatorConstraintError(
-                        f"family is not intersection-closed: {a.literal()} ∩ {b.literal()} missing"
+                        f"family is not intersection-closed: {first} ∩ {second} missing"
                     )
 
     def masks(self) -> tuple[int, ...]:
@@ -260,17 +261,6 @@ class FromTable(OperatorExpr):
     @property
     def universe(self) -> Universe:
         return self._universe
-
-
-def table_from_map(universe: Universe, mapping: dict[SentenceSet, SentenceSet]) -> FromTable:
-    """Build a FromTable from an explicit subset-to-subset mapping."""
-    n = universe.size
-    entries: list[int | None] = [None] * (1 << n)
-    for key, value in mapping.items():
-        entries[key.mask] = value.mask
-    if any(v is None for v in entries):
-        raise OperatorConstraintError("table must be total over all subsets")
-    return FromTable(universe, tuple(entries))  # type: ignore[arg-type]
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -404,9 +394,14 @@ def _table(op: OperatorExpr, size: int) -> tuple[int, ...]:
             out.append(value)
         return tuple(out)
     if isinstance(op, WeakJoin):
-        left, right = _table(op.left, size), _table(op.right, size)
-        return tuple(_settle(lambda y: right[left[y]], m, size + 1) for m in range(size))
+        return weak_join_table(_table(op.left, size), _table(op.right, size))
     raise TypeError(f"unknown operator expression {op!r}")
+
+
+def weak_join_table(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """The table of ``WeakJoin`` over operands with tables ``left`` and ``right``."""
+    size = len(left)
+    return tuple(_settle(lambda y: right[left[y]], m, size + 1) for m in range(size))
 
 
 def to_closure_system(op: OperatorExpr) -> ClosureSystem:

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .sets import SentenceSet
+from .algebra import SublatticeReport
 from .classify import AxiomReport, Verdict
 
 
@@ -80,4 +81,24 @@ def axiom_report_payload(report: AxiomReport) -> dict:
     }
     if report.finitary_from_monotone is not None:
         payload["finitary-followed-from-i-ii"] = report.finitary_from_monotone
+    return payload
+
+
+def sublattice_payload(trigger: SentenceSet, generators, result: SublatticeReport) -> dict:
+    """The fixed-trigger sublattice verdicts; ``generators`` is shown as given."""
+    payload = {
+        "trigger": trigger.literal(),
+        "generators": generators,
+        "inf-closed-form": result.inf_closed_form,
+        "sup-closed-form": result.sup_closed_form,
+        "joins-agree": result.joins_agree,
+        "distributive": result.distributive,
+    }
+    if result.non_chain_witness is not None:
+        first, second, probe = result.non_chain_witness
+        payload["non-chain-witness"] = {
+            "first": first.literal(),
+            "second": second.literal(),
+            "probe": probe.literal(),
+        }
     return payload

@@ -9,7 +9,6 @@ nothing is sampled or approximated.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -26,15 +25,6 @@ class Mode(enum.Enum):
 class Polarity(enum.Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
-
-
-class Kind(enum.Enum):
-    """Binary/unary set operations accepted by :func:`boolean_algebra`."""
-
-    UNION = "union"
-    INTERSECT = "intersect"
-    DIFFERENCE = "difference"
-    COMPLEMENT = "complement"
 
 
 class DuplicateSymbolError(ValueError):
@@ -262,23 +252,6 @@ class SentenceSet:
         return f"SentenceSet({self.literal()})"
 
 
-def boolean_algebra(a: SentenceSet, b: SentenceSet | None, kind: Kind) -> SentenceSet:
-    """Exact union/intersection/difference/complement-of-a."""
-    if kind is Kind.COMPLEMENT:
-        return a.complement()
-    if b is None:
-        raise ValueError(f"{kind.value} needs a second operand")
-    if kind is Kind.UNION:
-        return a.union(b)
-    if kind is Kind.INTERSECT:
-        return a.intersect(b)
-    return a.difference(b)
-
-
-def is_subset(a: SentenceSet, b: SentenceSet) -> bool:
-    return a.is_subset(b)
-
-
 @lru_cache(maxsize=None)
 def all_subsets(universe: Universe) -> tuple[SentenceSet, ...]:
     """All subsets of a finite universe, ascending by bitmask."""
@@ -288,47 +261,3 @@ def all_subsets(universe: Universe) -> tuple[SentenceSet, ...]:
     if n > MAX_SWEEP_SIZE:
         raise ValueError(f"universe of size {n} is too large for exhaustive sweeps")
     return tuple(universe.from_mask(m) for m in range(1 << n))
-
-
-def _bounded_masks(limit: int, max_bits: int) -> Iterator[int]:
-    """Masks over bit positions < limit with at most max_bits set, ascending."""
-    if max_bits < 0:
-        return
-    if max_bits >= limit:
-        yield from range(1 << limit)
-        return
-    for low in _bounded_masks(limit - 1, max_bits):
-        yield low
-    high = 1 << (limit - 1)
-    for low in _bounded_masks(limit - 1, max_bits - 1):
-        yield high | low
-
-
-def finite_subsets(x: SentenceSet, cap: int | None = None) -> Iterator[SentenceSet]:
-    """Stream the finite subsets of ``x`` in a fixed deterministic order.
-
-    Subsets are ordered by their characteristic bitmask over the ascending
-    elements of ``x`` (so the empty set comes first, then the sets whose
-    largest element is smallest).  ``cap`` bounds the subset size and is
-    mandatory in cofinite mode, where the stream is infinite whenever ``x``
-    is cofinite.
-    """
-    universe = x.universe
-    if universe.mode is Mode.COFINITE and cap is None:
-        raise ValueError("cofinite mode requires a size cap")
-    yield universe.empty()
-    if cap == 0:
-        return
-    elems: list[int] = []
-    for e in x.elements():
-        bound = len(elems) if cap is None else min(cap - 1, len(elems))
-        for mask in _bounded_masks(len(elems), bound):
-            chosen = [elems[i] for i in range(len(elems)) if mask >> i & 1]
-            chosen.append(e)
-            yield universe.subset(chosen)
-        elems.append(e)
-
-
-def count_finite_subsets(length: int, cap: int) -> int:
-    """Independent count of size-<=cap subsets drawn from ``length`` elements."""
-    return sum(math.comb(length, k) for k in range(min(cap, length) + 1))

@@ -13,6 +13,7 @@ import pytest
 
 from tarski_lab.sets import Mode, ModeError, all_subsets, make_universe
 from tarski_lab.operators import (
+    ClosureSystem,
     Compose,
     CPrime,
     Cxy,
@@ -22,11 +23,12 @@ from tarski_lab.operators import (
     Top,
     evaluate,
     from_closure_system,
+    table,
     to_closure_system,
 )
 from tarski_lab.algebra import (
     UndecidableComparisonError,
-    closed_sets_intersection,
+    _distributive,
     descending_chain,
     equivalent,
     is_chain,
@@ -207,8 +209,9 @@ class TestMeetAndJoins:
     def test_weak_join_family_intersection(self, u):
         a = Cxy(u.of_names("a"), u.of_names("b"))
         b = Cxy(u.of_names("c"), u.of_names("b"))
-        joined_system = to_closure_system(weak_join(a, b))
-        assert joined_system == closed_sets_intersection(a, b)
+        joined = to_closure_system(weak_join(a, b)).closed
+        common = set(to_closure_system(b).closed)
+        assert joined == tuple(s for s in to_closure_system(a).closed if s in common)
 
     def test_weak_join_cofinite_guard(self, nat):
         with pytest.raises(ModeError):
@@ -426,6 +429,16 @@ class TestSublattice:
     def test_empty_generators_rejected(self, u):
         with pytest.raises(ValueError):
             sublattice_report(u.of_names("b"), [])
+
+    def test_distributive_law_uses_the_operator_lattice(self, u):
+        # Bitwise, & distributes over | on any tables; in the operator
+        # lattice, whose join is the weak join, these three systems fail:
+        # [{};L] ∨ ([{a};L] ∧ [{b};L]) is [{};L], but the right side is the top map.
+        families = [(u.empty(),), (u.of_names("a"),), (u.of_names("b"),)]
+        tables = [table(from_closure_system(ClosureSystem(u, f + (u.full(),)))) for f in families]
+        assert _distributive(tables, {}) is False
+        gens = [u.empty(), u.of_names("a"), u.of_names("c")]
+        assert _distributive([table(Cxy(g, u.of_names("b"))) for g in gens], {}) is True
 
 
 class TestDescendingChain:

@@ -228,3 +228,19 @@ class TestCommands:
     def test_unknown_demo_is_usage_error(self, runner):
         result = invoke(runner, ["demo", "no-such-demo"])
         assert result.exit_code == 2
+
+    def test_unknown_demo_message_is_bare(self, runner):
+        result = invoke(runner, ["demo", "nope"])
+        assert "Error: unknown demo 'nope'; known: example-2.8," in result.output
+
+    def test_unknown_symbol_message_is_bare(self, runner):
+        result = invoke(runner, ["words", "--alphabet", "ab", "encode", "abz"])
+        assert result.exit_code == 2
+        assert "Error: symbol 'z' is not in the alphabet\n" in result.output
+
+    @pytest.mark.parametrize("edges", ["x\n", "0 1\n# note\n\n0 1 2\n"])
+    def test_concurrent_malformed_line_is_usage_error(self, runner, edges):
+        result = invoke(runner, ["concurrent", "-", "--json"], input=edges)
+        assert result.exit_code == 2
+        line = edges.count("\n")
+        assert f"Error: line {line}: expected 'x y'" in result.output

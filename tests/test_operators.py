@@ -22,7 +22,6 @@ from tarski_lab.operators import (
     compose,
     evaluate,
     from_closure_system,
-    table_from_map,
     to_closure_system,
 )
 
@@ -65,13 +64,6 @@ class TestConstruction:
     def test_partial_table_rejected(self, u):
         with pytest.raises(OperatorConstraintError):
             FromTable(u, (0, 1, 2))
-        with pytest.raises(OperatorConstraintError):
-            table_from_map(u, {u.empty(): u.empty()})
-
-    def test_table_from_map_total(self, u):
-        mapping = {s: u.full() for s in all_subsets(u)}
-        op = table_from_map(u, mapping)
-        assert evaluate(op, u.empty()).is_full()
 
 
 class TestEvaluation:
@@ -199,7 +191,7 @@ class TestClosureSystems:
             ClosureSystem(u, (u.empty(),))
 
     def test_constructor_validates_intersection_closure(self, u):
-        with pytest.raises(OperatorConstraintError):
+        with pytest.raises(OperatorConstraintError, match="{a} ∩ {b} missing"):
             ClosureSystem(u, (u.of_names("a"), u.of_names("b"), u.full()))
 
     def test_round_trip(self, u):
