@@ -28,7 +28,6 @@ from .operators import (
     ClosureSystem,
     CPrime,
     Cxy,
-    FromSystem,
     FromTable,
     Identity,
     OperatorExpr,
@@ -79,47 +78,47 @@ def check_axioms(op: OperatorExpr, cap: int | None = None) -> AxiomReport:
         raise ModeError("tables are not defined on the infinite universe")
     if cap is None:
         raise ValueError("bounded search on the infinite universe needs a cap")
+    if cap < 1:
+        raise ValueError(f"the bounded-search cap must be at least 1, got {cap}")
     return _check_bounded(op, cap)
 
 
 def _check_exhaustive(op: OperatorExpr) -> AxiomReport:
-    subsets = all_subsets(op.universe)
+    universe = op.universe
+    subsets = all_subsets(universe)
+    images = [subsets[v] for v in table(op)]
 
     axiom_i = Verdict(True)
-    for s in subsets:
-        image = evaluate(op, s)
-        if not s.is_subset(image) or evaluate(op, image) != image:
+    for s, image in zip(subsets, images):
+        if not s.is_subset(image) or images[image.mask] != image:
             axiom_i = Verdict(False, witness=(s,))
             break
 
     axiom_ii = Verdict(True)
-    for s in subsets:
+    for s, image in zip(subsets, images):
         if not axiom_ii.passed:
             break
-        for t in subsets:
-            if s.is_subset(t) and not evaluate(op, s).is_subset(evaluate(op, t)):
+        for t, other in zip(subsets, images):
+            if s.is_subset(t) and not image.is_subset(other):
                 axiom_ii = Verdict(False, witness=(s, t))
                 break
 
     axiom_iii = Verdict(True)
-    for s in subsets:
-        union = op.universe.empty()
-        for a in subsets:
+    for s, image in zip(subsets, images):
+        union = universe.empty()
+        for a, part in zip(subsets, images):
             if a.is_subset(s):
-                union = union.union(evaluate(op, a))
-        image = evaluate(op, s)
+                union = union.union(part)
+        # a = s is among the parts, so the union always contains C(s).
         if union != image:
-            missing = image.difference(union)
-            extra = union.difference(image)
-            element = missing.least() if not missing.is_empty() else extra.least()
-            axiom_iii = Verdict(False, witness=(s, element))
+            axiom_iii = Verdict(False, witness=(s, union.difference(image).least()))
             break
 
     return AxiomReport(
         axiom_i=axiom_i,
         axiom_ii=axiom_ii,
         axiom_iii=axiom_iii,
-        axiomless=evaluate(op, op.universe.empty()).is_empty(),
+        axiomless=images[0].is_empty(),
         mode_note=EXHAUSTIVE,
         finitary_from_monotone=axiom_i.passed and axiom_ii.passed,
     )
@@ -155,15 +154,10 @@ def _check_closed_form(op: OperatorExpr) -> AxiomReport:
 
 def _bounded_family(universe: Universe, cap: int) -> list[SentenceSet]:
     sets: list[SentenceSet] = [universe.empty()]
-    horizon = max(1, cap)
-    sets.extend(universe.subset([i]) for i in range(horizon))
-    sets.extend(
-        universe.subset([i, j]) for i in range(horizon) for j in range(i + 1, horizon)
-    )
+    sets.extend(universe.subset([i]) for i in range(cap))
+    sets.extend(universe.subset([i, j]) for i in range(cap) for j in range(i + 1, cap))
     for size in range(3, 9):
-        sets.extend(
-            universe.subset(range(i, i + size)) for i in range(max(0, horizon - size + 1))
-        )
+        sets.extend(universe.subset(range(i, i + size)) for i in range(max(0, cap - size + 1)))
     sets.append(universe.full())
     sets.extend(universe.cosubset(range(k)) for k in range(1, 5))
     return sets
@@ -172,31 +166,30 @@ def _bounded_family(universe: Universe, cap: int) -> list[SentenceSet]:
 def _check_bounded(op: OperatorExpr, cap: int) -> AxiomReport:
     universe = op.universe
     family = _bounded_family(universe, cap)
+    images = [evaluate(op, s) for s in family]
     note = f"bounded-search(cap={cap})"
 
     axiom_i = Verdict(True, conclusive=False)
-    for s in family:
-        image = evaluate(op, s)
+    for s, image in zip(family, images):
         if not s.is_subset(image) or evaluate(op, image) != image:
             axiom_i = Verdict(False, witness=(s,))
             break
 
     axiom_ii = Verdict(True, conclusive=False)
-    for s in family:
+    for s, image in zip(family, images):
         if not axiom_ii.passed:
             break
-        for t in family:
-            if s.is_subset(t) and not evaluate(op, s).is_subset(evaluate(op, t)):
+        for t, other in zip(family, images):
+            if s.is_subset(t) and not image.is_subset(other):
                 axiom_ii = Verdict(False, witness=(s, t))
                 break
 
     axiom_iii = Verdict(True, conclusive=False)
-    for s in family:
-        image = evaluate(op, s)
+    for s, image in zip(family, images):
         union = universe.empty()
-        for a in family:
+        for a, part in zip(family, images):
             if a.is_finite() and a.is_subset(s):
-                union = union.union(evaluate(op, a))
+                union = union.union(part)
         if not union.is_subset(image):
             element = union.difference(image).least()
             axiom_iii = Verdict(False, witness=(s, element))
@@ -213,7 +206,7 @@ def _check_bounded(op: OperatorExpr, cap: int) -> AxiomReport:
         axiom_i=axiom_i,
         axiom_ii=axiom_ii,
         axiom_iii=axiom_iii,
-        axiomless=evaluate(op, universe.empty()).is_empty(),
+        axiomless=images[0].is_empty(),
         mode_note=note,
     )
 
@@ -322,7 +315,7 @@ def is_atom(op: OperatorExpr, oracle: Iterable[ClosureSystem]) -> bool:
     if target == identity:
         raise ValueError("the identity is not eligible for the atom check")
     for system in oracle:
-        values = table(FromSystem(system))
+        values = system.table
         if values not in (identity, target) and all(t & ~u == 0 for t, u in zip(values, target)):
             return False
     return True
@@ -354,7 +347,7 @@ def dense_cover_check(
     members = e0_family(universe) if candidates is None else candidates
     tables = [table(op) for op in members]
     for system in systems:
-        values = table(FromSystem(system))
+        values = system.table
         if values[0] == 0:
             continue  # axiomless: the empty set is closed
         if not any(all(e & ~t == 0 for e, t in zip(etab, values)) for etab in tables):

@@ -2,7 +2,7 @@
 
 An operator expression denotes a map from subsets of a universe to subsets
 of the same universe.  Expressions are immutable values; evaluation is pure
-and memoised internally (the cache is semantically invisible).
+and keeps no state between calls.
 
 The two parametric families behave as follows on an argument A:
 
@@ -20,13 +20,15 @@ Y ⊇ A fixed by both operands, computed by iterating the operands to a
 fixed point.  ``Compose`` is function composition (outer after inner).
 
 In finite mode, ``table(op)`` is the whole map at once: ``table(op)[m]`` is
-the image mask of the subset with mask m, compiled bottom-up on ints.
+the image mask of the subset with mask m, compiled bottom-up on ints.  A
+``ClosureSystem`` holds its own table, ``system.table``: the least closed
+superset of every subset, computed on first use and read by ``FromSystem``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .sets import (
     MAX_SWEEP_SIZE,
@@ -193,6 +195,7 @@ class ClosureSystem:
 
     universe: Universe
     closed: tuple[SentenceSet, ...]
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.universe.mode is not Mode.FINITE:
@@ -208,7 +211,8 @@ class ClosureSystem:
         canon = tuple(self.closed[i] for i in order)
         if canon != self.closed:
             object.__setattr__(self, "closed", canon)
-        masks = [masks[i] for i in order]
+        masks = tuple(masks[i] for i in order)
+        object.__setattr__(self, "_masks", masks)
         if (1 << self.universe.size) - 1 not in present:
             raise OperatorConstraintError("the family must contain the whole universe")
         for i, a in enumerate(masks):
@@ -220,7 +224,18 @@ class ClosureSystem:
                     )
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(s.mask for s in self.closed)
+        return self._masks
+
+    @cached_property
+    def table(self) -> tuple[int, ...]:
+        """The mask of the least closed superset of every subset, indexed by mask.
+
+        The least closed superset is contained in every other one, so it is
+        the first superset in ascending mask order (L is always one).
+        """
+        return tuple(
+            next(c for c in self._masks if c & m == m) for m in range(1 << self.universe.size)
+        )
 
 
 @dataclass(frozen=True)
@@ -277,7 +292,6 @@ _ATOMIC_CLOSURES = (Identity, Top, Cxy, CPrime)
 
 
 def _eval(op: OperatorExpr, x: SentenceSet) -> SentenceSet:
-    # Leaf forms are constant-time; only composite nodes are worth caching.
     if isinstance(op, Identity):
         return x
     if isinstance(op, Top):
@@ -290,23 +304,14 @@ def _eval(op: OperatorExpr, x: SentenceSet) -> SentenceSet:
         return x.universe.full() if op.b in x else op.m.union(x)
     if isinstance(op, FromTable):
         return x.universe.from_mask(op.table[x.mask])
-    return _eval_composite(op, x)
-
-
-@lru_cache(maxsize=None)
-def _eval_composite(op: OperatorExpr, x: SentenceSet) -> SentenceSet:
+    if isinstance(op, FromSystem):
+        return x.universe.from_mask(op.system.table[x.mask])
     if isinstance(op, Meet):
         return _eval(op.left, x).intersect(_eval(op.right, x))
     if isinstance(op, NaiveJoin):
         return _eval(op.left, x).union(_eval(op.right, x))
     if isinstance(op, Compose):
         return _eval(op.outer, _eval(op.inner, x))
-    if isinstance(op, FromSystem):
-        out = x.universe.full()
-        for closed in op.system.closed:
-            if x.is_subset(closed):
-                out = out.intersect(closed)
-        return out
     if isinstance(op, WeakJoin):
         return _eval_weak_join(op, x)
     raise TypeError(f"unknown operator expression {op!r}")
@@ -384,15 +389,7 @@ def _table(op: OperatorExpr, size: int) -> tuple[int, ...]:
         outer = _table(op.outer, size)
         return tuple(outer[v] for v in _table(op.inner, size))
     if isinstance(op, FromSystem):
-        closed = op.system.masks()
-        out = []
-        for m in range(size):
-            value = full
-            for c in closed:
-                if c & m == m:
-                    value &= c
-            out.append(value)
-        return tuple(out)
+        return op.system.table
     if isinstance(op, WeakJoin):
         return weak_join_table(_table(op.left, size), _table(op.right, size))
     raise TypeError(f"unknown operator expression {op!r}")

@@ -179,14 +179,14 @@ def decompositions(w: Word, k: int) -> Iterator[PartialSeq]:
     """All arity-k sequences denoting ``w``: k cut points among size−1 gaps.
 
     Cut-point sets are enumerated in ascending bitmask order (bit g set
-    means a cut after symbol position g).
+    means a cut after symbol position g), stepping from one k-bit mask to
+    the next (Gosper's hack) rather than scanning all 2^(size−1) masks.
     """
     gaps = w.size - 1
     if not 0 <= k <= gaps:
         raise ValueError(f"arity must lie in 0..{gaps}")
-    for mask in range(1 << gaps):
-        if mask.bit_count() != k:
-            continue
+    mask = (1 << k) - 1
+    while mask >> gaps == 0:
         cuts = [g for g in range(gaps) if mask >> g & 1]
         pieces = []
         start = 0
@@ -195,6 +195,11 @@ def decompositions(w: Word, k: int) -> Iterator[PartialSeq]:
             start = cut + 1
         pieces.append(Word(w.alphabet, w.indices[start:]))
         yield seq_of_pieces(pieces)
+        if mask == 0:
+            return
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((ripple ^ mask) >> 2) // low
 
 
 def count_decompositions(w: Word, k: int | None = None) -> int:

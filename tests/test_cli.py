@@ -48,6 +48,13 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "universe of size 25 is too large" in result.output
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_non_positive_cap_is_usage_error(self, runner, cap):
+        args = ["check", "--universe", "cofinite", "--cap", cap, "meet(I,cxy {0} {1})"]
+        result = invoke(runner, args)
+        assert result.exit_code == 2
+        assert f"cap must be at least 1, got {cap}" in result.output
+
     def test_non_integer_seed_is_usage_error(self, runner):
         result = invoke(runner, ["demo", "remark-2.2"], env={"TARSKI_LAB_SEED": "abc"})
         assert result.exit_code == 2

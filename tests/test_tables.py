@@ -1,4 +1,5 @@
-"""The finite-mode table compiler against pointwise evaluation, and the
+"""The finite-mode table compiler against pointwise evaluation, the axiom
+sweep and the closure-system table against literal int definitions, and the
 Moore-family search against a brute-force scan of every family bitmask."""
 
 import pytest
@@ -24,13 +25,21 @@ from tarski_lab.operators import (
     table,
 )
 from tarski_lab.algebra import Comparison, equivalent, le
-from tarski_lab.classify import _moore_family_masks
+from tarski_lab.classify import EXHAUSTIVE, AxiomReport, Verdict, _moore_family_masks, check_axioms
 
 SYMBOLS = "abcd"
 
 
 def masks(u):
     return st.integers(0, (1 << u.size) - 1)
+
+
+@st.composite
+def closure_systems(draw, u):
+    closed = {(1 << u.size) - 1}
+    for m in draw(st.lists(masks(u), max_size=6)):
+        closed |= {m & c for c in closed} | {m}
+    return ClosureSystem(u, tuple(u.from_mask(m) for m in closed))
 
 
 @st.composite
@@ -50,10 +59,7 @@ def leaves(draw, u):
         base = draw(st.lists(st.sampled_from(others), min_size=1, max_size=n - 2, unique=True))
         return SExample(u.subset(base), b)
     if kind == "system":
-        closed = {size - 1}
-        for m in draw(st.lists(masks(u), max_size=6)):
-            closed |= {m & c for c in closed} | {m}
-        return FromSystem(ClosureSystem(u, tuple(u.from_mask(m) for m in closed)))
+        return FromSystem(draw(closure_systems(u)))
     values = draw(st.lists(masks(u), min_size=size, max_size=size))
     if draw(st.booleans()):
         values = [m | v for m, v in enumerate(values)]  # extensive
@@ -68,9 +74,13 @@ def expressions(draw, u, depth=2):
     return node(draw(expressions(u, depth - 1)), draw(expressions(u, depth - 1)))
 
 
+def universes():
+    return st.integers(1, 4).map(lambda n: make_universe(Mode.FINITE, SYMBOLS[:n]))
+
+
 @st.composite
 def operator_pairs(draw):
-    u = make_universe(Mode.FINITE, SYMBOLS[: draw(st.integers(1, 4))])
+    u = draw(universes())
     return draw(expressions(u)), draw(expressions(u))
 
 
@@ -86,6 +96,55 @@ def literal_le(a, b):
         if not evaluate(a, s).is_subset(evaluate(b, s)):
             return Comparison(False, s)
     return Comparison(True)
+
+
+def literal_axioms(op):
+    """The exhaustive report from the axiom definitions on the int table:
+    least witnesses in ascending mask order (pairs lexicographically)."""
+    u = op.universe
+    t = table(op)
+    size = len(t)
+    axiom_i = Verdict(True)
+    for m in range(size):
+        if m & ~t[m] or t[t[m]] != t[m]:
+            axiom_i = Verdict(False, witness=(u.from_mask(m),))
+            break
+    failing = [(s, r) for s in range(size) for r in range(size) if s & ~r == 0 and t[s] & ~t[r]]
+    axiom_ii = Verdict(True)
+    if failing:
+        axiom_ii = Verdict(False, witness=tuple(map(u.from_mask, failing[0])))
+    axiom_iii = Verdict(True)
+    for s in range(size):
+        union = 0
+        for a in range(size):
+            if a & ~s == 0:
+                union |= t[a]
+        if union != t[s]:
+            missing, extra = t[s] & ~union, union & ~t[s]
+            element = missing & -missing if missing else extra & -extra
+            axiom_iii = Verdict(False, witness=(u.from_mask(s), element.bit_length() - 1))
+            break
+    return AxiomReport(
+        axiom_i=axiom_i,
+        axiom_ii=axiom_ii,
+        axiom_iii=axiom_iii,
+        axiomless=t[0] == 0,
+        mode_note=EXHAUSTIVE,
+        finitary_from_monotone=axiom_i.passed and axiom_ii.passed,
+    )
+
+
+def literal_least_closed_supersets(system):
+    n = system.universe.size
+    closed = [s.mask for s in system.closed]
+    out = []
+    for m in range(1 << n):
+        value = (1 << n) - 1
+        for c in closed:
+            if c & m == m:
+                value &= c
+        out.append(value)
+    return tuple(out)
 
 
 def outcome(f, *args):
@@ -115,6 +174,23 @@ class TestTable:
             return
         assert le(a, b) == literal_le(a, b)
         assert equivalent(a, b) == (pointwise(a) == pointwise(b))
+
+    @settings(deadline=None)
+    @given(operator_pairs())
+    def test_axiom_report_matches_the_literal_definitions(self, pair):
+        for op in pair:
+            if isinstance(outcome(table, op), str):
+                # The sweep reads the whole table, so it is rejected as a whole.
+                with pytest.raises(OperatorConstraintError):
+                    check_axioms(op)
+                continue
+            assert check_axioms(op) == literal_axioms(op)
+
+    @settings(deadline=None)
+    @given(universes().flatmap(closure_systems))
+    def test_closure_system_table_is_the_least_closed_superset(self, system):
+        assert system.table == literal_least_closed_supersets(system)
+        assert table(FromSystem(system)) == system.table
 
     def test_infinite_universe_has_no_table(self):
         with pytest.raises(ModeError):

@@ -192,6 +192,22 @@ class TestDecompositions:
         target = seq_of_pieces([MATH.word(p) for p in ("math", "e", "mat", "ics")])
         assert target in list(decompositions(word, 3))
 
+    def test_every_arity_matches_the_filter_over_all_cut_masks(self):
+        word = alphabet("ab").word("abbabaab")
+        gaps = word.size - 1
+        for k in range(word.size):
+            literal = []
+            for mask in range(1 << gaps):
+                if bin(mask).count("1") == k:
+                    bounds = [0] + [g + 1 for g in range(gaps) if mask >> g & 1] + [word.size]
+                    pieces = [Word(word.alphabet, word.indices[a:b]) for a, b in zip(bounds, bounds[1:])]
+                    literal.append(seq_of_pieces(pieces))
+            assert list(decompositions(word, k)) == literal
+
+    def test_long_word_single_cut(self):
+        word = alphabet("ab").word("a" * 60)
+        assert sum(1 for _ in decompositions(word, 1)) == 59
+
     def test_arity_bounds(self):
         abc = alphabet("abc")
         with pytest.raises(ValueError):
