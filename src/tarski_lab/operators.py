@@ -22,7 +22,8 @@ fixed point.  ``Compose`` is function composition (outer after inner).
 In finite mode, ``table(op)`` is the whole map at once: ``table(op)[m]`` is
 the image mask of the subset with mask m, compiled bottom-up on ints.  A
 ``ClosureSystem`` holds its own table, ``system.table``: the least closed
-superset of every subset, computed on first use and read by ``FromSystem``.
+superset of every subset, computed on first use and read by ``table`` for
+``FromSystem``; evaluating at one point scans the closed sets instead.
 """
 
 from __future__ import annotations
@@ -305,7 +306,8 @@ def _eval(op: OperatorExpr, x: SentenceSet) -> SentenceSet:
     if isinstance(op, FromTable):
         return x.universe.from_mask(op.table[x.mask])
     if isinstance(op, FromSystem):
-        return x.universe.from_mask(op.system.table[x.mask])
+        # The first closed superset; a single point never needs the 2^n table.
+        return x.universe.from_mask(next(c for c in op.system.masks() if c & x.mask == x.mask))
     if isinstance(op, Meet):
         return _eval(op.left, x).intersect(_eval(op.right, x))
     if isinstance(op, NaiveJoin):

@@ -41,6 +41,8 @@ from tarski_lab.algebra import (
 )
 from tarski_lab.classify import enumerate_operators
 
+from oracles import least_closed_supersets
+
 
 @pytest.fixture
 def u():
@@ -55,39 +57,14 @@ def nat():
 # -- independent table oracle --------------------------------------------------
 
 
-def system_table(system) -> tuple[int, ...]:
-    masks = system.masks()
-    full = (1 << system.universe.size) - 1
-    out = []
-    for m in range(1 << system.universe.size):
-        value = full
-        for closed in masks:
-            if closed & m == m:
-                value &= closed
-        out.append(value)
-    return tuple(out)
-
-
 def table_le(t1, t2) -> bool:
     return all(a & ~b == 0 for a, b in zip(t1, t2))
-
-
-def table_of_family(fixed_masks, size) -> tuple[int, ...]:
-    full = (1 << size) - 1
-    out = []
-    for m in range(1 << size):
-        value = full
-        for closed in fixed_masks:
-            if closed & m == m:
-                value &= closed
-        out.append(value)
-    return tuple(out)
 
 
 @pytest.fixture(scope="module")
 def oracle3():
     systems = list(enumerate_operators(3))
-    tables = [system_table(s) for s in systems]
+    tables = [least_closed_supersets(s.masks(), 3) for s in systems]
     ops = [from_closure_system(s) for s in systems]
     return systems, tables, ops
 
@@ -259,7 +236,7 @@ class TestLatticeLawsExhaustive:
         size = systems[0].universe.size
         for i, j in itertools.product(range(len(tables)), repeat=2):
             fixed = [m for m in range(1 << size) if tables[i][m] == m and tables[j][m] == m]
-            joined = table_of_family(fixed, size)
+            joined = least_closed_supersets(fixed, size)
             assert joined in index
             k = index[joined]
             assert matrix[i][k] and matrix[j][k]

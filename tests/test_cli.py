@@ -48,6 +48,15 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "universe of size 25 is too large" in result.output
 
+    @pytest.mark.parametrize("command, value", [("meet", "{s0}"), ("wjoin", "{s0,s1}")])
+    def test_point_evaluation_on_a_large_universe(self, runner, command, value):
+        # Only sweeps are refused; one point of a system operand stays cheap at 30 symbols.
+        symbols = ",".join(f"s{i}" for i in range(30))
+        args = [command, "--universe", symbols, "--at", "{s0}", "system[{s0,s1};L]", "I"]
+        result = invoke(runner, args)
+        assert result.exit_code == 0
+        assert f"value: {value}" in result.output
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_non_positive_cap_is_usage_error(self, runner, cap):
         args = ["check", "--universe", "cofinite", "--cap", cap, "meet(I,cxy {0} {1})"]

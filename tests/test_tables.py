@@ -27,6 +27,8 @@ from tarski_lab.operators import (
 from tarski_lab.algebra import Comparison, equivalent, le
 from tarski_lab.classify import EXHAUSTIVE, AxiomReport, Verdict, _moore_family_masks, check_axioms
 
+from oracles import least_closed_supersets
+
 SYMBOLS = "abcd"
 
 
@@ -134,19 +136,6 @@ def literal_axioms(op):
     )
 
 
-def literal_least_closed_supersets(system):
-    n = system.universe.size
-    closed = [s.mask for s in system.closed]
-    out = []
-    for m in range(1 << n):
-        value = (1 << n) - 1
-        for c in closed:
-            if c & m == m:
-                value &= c
-        out.append(value)
-    return tuple(out)
-
-
 def outcome(f, *args):
     """The result, or the message of the constraint error raised."""
     try:
@@ -189,7 +178,8 @@ class TestTable:
     @settings(deadline=None)
     @given(universes().flatmap(closure_systems))
     def test_closure_system_table_is_the_least_closed_superset(self, system):
-        assert system.table == literal_least_closed_supersets(system)
+        closed = [s.mask for s in system.closed]
+        assert system.table == least_closed_supersets(closed, system.universe.size)
         assert table(FromSystem(system)) == system.table
 
     def test_infinite_universe_has_no_table(self):
