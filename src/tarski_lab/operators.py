@@ -202,7 +202,7 @@ class ClosureSystem:
         if self.universe.mode is not Mode.FINITE:
             raise ModeError("closure systems are materialised in finite mode only")
         for s in self.closed:
-            if s.universe != self.universe:
+            if s.universe is not self.universe and s.universe != self.universe:
                 raise UniverseMismatchError("closed set from a different universe")
         masks = [s.mask for s in self.closed]
         present = set(masks)

@@ -113,7 +113,7 @@ def _parse_elements(tokens: _Tokens, ctx: SpecContext) -> list[int]:
             except KeyError:
                 raise tokens.error(f"unknown symbol {item!r}") from None
         else:
-            if not item.isdigit():
+            if not (item.isascii() and item.isdigit()):
                 raise tokens.error(f"expected a natural number, found {item!r}")
             elements.append(int(item))
         token = tokens.next()

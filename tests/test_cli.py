@@ -34,6 +34,14 @@ class TestExitCodes:
         result = invoke(runner, ["order", "--universe", "a,b,c", "cxy {a}", "I"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("element", ["²", "٣"])
+    def test_non_ascii_digit_element_is_parse_error(self, runner, element):
+        # str.isdigit accepts both; int() rejects the superscript and reads the Arabic-Indic digit as 3.
+        result = invoke(runner, ["check", "--universe", "cofinite", f"cxy {{{element}}} {{1}}"])
+        assert result.exit_code == 2
+        assert "Error: line 1, column " in result.output
+        assert f"expected a natural number, found '{element}'" in result.output
+
     def test_universe_required(self, runner):
         result = invoke(runner, ["check", "I"])
         assert result.exit_code == 2

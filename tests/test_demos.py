@@ -1,12 +1,21 @@
-"""Every named demo exits 0 and its JSON report matches the checked-in golden."""
+"""Every named demo exits 0 and its JSON report matches the checked-in golden.
+
+The table predicates behind thm-3.5 and thm-4.3-lemma are checked against
+the expression-level procedures they replace.
+"""
 
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from tarski_lab.algebra import equivalent, le
+from tarski_lab.classify import enumerate_operators
 from tarski_lab.cli import main
-from tarski_lab.demos import DEMOS, run_demo
+from tarski_lab.concurrence import monotone_union_check
+from tarski_lab.demos import DEMOS, _absorbs, _below, _union_escapes, run_demo
+from tarski_lab.operators import Cxy, FromTable, compose, from_closure_system, table
+from tarski_lab.sets import Mode, make_universe
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,3 +42,45 @@ def test_demo_verdicts_demonstrated(name):
 def test_unknown_demo_raises():
     with pytest.raises(KeyError):
         run_demo("example-9.9")
+
+
+SYSTEMS = list(enumerate_operators(3))
+L3 = make_universe(Mode.FINITE, ("a", "b", "c"))
+
+
+def _order_and_composition_agree(a, b):
+    ta, tb = table(a), table(b)
+    return (_below(ta, tb), _absorbs(ta, tb)) == (le(a, b).holds, equivalent(compose(b, a), b))
+
+
+def _union_agrees(op, t, s, u):
+    parts = [op.universe.from_mask(s), op.universe.from_mask(u)]
+    return _union_escapes(t, s, u) == (not monotone_union_check(op, parts))
+
+
+def test_order_and_composition_helpers_match_le_and_equivalent():
+    ops = [from_closure_system(system) for system in SYSTEMS]
+    assert all(_order_and_composition_agree(a, b) for a in ops for b in ops)
+
+
+def test_order_and_composition_helpers_on_an_incomparable_pair():
+    a, b = Cxy(L3.of_names("a"), L3.of_names("b")), Cxy(L3.of_names("c"), L3.of_names("b"))
+    assert _order_and_composition_agree(a, b) and _order_and_composition_agree(b, a)
+    assert not _below(table(a), table(b)) and not _absorbs(table(a), table(b))
+
+
+def test_union_helper_matches_monotone_union_check():
+    masks = range(1 << 3)
+    for system in SYSTEMS:
+        op = from_closure_system(system)
+        assert all(_union_agrees(op, system.table, s, u) for s in masks for u in masks)
+
+
+def test_union_helper_on_a_non_monotone_table():
+    # {a} inflates to the full universe but {a,b} stays put.
+    values = list(range(8))
+    values[0b001] = 0b111
+    op = FromTable(L3, tuple(values))
+    masks = range(1 << 3)
+    assert all(_union_agrees(op, op.table, s, u) for s in masks for u in masks)
+    assert _union_escapes(op.table, 0b001, 0b010)
