@@ -21,14 +21,15 @@ fixed point.  ``Compose`` is function composition (outer after inner).
 
 In finite mode, ``table(op)`` is the whole map at once: ``table(op)[m]`` is
 the image mask of the subset with mask m, compiled bottom-up on ints.  A
-``ClosureSystem`` holds its own table, ``system.table``: the least closed
-superset of every subset, computed on first use and read by ``table`` for
-``FromSystem``; evaluating at one point scans the closed sets instead.
+``ClosureSystem`` is built from closed-set masks (``closed`` is for display)
+and holds ``system.table``, the least closed superset of every subset, built
+on first use and read by ``table`` for ``FromSystem``; evaluating at one
+point scans the closed masks instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .sets import (
@@ -189,54 +190,60 @@ class Compose(OperatorExpr):
 class ClosureSystem:
     """A family of closed sets: contains L and is intersection-closed.
 
-    Kept in canonical order (ascending bitmask).  Finite mode only; the
+    ``masks`` are the closed sets' bitmasks, sorted ascending on construction;
+    ``closed`` renders them as sets, for display.  Finite mode only; the
     closed-set family of an operator on an infinite universe is not
     materialised.
     """
 
     universe: Universe
-    closed: tuple[SentenceSet, ...]
-    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.universe.mode is not Mode.FINITE:
             raise ModeError("closure systems are materialised in finite mode only")
-        for s in self.closed:
-            if s.universe is not self.universe and s.universe != self.universe:
-                raise UniverseMismatchError("closed set from a different universe")
-        masks = [s.mask for s in self.closed]
+        masks = tuple(sorted(self.masks))
+        object.__setattr__(self, "masks", masks)
+        full = (1 << self.universe.size) - 1
+        for m in masks:
+            if not 0 <= m <= full:
+                raise OperatorConstraintError(f"closed mask {m:#x} out of range")
         present = set(masks)
         if len(present) != len(masks):
             raise OperatorConstraintError("duplicate closed sets")
-        order = sorted(range(len(masks)), key=masks.__getitem__)
-        canon = tuple(self.closed[i] for i in order)
-        if canon != self.closed:
-            object.__setattr__(self, "closed", canon)
-        masks = tuple(masks[i] for i in order)
-        object.__setattr__(self, "_masks", masks)
-        if (1 << self.universe.size) - 1 not in present:
+        if full not in present:
             raise OperatorConstraintError("the family must contain the whole universe")
         for i, a in enumerate(masks):
-            for j in range(i + 1, len(masks)):
-                if a & masks[j] not in present:
-                    first, second = canon[i].literal(), canon[j].literal()
+            for b in masks[i + 1 :]:
+                if a & b not in present:
+                    first, second = (self.universe.from_mask(m).literal() for m in (a, b))
                     raise OperatorConstraintError(
                         f"family is not intersection-closed: {first} ∩ {second} missing"
                     )
 
-    def masks(self) -> tuple[int, ...]:
-        return self._masks
+    @cached_property
+    def closed(self) -> tuple[SentenceSet, ...]:
+        """The closed sets as ``SentenceSet`` values, in mask order."""
+        return tuple(self.universe.from_mask(m) for m in self.masks)
 
     @cached_property
     def table(self) -> tuple[int, ...]:
         """The mask of the least closed superset of every subset, indexed by mask.
 
-        The least closed superset is contained in every other one, so it is
-        the first superset in ascending mask order (L is always one).
+        That is the AND of all closed supersets, L among them: seed each closed
+        c with c and every other mask with L, then AND every entry with its
+        superset's entry across one bit at a time.
         """
-        return tuple(
-            next(c for c in self._masks if c & m == m) for m in range(1 << self.universe.size)
-        )
+        n = self.universe.size
+        out = [(1 << n) - 1] * (1 << n)
+        for c in self.masks:
+            out[c] = c
+        for i in range(n):
+            bit = 1 << i
+            for m in range(1 << n):
+                if not m & bit:
+                    out[m] &= out[m | bit]
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -307,7 +314,7 @@ def _eval(op: OperatorExpr, x: SentenceSet) -> SentenceSet:
         return x.universe.from_mask(op.table[x.mask])
     if isinstance(op, FromSystem):
         # The first closed superset; a single point never needs the 2^n table.
-        return x.universe.from_mask(next(c for c in op.system.masks() if c & x.mask == x.mask))
+        return x.universe.from_mask(next(c for c in op.system.masks if c & x.mask == x.mask))
     if isinstance(op, Meet):
         return _eval(op.left, x).intersect(_eval(op.right, x))
     if isinstance(op, NaiveJoin):
@@ -413,8 +420,7 @@ def to_closure_system(op: OperatorExpr) -> ClosureSystem:
     universe = op.universe
     if universe.mode is not Mode.FINITE:
         raise ModeError("closed-set families are enumerated in finite mode only")
-    fixed = tuple(universe.from_mask(m) for m, v in enumerate(table(op)) if v == m)
-    return ClosureSystem(universe, fixed)
+    return ClosureSystem(universe, tuple(m for m, v in enumerate(table(op)) if v == m))
 
 
 def from_closure_system(system: ClosureSystem) -> OperatorExpr:

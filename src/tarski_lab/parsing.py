@@ -22,13 +22,19 @@ from dataclasses import dataclass, field
 from .sets import Mode, SentenceSet, Universe, make_universe
 from .operators import (
     ClosureSystem,
+    Compose,
     CPrime,
     Cxy,
+    FromSystem,
+    FromTable,
     Identity,
+    Meet,
+    NaiveJoin,
     OperatorExpr,
     SExample,
     Top,
-    from_closure_system,
+    WeakJoin,
+    compose,
 )
 from . import algebra
 
@@ -75,8 +81,10 @@ class _Tokens:
         self.pos += 1
         return token
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.column())
+    def error(self, message: str, ahead: bool = False) -> ParseError:
+        """An error at the token consumed last, or with ``ahead`` at the next one."""
+        column = self.column() if ahead else self.items[self.pos - 1][1]
+        return ParseError(message, self.line, column)
 
 
 @dataclass
@@ -95,6 +103,8 @@ class SpecContext:
         else:
             self.operators[name] = value
 
+
+_BINARY = {"meet": algebra.meet, "join": algebra.naive_join, "wjoin": algebra.weak_join, "comp": compose}
 
 _KEYWORDS = {"I", "U", "cxy", "cprime", "s", "meet", "join", "wjoin", "comp", "system", "L", "co"}
 
@@ -126,7 +136,7 @@ def _parse_elements(tokens: _Tokens, ctx: SpecContext) -> list[int]:
 def _parse_set(tokens: _Tokens, ctx: SpecContext) -> SentenceSet:
     token = tokens.peek()
     if token is None:
-        raise tokens.error("expected a set literal")
+        raise tokens.error("expected a set literal", ahead=True)
     if token == "L":
         tokens.next()
         return ctx.universe.full()
@@ -140,7 +150,7 @@ def _parse_set(tokens: _Tokens, ctx: SpecContext) -> SentenceSet:
     if token in ctx.sets:
         tokens.next()
         return ctx.sets[token]
-    raise tokens.error(f"expected a set literal, found {token!r}")
+    raise tokens.error(f"expected a set literal, found {token!r}", ahead=True)
 
 
 def _parse_operator(tokens: _Tokens, ctx: SpecContext) -> OperatorExpr:
@@ -167,22 +177,13 @@ def _parse_operator(tokens: _Tokens, ctx: SpecContext) -> OperatorExpr:
         except KeyError:
             raise tokens.error(f"unknown symbol {name!r}") from None
         return SExample(m, b)
-    if token in ("meet", "join", "wjoin", "comp"):
+    if token in _BINARY:
         tokens.next("(")
         left = _parse_operator(tokens, ctx)
         tokens.next(",")
         right = _parse_operator(tokens, ctx)
         tokens.next(")")
-        builders = {
-            "meet": algebra.meet,
-            "join": algebra.naive_join,
-            "wjoin": algebra.weak_join,
-        }
-        if token == "comp":
-            from .operators import compose
-
-            return compose(left, right)
-        return builders[token](left, right)
+        return _BINARY[token](left, right)
     if token == "system":
         tokens.next("[")
         closed = [_parse_set(tokens, ctx)]
@@ -190,7 +191,7 @@ def _parse_operator(tokens: _Tokens, ctx: SpecContext) -> OperatorExpr:
             tokens.next()
             closed.append(_parse_set(tokens, ctx))
         tokens.next("]")
-        return from_closure_system(ClosureSystem(ctx.universe, tuple(closed)))
+        return FromSystem(ClosureSystem(ctx.universe, tuple(s.mask for s in closed)))
     if token in ctx.operators:
         return ctx.operators[token]
     if token in ctx.sets:
@@ -202,7 +203,7 @@ def parse_set(text: str, ctx: SpecContext, line: int = 1) -> SentenceSet:
     tokens = _Tokens(text, line)
     result = _parse_set(tokens, ctx)
     if tokens.peek() is not None:
-        raise tokens.error(f"trailing input {tokens.peek()!r}")
+        raise tokens.error(f"trailing input {tokens.peek()!r}", ahead=True)
     return result
 
 
@@ -210,7 +211,7 @@ def parse_operator(text: str, ctx: SpecContext, line: int = 1) -> OperatorExpr:
     tokens = _Tokens(text, line)
     result = _parse_operator(tokens, ctx)
     if tokens.peek() is not None:
-        raise tokens.error(f"trailing input {tokens.peek()!r}")
+        raise tokens.error(f"trailing input {tokens.peek()!r}", ahead=True)
     return result
 
 
@@ -233,8 +234,6 @@ def parse_value(text: str, ctx: SpecContext, line: int = 1) -> OperatorExpr | Se
 
 def render_operator(op: OperatorExpr) -> str:
     """Render an expression in the operator grammar (best effort for tables)."""
-    from .operators import Compose, FromSystem, FromTable, Meet, NaiveJoin, WeakJoin
-
     if isinstance(op, Identity):
         return "I"
     if isinstance(op, Top):

@@ -64,7 +64,7 @@ def table_le(t1, t2) -> bool:
 @pytest.fixture(scope="module")
 def oracle3():
     systems = list(enumerate_operators(3))
-    tables = [least_closed_supersets(s.masks(), 3) for s in systems]
+    tables = [least_closed_supersets(s.masks, 3) for s in systems]
     ops = [from_closure_system(s) for s in systems]
     return systems, tables, ops
 
@@ -411,8 +411,9 @@ class TestSublattice:
         # Bitwise, & distributes over | on any tables; in the operator
         # lattice, whose join is the weak join, these three systems fail:
         # [{};L] ∨ ([{a};L] ∧ [{b};L]) is [{};L], but the right side is the top map.
-        families = [(u.empty(),), (u.of_names("a"),), (u.of_names("b"),)]
-        tables = [table(from_closure_system(ClosureSystem(u, f + (u.full(),)))) for f in families]
+        families = [(u.empty().mask,), (u.of_names("a").mask,), (u.of_names("b").mask,)]
+        full = u.full().mask
+        tables = [table(from_closure_system(ClosureSystem(u, f + (full,)))) for f in families]
         assert _distributive(tables, {}) is False
         gens = [u.empty(), u.of_names("a"), u.of_names("c")]
         assert _distributive([table(Cxy(g, u.of_names("b"))) for g in gens], {}) is True

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from tarski_lab.sets import Mode, ModeError, all_subsets, make_universe
+from tarski_lab.sets import Mode, ModeError, SentenceSet, all_subsets, make_universe
 from tarski_lab.operators import (
     ClosureSystem,
     CPrime,
@@ -130,7 +130,7 @@ class TestLemma26:
         assert lemma26_witness(SExample(u.of_names("a"), u.index_of("b"))) == u.index_of("a")
 
     def test_top_like_system(self, u):
-        op = from_closure_system(ClosureSystem(u, (u.full(),)))
+        op = from_closure_system(ClosureSystem(u, (u.full().mask,)))
         assert lemma26_witness(op) == 0
 
     def test_axiomless_rejected(self, u):
@@ -146,6 +146,21 @@ class TestLemma26:
 
 
 class TestEnumeration:
+    def test_systems_build_no_sets_until_closed_is_read(self, monkeypatch):
+        built = []
+        init = SentenceSet.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        op = Cxy(default_universe(3).of_names("a"), default_universe(3).of_names("b"))
+        monkeypatch.setattr(SentenceSet, "__init__", counting_init)
+        systems = list(enumerate_operators(3)) + [to_closure_system(op)]
+        assert all(len(s.table) == 8 for s in systems)
+        assert built == []
+        assert len(systems[-1].closed) == len(built) == 6
+
     def test_hand_checked_n1(self):
         u = default_universe(1)
         systems = list(enumerate_operators(1))
@@ -187,8 +202,8 @@ class TestEnumeration:
         assert with_top - without == 1
 
     def test_deterministic_order(self):
-        first = [s.masks() for s in enumerate_operators(3)]
-        second = [s.masks() for s in enumerate_operators(3)]
+        first = [s.masks for s in enumerate_operators(3)]
+        second = [s.masks for s in enumerate_operators(3)]
         assert first == second
         # Families come out ordered by their characteristic bitmask.
         def family_bitmask(masks):

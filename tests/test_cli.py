@@ -42,6 +42,22 @@ class TestExitCodes:
         assert "Error: line 1, column " in result.output
         assert f"expected a natural number, found '{element}'" in result.output
 
+    @pytest.mark.parametrize(
+        "universe,expression,message",
+        [
+            ("a,b", "cxy {z} {a}", "column 6: unknown symbol 'z'"),
+            ("a,b", "cxy {a b} {a}", "column 8: expected ',' or '}', found 'b'"),
+            ("a,b", "s {a} z", "column 7: unknown symbol 'z'"),
+            ("a,b", "cxy co{a} {a}", "column 5: 'co' literals exist only over the infinite universe"),
+            ("a,b", "meet(I,foo)", "column 8: unknown operator form 'foo'"),
+            ("cofinite", "cxy {²} {1}", "column 6: expected a natural number, found '²'"),
+        ],
+    )
+    def test_parse_error_names_the_offending_column(self, runner, universe, expression, message):
+        result = invoke(runner, ["check", "--universe", universe, expression])
+        assert result.exit_code == 2
+        assert f"Error: line 1, {message}" in result.output
+
     def test_universe_required(self, runner):
         result = invoke(runner, ["check", "I"])
         assert result.exit_code == 2

@@ -188,11 +188,16 @@ class TestClosureSystems:
 
     def test_constructor_validates_membership_of_l(self, u):
         with pytest.raises(OperatorConstraintError):
-            ClosureSystem(u, (u.empty(),))
+            ClosureSystem(u, (u.empty().mask,))
 
     def test_constructor_validates_intersection_closure(self, u):
         with pytest.raises(OperatorConstraintError, match="{a} ∩ {b} missing"):
-            ClosureSystem(u, (u.of_names("a"), u.of_names("b"), u.full()))
+            ClosureSystem(u, (u.of_names("a").mask, u.of_names("b").mask, u.full().mask))
+
+    @pytest.mark.parametrize("mask", [-1, 8, 9])
+    def test_constructor_rejects_masks_out_of_range(self, u, mask):
+        with pytest.raises(OperatorConstraintError, match="out of range"):
+            ClosureSystem(u, (mask, u.full().mask))
 
     def test_round_trip(self, u):
         op = Cxy(u.of_names("a"), u.of_names("b"))
@@ -203,12 +208,12 @@ class TestClosureSystems:
         assert to_closure_system(back) == system
 
     def test_from_singleton_family_is_top(self, u):
-        op = from_closure_system(ClosureSystem(u, (u.full(),)))
+        op = from_closure_system(ClosureSystem(u, (u.full().mask,)))
         for s in all_subsets(u):
             assert evaluate(op, s) == evaluate(Top(u), s)
 
     def test_from_everything_is_identity(self, u):
-        op = from_closure_system(ClosureSystem(u, tuple(all_subsets(u))))
+        op = from_closure_system(ClosureSystem(u, tuple(range(1 << u.size))))
         for s in all_subsets(u):
             assert evaluate(op, s) == s
 
