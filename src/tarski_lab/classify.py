@@ -4,9 +4,13 @@ The three axioms checked are extensivity-with-idempotence
 (X ⊆ C(X) = C(C(X)) ⊆ L), monotonicity (X ⊆ Y implies C(X) ⊆ C(Y)), and
 finitarity (C(X) is the union of C(A) over the finite subsets A of X).
 Finite universes are checked exhaustively with least-bitmask witnesses.
-On the infinite universe the built-in constructions receive exact
-closed-form verdicts; other expressions get a bounded search whose passes
-are explicitly inconclusive.
+``axiom_witnesses`` finds them on an int table in O(n·2ⁿ), by a
+superset-AND and a subset-OR zeta transform; the Thm 2.5 and Remark 2.2
+demos and ``lemma26_witness`` decide through it, while ``check_axioms``
+keeps its ``SentenceSet`` pair sweeps until it wraps the same kernel
+(ROADMAP item 2).  On the infinite universe the built-in constructions
+receive exact closed-form verdicts; other expressions get a bounded search
+whose passes are explicitly inconclusive.
 
 Enumeration produces every closure system (intersection-closed family
 containing L) on a tiny universe, in ascending order of the family's
@@ -205,20 +209,54 @@ def _check_bounded(op: OperatorExpr, cap: int) -> AxiomReport:
     )
 
 
+def axiom_witnesses(t: tuple[int, ...]) -> tuple[tuple | None, tuple | None, tuple | None]:
+    """The least witnesses against axioms (i), (ii) and (iii) on the table t.
+
+    Each is None where its axiom holds, else ``(s,)``, ``(s, r)`` or
+    ``(s, element)`` in masks: the witnesses ``_check_exhaustive`` reports.
+    D(s), the AND of C(r) over r ⊇ s, and U(s), the OR of C(a) over a ⊆ s,
+    take one pass per bit.  The least s with C(s) ⊄ D(s) fails (ii), paired
+    with its first failing superset; the least s with U(s) ≠ C(s) fails (iii).
+    """
+    size = len(t)
+    first = next(((s,) for s in range(size) if s & ~t[s] or t[t[s]] != t[s]), None)
+    down, up = list(t), list(t)
+    bit = 1
+    while bit < size:
+        for m in range(size):
+            if m & bit:
+                up[m] |= up[m ^ bit]
+            else:
+                down[m] &= down[m | bit]
+        bit <<= 1
+    second = third = None
+    s = next((s for s in range(size) if t[s] & ~down[s]), None)
+    if s is not None:
+        r = s
+        while not t[s] & ~t[r]:
+            r = (r + 1) | s  # the next superset of s
+        second = (s, r)
+    s = next((s for s in range(size) if up[s] != t[s]), None)
+    if s is not None:
+        extra = up[s] & ~t[s]
+        third = (s, (extra & -extra).bit_length() - 1)
+    return first, second, third
+
+
 def lemma26_witness(op: OperatorExpr) -> int:
     """Least element x with C(L − {x}) = L, for an axiomatic operator."""
     universe = op.universe
     if universe.mode is not Mode.FINITE:
         raise ModeError("the witness scan runs in finite mode only")
-    report = check_axioms(op)
-    if not report.is_consequence:
+    t = table(op)
+    first, second, _ = axiom_witnesses(t)
+    if first is not None or second is not None:
         raise ValueError("the operand is not a consequence operator")
-    if report.axiomless:
+    if t[0] == 0:
         raise ValueError("the operand is axiomless; no witness is guaranteed")
-    full = universe.full()
+    full = len(t) - 1
     for x in range(universe.size):
-        probe = full.difference(universe.subset([x]))
-        if evaluate(op, probe).is_full():
+        if t[full & ~(1 << x)] == full:
             return x
     raise RuntimeError("no witness found; the axiomatic premise was violated")
 
@@ -228,6 +266,8 @@ def lemma26_witness(op: OperatorExpr) -> int:
 
 @lru_cache(maxsize=None)
 def default_universe(n: int) -> Universe:
+    if not 1 <= n <= 10:
+        raise ValueError(f"default universes have 1 to 10 symbols, got {n}")
     return make_universe(Mode.FINITE, tuple("abcdefghij"[:n]))
 
 
@@ -257,6 +297,17 @@ def _moore_family_masks(n: int) -> tuple[int, ...]:
     return tuple(found)
 
 
+def _enumerable_family_masks(n: int) -> tuple[int, ...]:
+    if not 1 <= n <= ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration is supported for 1 <= n <= {ENUMERATION_LIMIT}")
+    return _moore_family_masks(n)
+
+
+def count_closure_systems(n: int, include_top: bool = True) -> int:
+    """How many systems ``enumerate_operators(n, include_top)`` yields, building none."""
+    return len(_enumerable_family_masks(n)) - (not include_top)
+
+
 def system_from_family_mask(n: int, family_mask: int) -> ClosureSystem:
     members = tuple(m for m in range(1 << n) if family_mask >> m & 1)
     return ClosureSystem(default_universe(n), members)
@@ -268,10 +319,8 @@ def enumerate_operators(n: int, include_top: bool = True) -> Iterator[ClosureSys
     ``include_top=False`` drops the single {L}-only family (the map sending
     everything to L).  Counts for n = 1..4 are 2, 7, 61, 2480.
     """
-    if not 1 <= n <= ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration is supported for 1 <= n <= {ENUMERATION_LIMIT}")
     top_mask = 1 << ((1 << n) - 1)
-    for family_mask in _moore_family_masks(n):
+    for family_mask in _enumerable_family_masks(n):
         if not include_top and family_mask == top_mask:
             continue
         yield system_from_family_mask(n, family_mask)

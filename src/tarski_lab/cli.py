@@ -32,7 +32,9 @@ from .algebra import (
     weak_join,
 )
 from .classify import (
+    ENUMERATION_LIMIT,
     check_axioms,
+    count_closure_systems,
     default_universe,
     dense_cover_check,
     e0_family,
@@ -230,12 +232,15 @@ def descend(count) -> Report:
 @click.option("--list-systems", is_flag=True, help="List every closed-set family.")
 def enumerate_systems(size, include_top, list_systems) -> Report:
     """Count (and optionally list) all closure systems on a tiny universe."""
-    systems = list(enumerate_operators(size, include_top=include_top))
-    data: dict = {"n": size, "include-top": include_top, "count": len(systems)}
+    data: dict = {"n": size, "include-top": include_top}
     if list_systems:
+        systems = list(enumerate_operators(size, include_top=include_top))
+        data["count"] = len(systems)
         data["systems"] = [
             "[" + ";".join(s.literal() for s in system.closed) + "]" for system in systems
         ]
+    else:
+        data["count"] = count_closure_systems(size, include_top)
     return Report(command=f"enumerate --n {size}", verdict=True, data=data)
 
 
@@ -243,6 +248,8 @@ def enumerate_systems(size, include_top, list_systems) -> Report:
 @click.option("--n", "size", type=int, required=True, help="Universe size (2..4).")
 def atoms(size) -> Report:
     """Check that the single-element candidates are atoms and densely cover."""
+    if not 2 <= size <= ENUMERATION_LIMIT:
+        raise ValueError(f"atoms are checked for 2 <= n <= {ENUMERATION_LIMIT}, got {size}")
     universe = default_universe(size)
     systems = list(enumerate_operators(size, include_top=True))
     members = e0_family(universe)

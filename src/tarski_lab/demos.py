@@ -18,6 +18,7 @@ from .operators import (
     compose,
     evaluate,
     from_closure_system,
+    table,
 )
 from .algebra import (
     descending_chain,
@@ -28,6 +29,7 @@ from .algebra import (
     sublattice_report,
 )
 from .classify import (
+    axiom_witnesses,
     check_axioms,
     dense_cover_check,
     e0_family,
@@ -120,9 +122,9 @@ def demo_thm_2_5() -> Report:
     cxy_pass = cprime_pass = 0
     for x in subsets:
         for y in subsets:
-            if check_axioms(Cxy(x, y)).all_pass:
+            if axiom_witnesses(table(Cxy(x, y))) == (None, None, None):
                 cxy_pass += 1
-            if check_axioms(CPrime(x, y)).all_pass:
+            if axiom_witnesses(table(CPrime(x, y))) == (None, None, None):
                 cprime_pass += 1
     infinite = make_universe(Mode.COFINITE)
     caveat = check_axioms(CPrime(infinite.subset([0]), infinite.cosubset([0])))
@@ -253,9 +255,9 @@ def demo_remark_2_2() -> Report:
     rng = seeded_rng()
     total = 2000
     agreements = 0
-    for table in sample_extensive_idempotent_tables(u, total, rng):
-        report = check_axioms(table)
-        if report.axiom_ii.passed == report.axiom_iii.passed:
+    for sample in sample_extensive_idempotent_tables(u, total, rng):
+        _, second, third = axiom_witnesses(sample.table)
+        if (second is None) == (third is None):
             agreements += 1
     return Report(
         command="demo remark-2.2",

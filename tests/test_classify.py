@@ -28,6 +28,7 @@ from tarski_lab.operators import (
 from tarski_lab.algebra import equivalent, le
 from tarski_lab.classify import (
     check_axioms,
+    count_closure_systems,
     default_universe,
     dense_cover_check,
     e0_family,
@@ -218,6 +219,19 @@ class TestEnumeration:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_operators(5))
+        with pytest.raises(ValueError, match="1 <= n <= 4"):
+            count_closure_systems(5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_count_builds_no_systems(self, n, monkeypatch):
+        expected = [sum(1 for _ in enumerate_operators(n, include_top=top)) for top in (False, True)]
+        monkeypatch.setattr(ClosureSystem, "__post_init__", lambda self: pytest.fail("built a system"))
+        assert [count_closure_systems(n, include_top=top) for top in (False, True)] == expected
+
+    @pytest.mark.parametrize("n", [0, -1, 11])
+    def test_default_universe_size_out_of_range_rejected(self, n):
+        with pytest.raises(ValueError, match=f"1 to 10 symbols, got {n}"):
+            default_universe(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_system_round_trips(self, n):

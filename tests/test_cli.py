@@ -190,6 +190,16 @@ class TestCommands:
         payload = json.loads(result.output)
         assert payload["data"]["dense-cover"] is True
 
+    @pytest.mark.parametrize("size", ["0", "1", "5"])
+    def test_atoms_size_out_of_range_is_usage_error(self, runner, size):
+        result = invoke(runner, ["atoms", "--n", size])
+        assert result.exit_code == 2
+        assert f"Error: atoms are checked for 2 <= n <= 4, got {size}" in result.output
+
+    def test_enumerate_count_includes_top_on_request(self, runner):
+        result = invoke(runner, ["enumerate", "--n", "4", "--include-top", "--json"])
+        assert json.loads(result.output)["data"]["count"] == 2480
+
     def test_lemma26(self, runner):
         result = invoke(runner, ["lemma26", "--universe", "a,b,c", "s {a} b", "--json"])
         assert json.loads(result.output)["data"]["witness"] == "a"

@@ -1,21 +1,31 @@
 """Every named demo exits 0 and its JSON report matches the checked-in golden.
 
-The table predicates behind thm-3.5 and thm-4.3-lemma are checked against
+The table predicates behind thm-3.5 and thm-4.3-lemma, and the axiom kernel
+behind thm-2.5, remark-2.2 and lemma-2.6, are checked item by item against
 the expression-level procedures they replace.
 """
 
+import itertools
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from tarski_lab.algebra import equivalent, le
-from tarski_lab.classify import enumerate_operators
+from tarski_lab.classify import (
+    DEFAULT_SEED,
+    axiom_witnesses,
+    check_axioms,
+    enumerate_operators,
+    lemma26_witness,
+    sample_extensive_idempotent_tables,
+    seeded_rng,
+)
 from tarski_lab.cli import main
 from tarski_lab.concurrence import monotone_union_check
 from tarski_lab.demos import DEMOS, _absorbs, _below, _union_escapes, run_demo
-from tarski_lab.operators import Cxy, FromTable, compose, from_closure_system, table
-from tarski_lab.sets import Mode, make_universe
+from tarski_lab.operators import CPrime, Cxy, FromTable, compose, evaluate, from_closure_system, table
+from tarski_lab.sets import Mode, all_subsets, make_universe
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -84,3 +94,49 @@ def test_union_helper_on_a_non_monotone_table():
     masks = range(1 << 3)
     assert all(_union_agrees(op, op.table, s, u) for s in masks for u in masks)
     assert _union_escapes(op.table, 0b001, 0b010)
+
+
+def test_kernel_matches_check_axioms_on_the_remark_2_2_sample():
+    sample = sample_extensive_idempotent_tables(L3, 2000, seeded_rng(DEFAULT_SEED))
+    verdicts = set()
+    for op in itertools.islice(sample, 200):
+        _, second, third = axiom_witnesses(op.table)
+        report = check_axioms(op)
+        verdicts.add((report.axiom_ii.passed, report.axiom_iii.passed))
+        assert (second is None, third is None) == (report.axiom_ii.passed, report.axiom_iii.passed)
+    assert verdicts == {(True, True), (False, False)}
+
+
+def test_kernel_matches_check_axioms_on_the_thm_2_5_families():
+    subsets = all_subsets(L3)
+    for family, x, y in itertools.product((Cxy, CPrime), subsets, subsets):
+        op = family(x, y)
+        assert (axiom_witnesses(table(op)) == (None, None, None)) == check_axioms(op).all_pass
+
+
+def _lemma26_by_report(op):
+    """The witness scan on the full axiom report and pointwise evaluation."""
+    report = check_axioms(op)
+    if not report.is_consequence or report.axiomless:
+        raise ValueError
+    full = op.universe.full()
+    for x in range(op.universe.size):
+        if evaluate(op, full.difference(op.universe.subset([x]))).is_full():
+            return x
+    raise RuntimeError
+
+
+def _value_or_error(f, op):
+    try:
+        return f(op)
+    except (ValueError, RuntimeError) as error:
+        return type(error)
+
+
+def test_lemma26_witness_matches_the_report_scan():
+    sample = sample_extensive_idempotent_tables(L3, 50, seeded_rng(DEFAULT_SEED))
+    ops = [from_closure_system(system) for system in SYSTEMS] + list(sample)
+    outcomes = [_value_or_error(lemma26_witness, op) for op in ops]
+    assert outcomes == [_value_or_error(_lemma26_by_report, op) for op in ops]
+    # Witnesses, axiomless systems and non-monotone tables are all among them.
+    assert {0, 1, 2, ValueError} <= set(outcomes)

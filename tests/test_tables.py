@@ -1,6 +1,7 @@
 """The finite-mode table compiler against pointwise evaluation, the axiom
-sweep and the closure-system table against literal int definitions, and the
-Moore-family search against a brute-force scan of every family bitmask."""
+sweep, the axiom kernel and the closure-system table against literal int
+definitions, and the Moore-family search against a brute-force scan of every
+family bitmask."""
 
 import random
 
@@ -27,7 +28,14 @@ from tarski_lab.operators import (
     table,
 )
 from tarski_lab.algebra import Comparison, equivalent, le
-from tarski_lab.classify import EXHAUSTIVE, AxiomReport, Verdict, _moore_family_masks, check_axioms
+from tarski_lab.classify import (
+    EXHAUSTIVE,
+    AxiomReport,
+    Verdict,
+    _moore_family_masks,
+    axiom_witnesses,
+    check_axioms,
+)
 
 from oracles import least_closed_supersets
 
@@ -143,6 +151,21 @@ def literal_axioms(op):
     )
 
 
+def kernel_witnesses(op):
+    """``axiom_witnesses`` on op's table, its masks read back as sets."""
+    u = op.universe
+    first, second, third = axiom_witnesses(table(op))
+    return (
+        first and (u.from_mask(first[0]),),
+        second and tuple(map(u.from_mask, second)),
+        third and (u.from_mask(third[0]), third[1]),
+    )
+
+
+def report_witnesses(report):
+    return tuple(verdict.witness for verdict in (report.axiom_i, report.axiom_ii, report.axiom_iii))
+
+
 def outcome(f, *args):
     """The result, or the message of the constraint error raised."""
     try:
@@ -181,6 +204,46 @@ class TestTable:
                     check_axioms(op)
                 continue
             assert check_axioms(op) == literal_axioms(op)
+            assert kernel_witnesses(op) == report_witnesses(literal_axioms(op))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_axiom_kernel_beyond_the_strategy_sizes(self, n):
+        # The strategy stops at four symbols; a slip in a DP's high bit only shows here.
+        rng = random.Random(n)
+        u = make_universe(Mode.FINITE, [f"s{i}" for i in range(n)])
+        size = 1 << n
+        ops = [FromTable(u, tuple(rng.randrange(size) for _ in range(size))) for _ in range(25)]
+        ops += [FromTable(u, tuple(m | rng.randrange(size) for m in range(size))) for _ in range(25)]
+        for _ in range(25):
+            generators = rng.sample(range(size), rng.randint(0, 7))
+            ops.append(FromSystem(ClosureSystem(u, intersection_closure(generators, n))))
+        for system in [op.system for op in ops[50:]]:
+            # One open set sent to itself: still extensive and idempotent, but
+            # mostly not monotone, with the failure often across a high bit.
+            values = list(system.table)
+            s = rng.choice([m for m in range(size) if values[m] != m] or [0])
+            values[s] = s
+            ops.append(FromTable(u, tuple(values)))
+        for op in ops:
+            assert kernel_witnesses(op) == report_witnesses(check_axioms(op))
+
+    @pytest.mark.parametrize(
+        "values,expected",
+        [
+            # Everything to {}: monotone, but X ⊆ C(X) fails first at {a}.
+            ((0,) * 8, ((0b001,), None, None)),
+            # {a} inflates to {a,c} but {a,b} stays put: extensive and
+            # idempotent, not monotone.  On a finite carrier (ii) and (iii)
+            # fail together, so no table fails only one of them.
+            ((0, 0b101, 2, 3, 4, 5, 6, 7), (None, (0b001, 0b011), (0b011, 2))),
+            # A closure table: the least closed superset in {{b}, L}.
+            ((2, 7, 2, 7, 7, 7, 7, 7), (None, None, None)),
+        ],
+    )
+    def test_axiom_kernel_controls(self, values, expected):
+        op = FromTable(make_universe(Mode.FINITE, "abc"), values)
+        assert axiom_witnesses(values) == expected
+        assert kernel_witnesses(op) == report_witnesses(check_axioms(op))
 
     @settings(deadline=None)
     @given(universes().flatmap(closure_systems))
