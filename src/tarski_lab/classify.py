@@ -16,7 +16,9 @@ Enumeration produces every closure system (intersection-closed family
 containing L) on a tiny universe, in ascending order of the family's
 characteristic bitmask over P(L); these are the extensional forms of all
 consequence operators and serve as the oracle for the lattice and
-atom-structure checks.
+atom-structure checks.  For n ≤ ``ENUMERATION_LIMIT`` the systems of each
+size are built once per process and shared; they are immutable, and each
+builds its closure table lazily, once.
 """
 
 from __future__ import annotations
@@ -313,17 +315,22 @@ def system_from_family_mask(n: int, family_mask: int) -> ClosureSystem:
     return ClosureSystem(default_universe(n), members)
 
 
+@lru_cache(maxsize=None)
+def _closure_systems(n: int) -> tuple[ClosureSystem, ...]:
+    return tuple(system_from_family_mask(n, m) for m in _enumerable_family_masks(n))
+
+
 def enumerate_operators(n: int, include_top: bool = True) -> Iterator[ClosureSystem]:
     """All closure systems on an n-element universe, in canonical order.
 
     ``include_top=False`` drops the single {L}-only family (the map sending
-    everything to L).  Counts for n = 1..4 are 2, 7, 61, 2480.
+    everything to L); its family mask is the least, so it comes first.
+    Counts for n = 1..4 are 2, 7, 61, 2480.  The systems are built and
+    validated once per process and shared by every call; they are immutable,
+    and each one builds its table lazily, once.
     """
-    top_mask = 1 << ((1 << n) - 1)
-    for family_mask in _enumerable_family_masks(n):
-        if not include_top and family_mask == top_mask:
-            continue
-        yield system_from_family_mask(n, family_mask)
+    systems = _closure_systems(n)
+    yield from systems if include_top else systems[1:]
 
 
 # -- atoms and dense covers ------------------------------------------------------

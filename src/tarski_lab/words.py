@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 
+MAX_WORD_LENGTH = 10**6  # longest word ``decode`` builds
+
+
 class AlphabetMismatchError(ValueError):
     """Two values over different alphabets were combined."""
 
@@ -98,15 +101,22 @@ def decode(alpha: Alphabet, code: int) -> Word:
     if code < 0:
         raise ValueError("codes are naturals")
     k = alpha.size
-    length, offset = 1, 0
-    while code >= offset + k**length:
-        offset += k**length
-        length += 1
+    if k == 1:
+        # One word per length: the code is the number of shorter words.
+        length, offset = code + 1, code
+    else:
+        length, offset = 1, 0
+        while code >= offset + k**length:
+            offset += k**length
+            length += 1
+    if length > MAX_WORD_LENGTH:
+        raise ValueError(f"code {code} decodes to a word of {length} symbols; the bound is {MAX_WORD_LENGTH}")
     rem = code - offset
     digits = [0] * length
-    for pos in range(length - 1, -1, -1):
-        digits[pos] = rem % k
-        rem //= k
+    pos = length - 1
+    while rem:
+        rem, digits[pos] = divmod(rem, k)
+        pos -= 1
     return Word(alpha, tuple(digits))
 
 

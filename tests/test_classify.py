@@ -27,6 +27,8 @@ from tarski_lab.operators import (
 )
 from tarski_lab.algebra import equivalent, le
 from tarski_lab.classify import (
+    _closure_systems,
+    _moore_family_masks,
     check_axioms,
     count_closure_systems,
     default_universe,
@@ -36,7 +38,9 @@ from tarski_lab.classify import (
     is_atom,
     lemma26_witness,
     sample_extensive_idempotent_tables,
+    system_from_family_mask,
 )
+from tarski_lab.demos import run_demo
 
 
 @pytest.fixture
@@ -148,6 +152,8 @@ class TestLemma26:
 
 class TestEnumeration:
     def test_systems_build_no_sets_until_closed_is_read(self, monkeypatch):
+        # Start from fresh systems: shared ones may already hold `closed`.
+        _closure_systems.cache_clear()
         built = []
         init = SentenceSet.__init__
 
@@ -196,11 +202,13 @@ class TestEnumeration:
     def test_counts(self, n, count):
         assert sum(1 for _ in enumerate_operators(n)) == count
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exclude_top_drops_exactly_one(self, n):
-        with_top = sum(1 for _ in enumerate_operators(n, include_top=True))
-        without = sum(1 for _ in enumerate_operators(n, include_top=False))
-        assert with_top - without == 1
+        with_top = list(enumerate_operators(n, include_top=True))
+        without = list(enumerate_operators(n, include_top=False))
+        dropped = [s for s in with_top if s not in without]
+        assert [s.masks for s in dropped] == [((1 << n) - 1,)]
+        assert [s for s in with_top if s is not dropped[0]] == without
 
     def test_deterministic_order(self):
         first = [s.masks for s in enumerate_operators(3)]
@@ -217,8 +225,11 @@ class TestEnumeration:
         assert bitmasks == sorted(bitmasks)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            list(enumerate_operators(5))
+        cached = _closure_systems.cache_info().currsize
+        for n in (0, 5):
+            with pytest.raises(ValueError, match="1 <= n <= 4"):
+                list(enumerate_operators(n))
+        assert _closure_systems.cache_info().currsize == cached
         with pytest.raises(ValueError, match="1 <= n <= 4"):
             count_closure_systems(5)
 
@@ -227,6 +238,19 @@ class TestEnumeration:
         expected = [sum(1 for _ in enumerate_operators(n, include_top=top)) for top in (False, True)]
         monkeypatch.setattr(ClosureSystem, "__post_init__", lambda self: pytest.fail("built a system"))
         assert [count_closure_systems(n, include_top=top) for top in (False, True)] == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_systems_shared_across_calls(self, n):
+        first, second = list(enumerate_operators(n)), list(enumerate_operators(n))
+        assert len(first) == len(second) and all(a is b for a, b in zip(first, second))
+        fresh = [system_from_family_mask(n, m) for m in _moore_family_masks(n)]
+        assert [s.masks for s in first] == [s.masks for s in fresh]
+
+    @pytest.mark.parametrize("name", ["thm-2.7", "thm-3.5", "lemma-2.6", "thm-4.3-lemma"])
+    def test_repeat_demo_builds_no_systems(self, name, monkeypatch):
+        expected = run_demo(name)
+        monkeypatch.setattr(ClosureSystem, "__post_init__", lambda self: pytest.fail("built a system"))
+        assert run_demo(name) == expected
 
     @pytest.mark.parametrize("n", [0, -1, 11])
     def test_default_universe_size_out_of_range_rejected(self, n):

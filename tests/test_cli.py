@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, reports, JSON stability."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -228,6 +229,13 @@ class TestCommands:
             runner, ["words", "--alphabet", "abc", "decode", str(code), "--json"]
         )
         assert json.loads(decoded.output)["data"]["word"] == "ab"
+
+    def test_words_decode_over_length_bound_exits_two(self, runner):
+        started = time.perf_counter()
+        result = runner.invoke(main, ["words", "--alphabet", "a", "decode", "5000000"])
+        assert result.exit_code == 2
+        assert "5000001 symbols; the bound is 1000000" in result.output
+        assert time.perf_counter() - started < 1.0
 
     def test_words_split(self, runner):
         result = invoke(

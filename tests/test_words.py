@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tarski_lab.words import (
+    MAX_WORD_LENGTH,
     Alphabet,
     AlphabetMismatchError,
     Word,
@@ -71,6 +72,19 @@ class TestEncoding:
         one = alphabet("a")
         assert [encode(one.word("a" * n)) for n in (1, 2, 3)] == [0, 1, 2]
         assert decode(one, 5).text() == "aaaaaa"
+
+    def test_unary_decode_up_to_the_bound(self):
+        assert decode(alphabet("a"), MAX_WORD_LENGTH - 1).text() == "a" * MAX_WORD_LENGTH
+
+    def test_unary_decode_over_the_bound_refused(self):
+        with pytest.raises(ValueError, match=f"the bound is {MAX_WORD_LENGTH}"):
+            decode(alphabet("a"), MAX_WORD_LENGTH)
+
+    @pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
+    def test_encode_decode_round_trip_small_codes(self, symbols):
+        alpha = alphabet(symbols)
+        for code in range(501):
+            assert encode(decode(alpha, code)) == code
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
