@@ -57,8 +57,6 @@ from .classify import (
     enumerate_operators,
     is_atom,
     lemma26_witness,
-    sample_extensive_idempotent_tables,
-    seeded_rng,
 )
 from .concurrence import ConcurrenceResult, is_concurrent, monotone_union_check
 from . import words

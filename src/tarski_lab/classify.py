@@ -8,7 +8,8 @@ Finite universes are checked exhaustively with least-bitmask witnesses.
 superset-AND and a subset-OR zeta transform; the Thm 2.5 and Remark 2.2
 demos and ``lemma26_witness`` decide through it, while ``check_axioms``
 keeps its ``SentenceSet`` pair sweeps until it wraps the same kernel
-(ROADMAP item 2).  On the infinite universe the built-in constructions
+(ROADMAP item 3).  Remark 2.2 runs it on every extensive idempotent table
+on three symbols.  On the infinite universe the built-in constructions
 receive exact closed-form verdicts; other expressions get a bounded search
 whose passes are explicitly inconclusive.
 
@@ -23,10 +24,9 @@ builds its closure table lazily, once.
 
 from __future__ import annotations
 
-import os
-import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Iterator
 
 from .sets import Mode, ModeError, SentenceSet, Universe, all_subsets, make_universe
@@ -46,7 +46,6 @@ EXHAUSTIVE = "exhaustive"
 CLOSED_FORM = "closed-form"
 
 ENUMERATION_LIMIT = 4
-DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -256,11 +255,29 @@ def lemma26_witness(op: OperatorExpr) -> int:
         raise ValueError("the operand is not a consequence operator")
     if t[0] == 0:
         raise ValueError("the operand is axiomless; no witness is guaranteed")
+    x = _cosingleton_witness(t)
+    if x is None:
+        raise RuntimeError("no witness found; the axiomatic premise was violated")
+    return x
+
+
+def _cosingleton_witness(t: tuple[int, ...]) -> int | None:
+    """Least element x with C(L − {x}) = L on the table t, or None."""
     full = len(t) - 1
-    for x in range(universe.size):
-        if t[full & ~(1 << x)] == full:
-            return x
-    raise RuntimeError("no witness found; the axiomatic premise was violated")
+    return next((x for x in range(full.bit_length()) if t[full & ~(1 << x)] == full), None)
+
+
+def _extensive_idempotent_tables(n: int) -> Iterator[tuple[int, ...]]:
+    """Every extensive, idempotent table on n symbols, built one at a time.
+
+    Each image t[m] runs over the supersets m | r of m, r ⊆ L − m; the
+    tables with t[t[m]] = t[m] for every m are yielded.
+    """
+    size = 1 << n
+    choices = [[m | r for r in range(size) if not r & m] for m in range(size)]
+    for t in product(*choices):
+        if all(t[v] == v for v in t):
+            yield t
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -379,59 +396,19 @@ class CoverResult:
         return self.holds
 
 
-def dense_cover_check(
-    oracle: Iterable[ClosureSystem],
-    candidates: list[OperatorExpr] | None = None,
-) -> CoverResult:
-    """Every axiomatic operator in the oracle must dominate some candidate.
+def dense_cover_check(oracle: Iterable[ClosureSystem]) -> CoverResult:
+    """Every axiomatic operator in the oracle must dominate some e0 candidate.
 
-    Candidates default to the atom family of the oracle's universe.  An
-    empty candidate list is allowed (as a vacuity control) and fails on the
-    first axiomatic operator.
+    A closure table t dominates the candidate for x exactly when
+    t[L − {x}] = L, so this is Lemma 2.6's co-singleton scan.
     """
     systems = list(oracle)
     if not systems:
         return CoverResult(True)
-    universe = systems[0].universe
-    members = e0_family(universe) if candidates is None else candidates
-    tables = [table(op) for op in members]
+    if systems[0].universe.size < 2:
+        raise ValueError("the atom family needs at least two elements")
     for system in systems:
         values = system.table
-        if values[0] == 0:
-            continue  # axiomless: the empty set is closed
-        if not any(all(e & ~t == 0 for e, t in zip(etab, values)) for etab in tables):
+        if values[0] != 0 and _cosingleton_witness(values) is None:
             return CoverResult(False, system)
     return CoverResult(True)
-
-
-# -- randomised tables -----------------------------------------------------------
-
-
-def seeded_rng(seed: int | None = None) -> random.Random:
-    """RNG seeded from the argument or the TARSKI_LAB_SEED environment var."""
-    if seed is None:
-        raw = os.environ.get("TARSKI_LAB_SEED", str(DEFAULT_SEED))
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ValueError(f"TARSKI_LAB_SEED must be an integer, got {raw!r}") from None
-    return random.Random(seed)
-
-
-def sample_extensive_idempotent_tables(
-    universe: Universe, count: int, rng: random.Random
-) -> Iterator[FromTable]:
-    """Rejection-sample random tables that are extensive and idempotent.
-
-    Values are uniform random supersets of the argument; tables failing
-    idempotence are discarded.  Monotonicity is deliberately left free so
-    the sample exercises both verdicts.
-    """
-    n = universe.size
-    size = 1 << n
-    produced = 0
-    while produced < count:
-        table = [m | rng.randrange(size) for m in range(size)]
-        if all(table[value] == value for value in table):
-            yield FromTable(universe, tuple(table))
-            produced += 1

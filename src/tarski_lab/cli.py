@@ -95,8 +95,7 @@ def main() -> None:
     Set literals: {a,c} over finite symbols, {1,5} or co{1,5} over the
     naturals, {} empty, L the full universe.  Operator grammar: I, U,
     cxy {X} {Y}, cprime {X} {Y}, s {M} b, meet(e,e), join(e,e),
-    wjoin(e,e), comp(e,e), system[{..};{..}].  TARSKI_LAB_SEED pins the
-    randomized-table sampling seed.
+    wjoin(e,e), comp(e,e), system[{..};{..}].
     """
 
 

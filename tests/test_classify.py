@@ -6,7 +6,6 @@ to four elements); the n<=2 families are additionally spelled out by hand.
 """
 
 import itertools
-import random
 
 import pytest
 
@@ -23,12 +22,17 @@ from tarski_lab.operators import (
     compose,
     evaluate,
     from_closure_system,
+    table,
     to_closure_system,
 )
 from tarski_lab.algebra import equivalent, le
+from tarski_lab import classify
 from tarski_lab.classify import (
     _closure_systems,
+    _cosingleton_witness,
+    _extensive_idempotent_tables,
     _moore_family_masks,
+    axiom_witnesses,
     check_axioms,
     count_closure_systems,
     default_universe,
@@ -37,7 +41,6 @@ from tarski_lab.classify import (
     enumerate_operators,
     is_atom,
     lemma26_witness,
-    sample_extensive_idempotent_tables,
     system_from_family_mask,
 )
 from tarski_lab.demos import run_demo
@@ -306,28 +309,65 @@ class TestDenseCover:
     def test_holds(self, n):
         assert dense_cover_check(list(enumerate_operators(n))).holds
 
-    def test_vacuity_control(self):
-        systems = list(enumerate_operators(3))
-        result = dense_cover_check(systems, candidates=[])
+    def test_vacuity_control(self, monkeypatch):
+        monkeypatch.setattr(classify, "_cosingleton_witness", lambda t: None)
+        result = dense_cover_check(list(enumerate_operators(3)))
         assert not result.holds
         assert result.failing is not None
         # The reported failure is axiomatic: its least closed set is nonempty.
         least = min(s.mask for s in result.failing.closed)
         assert least != 0
 
+    def test_one_symbol_refused(self):
+        with pytest.raises(ValueError, match="^the atom family needs at least two elements$"):
+            dense_cover_check(list(enumerate_operators(1)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_scan_matches_e0_domination(self, n):
+        """The co-singleton scan against the literal test: some e0 table lies
+        pointwise inside the system's table."""
+        e0_tables = [table(op) for op in e0_family(default_universe(n))]
+        axiomless_answers = set()
+        for system in enumerate_operators(n):
+            values = system.table
+            dominates = any(all(e & ~v == 0 for e, v in zip(etab, values)) for etab in e0_tables)
+            assert (_cosingleton_witness(values) is not None) == dominates
+            if values[0] == 0:
+                axiomless_answers.add(dominates)
+        assert axiomless_answers == {True, False}
+
 
 class TestSampledTables:
     @pytest.mark.parametrize("n", [2, 3])
     def test_monotone_and_finitary_verdicts_agree(self, n):
         universe = default_universe(n)
-        rng = random.Random(7)
         seen_both = {True: 0, False: 0}
-        for table in itertools.islice(
-            sample_extensive_idempotent_tables(universe, 400, rng), 400
-        ):
-            report = check_axioms(table)
+        for t in _extensive_idempotent_tables(n):
+            report = check_axioms(FromTable(universe, t))
             assert report.axiom_i.passed
             assert report.axiom_ii.passed == report.axiom_iii.passed
             seen_both[report.axiom_ii.passed] += 1
-        # The sample exercises both verdicts.
-        assert seen_both[True] and seen_both[False]
+        # Every table is checked, and the monotone ones are the closure systems.
+        assert sum(seen_both.values()) == {2: 12, 3: 1152}[n]
+        assert seen_both[True] == count_closure_systems(n)
+        assert seen_both[False]
+
+
+class TestExtensiveIdempotentTables:
+    def test_literal_oracle_on_two_symbols(self):
+        maps = itertools.product(range(4), repeat=4)  # all 256 maps P(L) -> P(L)
+        literal = {t for t in maps if all(m & ~t[m] == 0 and t[t[m]] == t[m] for m in range(4))}
+        yielded = list(_extensive_idempotent_tables(2))
+        assert len(yielded) == len(set(yielded)) == 12
+        assert set(yielded) == literal
+
+    def test_counts_on_three_symbols(self):
+        supersets = [[v for v in range(8) if m & ~v == 0] for m in range(8)]
+        extensive = list(itertools.product(*supersets))
+        idempotent = {t for t in extensive if all(t[t[m]] == t[m] for m in range(8))}
+        yielded = list(_extensive_idempotent_tables(3))
+        monotone = {t for t in yielded if axiom_witnesses(t)[1] is None}
+        systems = tuple(enumerate_operators(3))
+        assert (len(extensive), len(yielded), len(monotone)) == (4096, 1152, 61)
+        assert set(yielded) == idempotent
+        assert monotone == {system.table for system in systems}

@@ -89,11 +89,6 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert f"cap must be at least 1, got {cap}" in result.output
 
-    def test_non_integer_seed_is_usage_error(self, runner):
-        result = invoke(runner, ["demo", "remark-2.2"], env={"TARSKI_LAB_SEED": "abc"})
-        assert result.exit_code == 2
-        assert "TARSKI_LAB_SEED" in result.output
-
     def test_run_helper_matches(self):
         assert run(["order", "--universe", "a,b", "I", "cxy {a} {b}"]) == 0
         assert run(["order", "--universe", "a,b", "U", "I"]) == 1

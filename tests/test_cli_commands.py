@@ -21,9 +21,7 @@ TIMING = re.compile(r"^time-ms: \d+\.\d$", re.M)
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_command_matches_golden(case):
-    result = CliRunner().invoke(
-        main, case["argv"], input=case.get("stdin"), env={"TARSKI_LAB_SEED": None}
-    )
+    result = CliRunner().invoke(main, case["argv"], input=case.get("stdin"))
     assert result.exit_code == case["exit_code"]
     if case["exit_code"] == 2:
         assert case["error"] in result.output.splitlines()
