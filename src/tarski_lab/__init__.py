@@ -25,9 +25,7 @@ from .operators import (
     SExample,
     Top,
     WeakJoin,
-    compose,
     evaluate,
-    from_closure_system,
     to_closure_system,
 )
 from .algebra import (
@@ -40,8 +38,6 @@ from .algebra import (
     equivalent,
     is_chain,
     le,
-    meet,
-    naive_join,
     relative_complement,
     sublattice_report,
     weak_join,

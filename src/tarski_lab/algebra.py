@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING
 
 from .sets import Mode, ModeError, SentenceSet, Universe, UniverseMismatchError
 from .operators import (
@@ -31,10 +30,7 @@ from .operators import (
     table,
     weak_join_table,
 )
-
-
-if TYPE_CHECKING:
-    from .classify import AxiomReport
+from .classify import AxiomReport, check_axioms
 
 
 class UndecidableComparisonError(ValueError):
@@ -143,18 +139,12 @@ def _le_cofinite(a: OperatorExpr, b: OperatorExpr) -> Comparison:
     return Comparison(False, y1)
 
 
-# -- lattice constructors ------------------------------------------------------
-
-
-def meet(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return Meet(a, b)
-
-
-def naive_join(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return NaiveJoin(a, b)
+# -- weak join -----------------------------------------------------------------
 
 
 def weak_join(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
+    """``WeakJoin(a, b)``, refused here rather than at evaluation when cofinite
+    operands have no closed form."""
     expr = WeakJoin(a, b)
     if a.universe.mode is Mode.COFINITE:
         # Fail fast on unsupported operand combinations.
@@ -183,8 +173,6 @@ def relative_complement(
     a consequence operator; the lattice check asserts the two defining
     equations (naive join back to ``c1``, meet down to the identity).
     """
-    from .classify import check_axioms
-
     universe = c.universe
     if universe.mode is not Mode.FINITE:
         raise ModeError("relative complements are computed in finite mode only")
@@ -203,9 +191,7 @@ def relative_complement(
     values = ((q & ~p) | m for m, (p, q) in enumerate(zip(table(c), table(c1))))
     candidate = FromTable(universe, tuple(values))
     report = check_axioms(candidate)
-    lattice_ok = equivalent(naive_join(c, candidate), c1) and equivalent(
-        meet(c, candidate), ident
-    )
+    lattice_ok = equivalent(NaiveJoin(c, candidate), c1) and equivalent(Meet(c, candidate), ident)
     return ComplementResult(candidate, report, lattice_ok)
 
 

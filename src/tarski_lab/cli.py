@@ -21,12 +21,11 @@ from pathlib import Path
 import click
 
 from .sets import Mode, all_subsets, make_universe
-from .operators import evaluate, to_closure_system
+from .operators import Meet, evaluate, to_closure_system
 from .algebra import (
     descending_chain,
     is_chain,
     le,
-    meet as meet_op,
     relative_complement,
     sublattice_report,
     weak_join,
@@ -152,7 +151,7 @@ at_option = click.option("--at", "at_set", help="Evaluate the result at this set
 @click.argument("right")
 def meet(sctx, at_set, left, right) -> Report:
     """Pointwise-intersection meet of two operators."""
-    return _combine("meet", meet_op, sctx, at_set, left, right)
+    return _combine("meet", Meet, sctx, at_set, left, right)
 
 
 @command(main, operands=True)

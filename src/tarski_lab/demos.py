@@ -12,19 +12,19 @@ from typing import Callable
 
 from .sets import Mode, all_subsets, make_universe
 from .operators import (
+    Compose,
     CPrime,
     Cxy,
+    FromSystem,
+    NaiveJoin,
     SExample,
-    compose,
     evaluate,
-    from_closure_system,
     table,
 )
 from .algebra import (
     descending_chain,
     equivalent,
     le,
-    naive_join,
     relative_complement,
     sublattice_report,
 )
@@ -77,14 +77,14 @@ def demo_example_2_8() -> Report:
     """The naive (pointwise-union) join of two closure operators can fail
     idempotence; replayed starting from the empty set."""
     adder, example = _adder_and_example()
-    return _idempotence_failure("example-2.8", naive_join(adder, example), adder.universe.empty())
+    return _idempotence_failure("example-2.8", NaiveJoin(adder, example), adder.universe.empty())
 
 
 def demo_example_3_4() -> Report:
     """Composition of two closure operators need not be one; replayed
     starting from the base set M of the example operator."""
     adder, example = _adder_and_example()
-    return _idempotence_failure("example-3.4", compose(adder, example), example.m)
+    return _idempotence_failure("example-3.4", Compose(adder, example), example.m)
 
 
 def demo_example_3_2() -> Report:
@@ -225,7 +225,7 @@ def demo_lemma_2_6() -> Report:
     failures = 0
     checked = 0
     for system in enumerate_operators(3):
-        op = from_closure_system(system)
+        op = FromSystem(system)
         if evaluate(op, u.empty()).is_empty():
             continue
         checked += 1

@@ -4,20 +4,19 @@ An operator expression denotes a map from subsets of a universe to subsets
 of the same universe.  Expressions are immutable values; evaluation is pure
 and keeps no state between calls.
 
-The two parametric families behave as follows on an argument A:
-
-* ``Cxy(X, Y)``: A ∪ X when A meets Y, otherwise A.
-* ``CPrime(X, Y)``: A ∪ X when Y ⊆ A, otherwise A.
+Each node class is its own constructor (``Meet(a, b)``, ``FromSystem(s)``),
+and each class docstring states its value on an argument A.  Nodes of one
+shape share a frozen dataclass base that holds their fields, checks that
+they come from one universe, and reports it: ``Identity``, ``Top`` and
+``FromTable`` hold a universe; ``Cxy`` and ``CPrime`` hold two parameter
+sets X and Y; ``Meet``, ``NaiveJoin`` and ``WeakJoin`` hold two operands.
+Nodes of different classes never compare equal, whatever their fields.
 
 ``SExample(M, b)`` is the finite-mode example operator: it sends A to the
 whole universe when b ∈ A and to M ∪ A otherwise (requiring nonempty M,
-b outside M, and at least two elements outside M).
-
-``Meet``/``NaiveJoin`` are the pointwise intersection and union of two
-operators; the naive join of two closure operators need not be idempotent.
-``WeakJoin`` denotes the least common closed superset: the smallest
-Y ⊇ A fixed by both operands, computed by iterating the operands to a
-fixed point.  ``Compose`` is function composition (outer after inner).
+b outside M, and at least two elements outside M).  The naive join of two
+closure operators need not be idempotent.  ``WeakJoin`` is computed by
+iterating the operands to a fixed point.
 
 In finite mode, ``table(op)`` is the whole map at once: ``table(op)[m]`` is
 the image mask of the subset with mask m, compiled bottom-up on ints.  A
@@ -29,7 +28,7 @@ point scans the closed masks instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 from .sets import (
@@ -46,20 +45,24 @@ class OperatorConstraintError(ValueError):
     """An expression violates one of its construction constraints."""
 
 
-@dataclass(frozen=True)
 class OperatorExpr:
-    """Base class for the expression variants below."""
+    """Base class for the expression variants below; every node is immutable."""
 
     @property
     def universe(self) -> Universe:
         raise NotImplementedError
 
-    def __call__(self, x: SentenceSet) -> SentenceSet:
-        return evaluate(self, x)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)
-class Identity(OperatorExpr):
+class _OnUniverse(OperatorExpr):
+    """A node that holds its universe."""
+
     _universe: Universe
 
     @property
@@ -67,19 +70,18 @@ class Identity(OperatorExpr):
         return self._universe
 
 
-@dataclass(frozen=True)
-class Top(OperatorExpr):
+class Identity(_OnUniverse):
+    """Maps every subset to itself."""
+
+
+class Top(_OnUniverse):
     """Maps every subset to the whole universe."""
 
-    _universe: Universe
-
-    @property
-    def universe(self) -> Universe:
-        return self._universe
-
 
 @dataclass(frozen=True)
-class Cxy(OperatorExpr):
+class _Parametric(OperatorExpr):
+    """A node with two parameter sets X and Y from one universe."""
+
     x: SentenceSet
     y: SentenceSet
 
@@ -92,18 +94,12 @@ class Cxy(OperatorExpr):
         return self.x.universe
 
 
-@dataclass(frozen=True)
-class CPrime(OperatorExpr):
-    x: SentenceSet
-    y: SentenceSet
+class Cxy(_Parametric):
+    """A ∪ X when A meets Y, otherwise A."""
 
-    def __post_init__(self) -> None:
-        if self.x.universe != self.y.universe:
-            raise UniverseMismatchError("parameters from different universes")
 
-    @property
-    def universe(self) -> Universe:
-        return self.x.universe
+class CPrime(_Parametric):
+    """A ∪ X when Y ⊆ A, otherwise A."""
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,9 @@ def _check_pair(left: OperatorExpr, right: OperatorExpr) -> None:
 
 
 @dataclass(frozen=True)
-class Meet(OperatorExpr):
+class _Binary(OperatorExpr):
+    """A node with two operands from one universe."""
+
     left: OperatorExpr
     right: OperatorExpr
 
@@ -147,34 +145,22 @@ class Meet(OperatorExpr):
         return self.left.universe
 
 
-@dataclass(frozen=True)
-class NaiveJoin(OperatorExpr):
-    left: OperatorExpr
-    right: OperatorExpr
-
-    def __post_init__(self) -> None:
-        _check_pair(self.left, self.right)
-
-    @property
-    def universe(self) -> Universe:
-        return self.left.universe
+class Meet(_Binary):
+    """left(A) ∩ right(A)."""
 
 
-@dataclass(frozen=True)
-class WeakJoin(OperatorExpr):
-    left: OperatorExpr
-    right: OperatorExpr
+class NaiveJoin(_Binary):
+    """left(A) ∪ right(A); need not be idempotent."""
 
-    def __post_init__(self) -> None:
-        _check_pair(self.left, self.right)
 
-    @property
-    def universe(self) -> Universe:
-        return self.left.universe
+class WeakJoin(_Binary):
+    """The least superset of A fixed by both operands."""
 
 
 @dataclass(frozen=True)
 class Compose(OperatorExpr):
+    """outer(inner(A))."""
+
     outer: OperatorExpr
     inner: OperatorExpr
 
@@ -258,14 +244,13 @@ class FromSystem(OperatorExpr):
 
 
 @dataclass(frozen=True)
-class FromTable(OperatorExpr):
+class FromTable(_OnUniverse):
     """An arbitrary total map given by its value on every subset.
 
     ``table[mask]`` is the image mask of the subset with that mask; the
     table must cover all 2^n subsets.  Finite mode only.
     """
 
-    _universe: Universe
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -280,10 +265,6 @@ class FromTable(OperatorExpr):
         for value in self.table:
             if not 0 <= value < limit:
                 raise OperatorConstraintError(f"table value {value:#x} out of range")
-
-    @property
-    def universe(self) -> Universe:
-        return self._universe
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -356,7 +337,7 @@ def _settle(step, y, rounds: int):
 
 
 def compose(outer: OperatorExpr, inner: OperatorExpr) -> OperatorExpr:
-    """Expression denoting x -> outer(inner(x)); not necessarily a closure."""
+    """``Compose(outer, inner)``: x -> outer(inner(x)), not necessarily a closure."""
     return Compose(outer, inner)
 
 
@@ -421,8 +402,3 @@ def to_closure_system(op: OperatorExpr) -> ClosureSystem:
     if universe.mode is not Mode.FINITE:
         raise ModeError("closed-set families are enumerated in finite mode only")
     return ClosureSystem(universe, tuple(m for m, v in enumerate(table(op)) if v == m))
-
-
-def from_closure_system(system: ClosureSystem) -> OperatorExpr:
-    """The closure operator whose value is the least closed superset."""
-    return FromSystem(system)

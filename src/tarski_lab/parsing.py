@@ -34,9 +34,8 @@ from .operators import (
     SExample,
     Top,
     WeakJoin,
-    compose,
 )
-from . import algebra
+from .algebra import weak_join
 
 
 class ParseError(ValueError):
@@ -104,7 +103,7 @@ class SpecContext:
             self.operators[name] = value
 
 
-_BINARY = {"meet": algebra.meet, "join": algebra.naive_join, "wjoin": algebra.weak_join, "comp": compose}
+_BINARY = {"meet": Meet, "join": NaiveJoin, "wjoin": weak_join, "comp": Compose}
 
 _KEYWORDS = {"I", "U", "cxy", "cprime", "s", "meet", "join", "wjoin", "comp", "system", "L", "co"}
 

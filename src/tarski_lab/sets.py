@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 # Exhaustive sweeps materialise all 2^n subsets; beyond this they are hopeless.
 MAX_SWEEP_SIZE = 24
@@ -172,18 +172,6 @@ class SentenceSet:
         while i in excluded:
             i += 1
         return i
-
-    def elements(self) -> Iterator[int]:
-        """Ascending elements; an infinite stream for cofinite sets."""
-        if self.is_finite():
-            yield from self.members
-            return
-        excluded = set(self.members)
-        i = 0
-        while True:
-            if i not in excluded:
-                yield i
-            i += 1
 
     # -- algebra ------------------------------------------------------------
 

@@ -17,19 +17,19 @@ from tarski_lab.sets import Mode, all_subsets, make_universe
 from tarski_lab.operators import (
     CPrime,
     Cxy,
+    FromSystem,
     FromTable,
     Identity,
+    Meet,
+    NaiveJoin,
     SExample,
     compose,
     evaluate,
-    from_closure_system,
 )
 from tarski_lab.algebra import (
     descending_chain,
     equivalent,
     le,
-    meet,
-    naive_join,
     relative_complement,
     sublattice_report,
     weak_join,
@@ -145,7 +145,7 @@ def test_criterion_05_axiomatic_witnesses():
     for n in (1, 2, 3, 4):
         u = default_universe(n)
         for system in enumerate_operators(n, include_top=True):
-            op = from_closure_system(system)
+            op = FromSystem(system)
             if evaluate(op, u.empty()).is_empty():
                 continue
             checked += 1
@@ -213,8 +213,8 @@ def test_criterion_08_relative_complement_and_uniqueness():
     pointwise = equivalent(result.candidate, expected)
     matches = 0
     for system in enumerate_operators(3, include_top=True):
-        op = from_closure_system(system)
-        if equivalent(naive_join(lower, op), upper) and equivalent(meet(lower, op), Identity(u)):
+        op = FromSystem(system)
+        if equivalent(NaiveJoin(lower, op), upper) and equivalent(Meet(lower, op), Identity(u)):
             matches += 1
             unique_candidate = equivalent(op, result.candidate)
     report(
@@ -226,7 +226,7 @@ def test_criterion_08_relative_complement_and_uniqueness():
 
 
 def test_criterion_09_order_equals_composition():
-    ops = [from_closure_system(s) for s in enumerate_operators(3, include_top=True)]
+    ops = [FromSystem(s) for s in enumerate_operators(3, include_top=True)]
     started = time.perf_counter()
     discrepancies = 0
     for a in ops:
@@ -300,7 +300,7 @@ def test_criterion_13_monotone_union_and_concurrence():
     subsets = all_subsets(u)
     union_ok = True
     for system in enumerate_operators(3, include_top=True):
-        op = from_closure_system(system)
+        op = FromSystem(system)
         for s, t in itertools.product(subsets, repeat=2):
             if not monotone_union_check(op, [s, t]):
                 union_ok = False

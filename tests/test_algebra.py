@@ -17,12 +17,13 @@ from tarski_lab.operators import (
     Compose,
     CPrime,
     Cxy,
+    FromSystem,
     Identity,
     Meet,
+    NaiveJoin,
     OperatorConstraintError,
     Top,
     evaluate,
-    from_closure_system,
     table,
     to_closure_system,
 )
@@ -33,8 +34,6 @@ from tarski_lab.algebra import (
     equivalent,
     is_chain,
     le,
-    meet,
-    naive_join,
     relative_complement,
     sublattice_report,
     weak_join,
@@ -65,7 +64,7 @@ def table_le(t1, t2) -> bool:
 def oracle3():
     systems = list(enumerate_operators(3))
     tables = [least_closed_supersets(s.masks, 3) for s in systems]
-    ops = [from_closure_system(s) for s in systems]
+    ops = [FromSystem(s) for s in systems]
     return systems, tables, ops
 
 
@@ -151,18 +150,18 @@ class TestLe:
 
 class TestMeetAndJoins:
     def test_meet_example(self, u):
-        both = meet(Cxy(u.of_names("a"), u.of_names("b")), Cxy(u.of_names("c"), u.of_names("b")))
+        both = Meet(Cxy(u.of_names("a"), u.of_names("b")), Cxy(u.of_names("c"), u.of_names("b")))
         assert evaluate(both, u.of_names("b")) == u.of_names("b")
 
     def test_meet_with_top_is_neutral(self, u):
         op = Cxy(u.of_names("a"), u.of_names("b"))
-        assert equivalent(meet(op, Top(u)), op)
-        assert equivalent(meet(op, op), op)
+        assert equivalent(Meet(op, Top(u)), op)
+        assert equivalent(Meet(op, op), op)
 
     def test_naive_join_idempotence_failure(self, u):
         from tarski_lab.operators import SExample
 
-        joined = naive_join(
+        joined = NaiveJoin(
             CPrime(u.of_names("b"), u.empty()), SExample(u.of_names("a"), u.index_of("b"))
         )
         assert evaluate(joined, u.empty()) == u.of_names("a", "b")
@@ -170,8 +169,8 @@ class TestMeetAndJoins:
 
     def test_naive_join_trivialities(self, u):
         op = Cxy(u.of_names("a"), u.of_names("b"))
-        assert equivalent(naive_join(op, op), op)
-        assert equivalent(naive_join(Identity(u), op), op)
+        assert equivalent(NaiveJoin(op, op), op)
+        assert equivalent(NaiveJoin(Identity(u), op), op)
 
     def test_weak_join_closed_form(self, u):
         joined = weak_join(
@@ -223,7 +222,7 @@ class TestLatticeLawsExhaustive:
                 if matrix[d][i] and matrix[d][j]:
                     assert matrix[d][k]
             # Library path agrees with the table oracle.
-            lib = meet(ops[i], ops[j])
+            lib = Meet(ops[i], ops[j])
             assert all(
                 evaluate(lib, s).mask == met[s.mask]
                 for s in all_subsets(systems[i].universe)
@@ -306,7 +305,7 @@ class TestRelativeComplement:
         matches = [
             op
             for op in ops
-            if equivalent(naive_join(lower, op), upper) and equivalent(meet(lower, op), Identity(u))
+            if equivalent(NaiveJoin(lower, op), upper) and equivalent(Meet(lower, op), Identity(u))
         ]
         assert len(matches) == 1
         assert equivalent(matches[0], result.candidate)
@@ -413,7 +412,7 @@ class TestSublattice:
         # [{};L] ∨ ([{a};L] ∧ [{b};L]) is [{};L], but the right side is the top map.
         families = [(u.empty().mask,), (u.of_names("a").mask,), (u.of_names("b").mask,)]
         full = u.full().mask
-        tables = [table(from_closure_system(ClosureSystem(u, f + (full,)))) for f in families]
+        tables = [table(FromSystem(ClosureSystem(u, f + (full,)))) for f in families]
         assert _distributive(tables, {}) is False
         gens = [u.empty(), u.of_names("a"), u.of_names("c")]
         assert _distributive([table(Cxy(g, u.of_names("b"))) for g in gens], {}) is True

@@ -14,6 +14,7 @@ from tarski_lab.operators import (
     ClosureSystem,
     CPrime,
     Cxy,
+    FromSystem,
     FromTable,
     Identity,
     NaiveJoin,
@@ -21,7 +22,6 @@ from tarski_lab.operators import (
     Top,
     compose,
     evaluate,
-    from_closure_system,
     table,
     to_closure_system,
 )
@@ -138,7 +138,7 @@ class TestLemma26:
         assert lemma26_witness(SExample(u.of_names("a"), u.index_of("b"))) == u.index_of("a")
 
     def test_top_like_system(self, u):
-        op = from_closure_system(ClosureSystem(u, (u.full().mask,)))
+        op = FromSystem(ClosureSystem(u, (u.full().mask,)))
         assert lemma26_witness(op) == 0
 
     def test_axiomless_rejected(self, u):
@@ -263,7 +263,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_system_round_trips(self, n):
         for system in enumerate_operators(n):
-            op = from_closure_system(system)
+            op = FromSystem(system)
             report = check_axioms(op)
             assert report.all_pass
             assert to_closure_system(op) == system

@@ -22,7 +22,7 @@ from tarski_lab.classify import (
 from tarski_lab.cli import main
 from tarski_lab.concurrence import monotone_union_check
 from tarski_lab.demos import DEMOS, _absorbs, _below, _union_escapes, run_demo
-from tarski_lab.operators import CPrime, Cxy, FromTable, compose, evaluate, from_closure_system, table
+from tarski_lab.operators import CPrime, Cxy, FromSystem, FromTable, compose, evaluate, table
 from tarski_lab.sets import Mode, all_subsets, make_universe
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,7 +62,7 @@ def _union_agrees(op, t, s, u):
 
 
 def test_order_and_composition_helpers_match_le_and_equivalent():
-    ops = [from_closure_system(system) for system in SYSTEMS]
+    ops = [FromSystem(system) for system in SYSTEMS]
     assert all(_order_and_composition_agree(a, b) for a in ops for b in ops)
 
 
@@ -75,7 +75,7 @@ def test_order_and_composition_helpers_on_an_incomparable_pair():
 def test_union_helper_matches_monotone_union_check():
     masks = range(1 << 3)
     for system in SYSTEMS:
-        op = from_closure_system(system)
+        op = FromSystem(system)
         assert all(_union_agrees(op, system.table, s, u) for s in masks for u in masks)
 
 
@@ -128,7 +128,7 @@ def _value_or_error(f, op):
 
 def test_lemma26_witness_matches_the_report_scan():
     tables = [FromTable(L3, t) for t in _extensive_idempotent_tables(3)]
-    ops = [from_closure_system(system) for system in SYSTEMS] + tables
+    ops = [FromSystem(system) for system in SYSTEMS] + tables
     outcomes = [_value_or_error(lemma26_witness, op) for op in ops]
     assert outcomes == [_value_or_error(_lemma26_by_report, op) for op in ops]
     # Witnesses, axiomless systems and non-monotone tables are all among them.

@@ -1,6 +1,7 @@
 """Operator expressions: construction constraints, evaluation, closed-set
 families, and the weak-join fixed point."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -11,6 +12,7 @@ from tarski_lab.operators import (
     Compose,
     CPrime,
     Cxy,
+    FromSystem,
     FromTable,
     Identity,
     Meet,
@@ -21,7 +23,6 @@ from tarski_lab.operators import (
     WeakJoin,
     compose,
     evaluate,
-    from_closure_system,
     to_closure_system,
 )
 
@@ -64,6 +65,51 @@ class TestConstruction:
     def test_partial_table_rejected(self, u):
         with pytest.raises(OperatorConstraintError):
             FromTable(u, (0, 1, 2))
+
+
+# Node classes grouped by the fields they hold; Compose holds two operands
+# like the binary nodes, under its own field names.
+ON_UNIVERSE = (Identity, Top)
+PARAMETRIC = (Cxy, CPrime)
+BINARY = (Meet, NaiveJoin, WeakJoin, Compose)
+SAME_FIELDS = [pair for group in (ON_UNIVERSE, PARAMETRIC, BINARY) for pair in itertools.permutations(group, 2)]
+
+
+def _args(cls, universe):
+    """Constructor arguments, the same for every class in one group."""
+    if cls is FromTable:
+        return universe, tuple(range(1 << universe.size))
+    if cls in ON_UNIVERSE:
+        return (universe,)
+    if cls in PARAMETRIC:
+        return universe.subset([0]), universe.subset([1])
+    return Cxy(universe.subset([0]), universe.subset([1])), Identity(universe)
+
+
+class TestNodeShapes:
+    @pytest.mark.parametrize("first, second", SAME_FIELDS, ids=lambda cls: cls.__name__)
+    def test_equal_fields_in_different_classes_compare_unequal(self, u, first, second):
+        node = first(*_args(first, u))
+        assert node != second(*_args(second, u))
+        assert node == first(*_args(first, u)) and hash(node) == hash(first(*_args(first, u)))
+
+    @pytest.mark.parametrize("cls", ON_UNIVERSE + PARAMETRIC + BINARY + (FromTable,))
+    def test_repr_names_the_class(self, u, cls):
+        assert repr(cls(*_args(cls, u))).startswith(f"{cls.__name__}(")
+
+    @pytest.mark.parametrize("cls", PARAMETRIC + BINARY)
+    def test_operand_from_another_universe(self, u, nat, cls):
+        with pytest.raises(UniverseMismatchError):
+            cls(_args(cls, u)[0], _args(cls, nat)[1])
+        with pytest.raises(UniverseMismatchError):
+            cls(_args(cls, nat)[0], _args(cls, u)[1])
+
+    @pytest.mark.parametrize("cls", ON_UNIVERSE + PARAMETRIC + BINARY + (FromTable,))
+    def test_assignment_is_refused(self, u, cls):
+        node = cls(*_args(cls, u))
+        for name in [f.name for f in dataclasses.fields(node)] + ["extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
 
 
 class TestEvaluation:
@@ -202,18 +248,18 @@ class TestClosureSystems:
     def test_round_trip(self, u):
         op = Cxy(u.of_names("a"), u.of_names("b"))
         system = to_closure_system(op)
-        back = from_closure_system(system)
+        back = FromSystem(system)
         for s in all_subsets(u):
             assert evaluate(back, s) == evaluate(op, s)
         assert to_closure_system(back) == system
 
     def test_from_singleton_family_is_top(self, u):
-        op = from_closure_system(ClosureSystem(u, (u.full().mask,)))
+        op = FromSystem(ClosureSystem(u, (u.full().mask,)))
         for s in all_subsets(u):
             assert evaluate(op, s) == evaluate(Top(u), s)
 
     def test_from_everything_is_identity(self, u):
-        op = from_closure_system(ClosureSystem(u, tuple(range(1 << u.size))))
+        op = FromSystem(ClosureSystem(u, tuple(range(1 << u.size))))
         for s in all_subsets(u):
             assert evaluate(op, s) == s
 
