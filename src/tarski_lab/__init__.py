@@ -7,7 +7,6 @@ from .sets import (
     SentenceSet,
     Universe,
     UniverseMismatchError,
-    all_subsets,
     make_universe,
 )
 from .operators import (

@@ -3,15 +3,19 @@
 The three axioms checked are extensivity-with-idempotence
 (X ⊆ C(X) = C(C(X)) ⊆ L), monotonicity (X ⊆ Y implies C(X) ⊆ C(Y)), and
 finitarity (C(X) is the union of C(A) over the finite subsets A of X).
-Finite universes are checked exhaustively with least-bitmask witnesses.
-``axiom_witnesses`` finds them on an int table in O(n·2ⁿ), by a
-superset-AND and a subset-OR zeta transform; the Thm 2.5 and Remark 2.2
-demos and ``lemma26_witness`` decide through it, while ``check_axioms``
-keeps its ``SentenceSet`` pair sweeps until it wraps the same kernel
-(ROADMAP item 3).  Remark 2.2 runs it on every extensive idempotent table
-on three symbols.  On the infinite universe the built-in constructions
-receive exact closed-form verdicts; other expressions get a bounded search
-whose passes are explicitly inconclusive.
+``check_axioms`` runs one sweep of the three axioms over a family of sets.
+On a finite universe the family is every subset, so the sweep is
+exhaustive and reports least-bitmask witnesses.  On the infinite universe
+the built-in constructions receive exact closed-form verdicts; other
+expressions are swept over a bounded family, whose failures are conclusive
+and whose passes are explicitly inconclusive.
+
+``axiom_witnesses`` finds the same least witnesses on an int table in
+O(n·2ⁿ), by a superset-AND and a subset-OR zeta transform; the Thm 2.5 and
+Remark 2.2 demos and ``lemma26_witness`` decide through it.  The
+exhaustive sweep keeps its ``SentenceSet`` pair loops until ``check_axioms``
+wraps the same kernel (ROADMAP item 3).  Remark 2.2 runs the kernel on
+every extensive idempotent table on three symbols.
 
 Enumeration produces every closure system (intersection-closed family
 containing L) on a tiny universe, in ascending order of the family's
@@ -27,14 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .sets import Mode, ModeError, SentenceSet, Universe, all_subsets, make_universe
+from .sets import Mode, ModeError, SentenceSet, Universe, make_universe
 from .operators import (
     ClosureSystem,
     CPrime,
     Cxy,
-    FromTable,
     Identity,
     OperatorExpr,
     Top,
@@ -75,47 +78,63 @@ class AxiomReport:
 
 def check_axioms(op: OperatorExpr, cap: int | None = None) -> AxiomReport:
     """Full per-axiom report with least counterexample witnesses."""
-    if op.universe.mode is Mode.FINITE:
-        return _check_exhaustive(op)
+    universe = op.universe
+    if universe.mode is Mode.FINITE:
+        t = table(op)
+        subsets = [universe.from_mask(m) for m in range(len(t))]
+        images = [subsets[v] for v in t]
+        return _sweep(subsets, images, lambda image: images[image.mask], EXHAUSTIVE)
     if isinstance(op, (Identity, Top, Cxy, CPrime)):
         return _check_closed_form(op)
-    if isinstance(op, FromTable):
-        raise ModeError("tables are not defined on the infinite universe")
     if cap is None:
         raise ValueError("bounded search on the infinite universe needs a cap")
     if cap < 1:
         raise ValueError(f"the bounded-search cap must be at least 1, got {cap}")
-    return _check_bounded(op, cap)
+    family = _bounded_family(universe, cap)
+    images = [evaluate(op, s) for s in family]
+    return _sweep(
+        family, images, lambda image: evaluate(op, image), f"bounded-search(cap={cap})"
+    )
 
 
-def _check_exhaustive(op: OperatorExpr) -> AxiomReport:
-    universe = op.universe
-    subsets = all_subsets(universe)
-    images = [subsets[v] for v in table(op)]
+def _sweep(
+    family: list[SentenceSet],
+    images: list[SentenceSet],
+    image_of: Callable[[SentenceSet], SentenceSet],
+    note: str,
+) -> AxiomReport:
+    """The three axioms over ``family``, whose first member is the empty set.
 
-    axiom_i = Verdict(True)
-    for s, image in zip(subsets, images):
-        if not s.is_subset(image) or images[image.mask] != image:
+    ``images`` holds C(s) for each member s, and ``image_of`` reads C at any
+    image.  A failure is conclusive; a pass is conclusive only when the
+    family is every subset (``note`` is ``EXHAUSTIVE``).
+    """
+    exhaustive = note == EXHAUSTIVE
+
+    axiom_i = Verdict(True, exhaustive)
+    for s, image in zip(family, images):
+        if not s.is_subset(image) or image_of(image) != image:
             axiom_i = Verdict(False, witness=(s,))
             break
 
-    axiom_ii = Verdict(True)
-    for s, image in zip(subsets, images):
+    axiom_ii = Verdict(True, exhaustive)
+    for s, image in zip(family, images):
         if not axiom_ii.passed:
             break
-        for t, other in zip(subsets, images):
+        for t, other in zip(family, images):
             if s.is_subset(t) and not image.is_subset(other):
                 axiom_ii = Verdict(False, witness=(s, t))
                 break
 
-    axiom_iii = Verdict(True)
-    for s, image in zip(subsets, images):
-        union = universe.empty()
-        for a, part in zip(subsets, images):
+    axiom_iii = Verdict(True, exhaustive)
+    finite = [(a, part) for a, part in zip(family, images) if a.is_finite()]
+    for s, image in zip(family, images):
+        union = family[0]
+        for a, part in finite:
             if a.is_subset(s):
                 union = union.union(part)
-        # a = s is among the parts, so the union always contains C(s).
-        if union != image:
+        # A finite s is among the parts, so for it "union ⊆ image" is equality.
+        if not union.is_subset(image):
             axiom_iii = Verdict(False, witness=(s, union.difference(image).least()))
             break
 
@@ -124,8 +143,8 @@ def _check_exhaustive(op: OperatorExpr) -> AxiomReport:
         axiom_ii=axiom_ii,
         axiom_iii=axiom_iii,
         axiomless=images[0].is_empty(),
-        mode_note=EXHAUSTIVE,
-        finitary_from_monotone=axiom_i.passed and axiom_ii.passed,
+        mode_note=note,
+        finitary_from_monotone=(axiom_i.passed and axiom_ii.passed) if exhaustive else None,
     )
 
 
@@ -168,53 +187,11 @@ def _bounded_family(universe: Universe, cap: int) -> list[SentenceSet]:
     return sets
 
 
-def _check_bounded(op: OperatorExpr, cap: int) -> AxiomReport:
-    universe = op.universe
-    family = _bounded_family(universe, cap)
-    images = [evaluate(op, s) for s in family]
-    note = f"bounded-search(cap={cap})"
-
-    axiom_i = Verdict(True, conclusive=False)
-    for s, image in zip(family, images):
-        if not s.is_subset(image) or evaluate(op, image) != image:
-            axiom_i = Verdict(False, witness=(s,))
-            break
-
-    axiom_ii = Verdict(True, conclusive=False)
-    for s, image in zip(family, images):
-        if not axiom_ii.passed:
-            break
-        for t, other in zip(family, images):
-            if s.is_subset(t) and not image.is_subset(other):
-                axiom_ii = Verdict(False, witness=(s, t))
-                break
-
-    axiom_iii = Verdict(True, conclusive=False)
-    for s, image in zip(family, images):
-        union = universe.empty()
-        for a, part in zip(family, images):
-            if a.is_finite() and a.is_subset(s):
-                union = union.union(part)
-        # A finite s is among the parts, so for it "union ⊆ image" is equality.
-        if not union.is_subset(image):
-            element = union.difference(image).least()
-            axiom_iii = Verdict(False, witness=(s, element))
-            break
-
-    return AxiomReport(
-        axiom_i=axiom_i,
-        axiom_ii=axiom_ii,
-        axiom_iii=axiom_iii,
-        axiomless=images[0].is_empty(),
-        mode_note=note,
-    )
-
-
 def axiom_witnesses(t: tuple[int, ...]) -> tuple[tuple | None, tuple | None, tuple | None]:
     """The least witnesses against axioms (i), (ii) and (iii) on the table t.
 
     Each is None where its axiom holds, else ``(s,)``, ``(s, r)`` or
-    ``(s, element)`` in masks: the witnesses ``_check_exhaustive`` reports.
+    ``(s, element)`` in masks: the witnesses ``check_axioms`` reports in finite mode.
     D(s), the AND of C(r) over r ⊇ s, and U(s), the OR of C(a) over a ⊆ s,
     take one pass per bit.  The least s with C(s) ⊄ D(s) fails (ii), paired
     with its first failing superset; the least s with U(s) ≠ C(s) fails (iii).

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import click
 
-from .sets import Mode, all_subsets, make_universe
-from .operators import Meet, evaluate, to_closure_system
+from .sets import Mode, ModeError, make_universe
+from .operators import Identity, Meet, evaluate, table, to_closure_system
 from .algebra import (
     descending_chain,
     is_chain,
@@ -203,7 +203,12 @@ def sublattice(sctx, b_literal, all_generators, generators) -> Report:
     """Verify the lattice structure of the fixed-trigger family."""
     b = parse_set(b_literal, sctx)
     if all_generators:
-        gens = list(all_subsets(sctx.universe))
+        u = sctx.universe
+        if u.mode is not Mode.FINITE:
+            raise ModeError("the generated sublattice is analysed in finite mode only")
+        # The identity's table lists every mask, once table() has refused a
+        # universe too large to sweep.
+        gens = [u.from_mask(m) for m in table(Identity(u))]
     else:
         gens = [parse_set(g, sctx) for g in generators]
     result = sublattice_report(b, gens)

@@ -32,13 +32,15 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 from .sets import (
-    MAX_SWEEP_SIZE,
     Mode,
     ModeError,
     SentenceSet,
     Universe,
     UniverseMismatchError,
 )
+
+# Tables and exhaustive sweeps have 2^n entries; beyond this size they are hopeless.
+MAX_SWEEP_SIZE = 24
 
 
 class OperatorConstraintError(ValueError):

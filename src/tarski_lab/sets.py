@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
-
-# Exhaustive sweeps materialise all 2^n subsets; beyond this they are hopeless.
-MAX_SWEEP_SIZE = 24
 
 
 class Mode(enum.Enum):
@@ -238,14 +234,3 @@ class SentenceSet:
 
     def __repr__(self) -> str:
         return f"SentenceSet({self.literal()})"
-
-
-@lru_cache(maxsize=None)
-def all_subsets(universe: Universe) -> tuple[SentenceSet, ...]:
-    """All subsets of a finite universe, ascending by bitmask."""
-    if universe.mode is not Mode.FINITE:
-        raise ModeError("cannot enumerate the subsets of an infinite universe")
-    n = universe.size
-    if n > MAX_SWEEP_SIZE:
-        raise ValueError(f"universe of size {n} is too large for exhaustive sweeps")
-    return tuple(universe.from_mask(m) for m in range(1 << n))

@@ -12,3 +12,8 @@ def least_closed_supersets(closed_masks, size: int) -> tuple[int, ...]:
                 value &= closed
         out.append(value)
     return tuple(out)
+
+
+def all_subsets(universe) -> tuple:
+    """Every subset of a finite universe, ascending by bitmask."""
+    return tuple(universe.from_mask(m) for m in range(1 << universe.size))

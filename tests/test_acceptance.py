@@ -13,7 +13,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from tarski_lab.sets import Mode, all_subsets, make_universe
+from tarski_lab.sets import Mode, make_universe
 from tarski_lab.operators import (
     CPrime,
     Cxy,
@@ -22,7 +22,6 @@ from tarski_lab.operators import (
     Identity,
     Meet,
     NaiveJoin,
-    SExample,
     compose,
     evaluate,
 )
@@ -32,7 +31,6 @@ from tarski_lab.algebra import (
     le,
     relative_complement,
     sublattice_report,
-    weak_join,
 )
 from tarski_lab.classify import (
     _extensive_idempotent_tables,
@@ -57,6 +55,8 @@ from tarski_lab.words import (
     seq_of_pieces,
     seq_of_word,
 )
+
+from oracles import all_subsets
 
 GOLDEN = Path(__file__).parent / "golden"
 

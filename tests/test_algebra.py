@@ -11,10 +11,9 @@ import itertools
 
 import pytest
 
-from tarski_lab.sets import Mode, ModeError, all_subsets, make_universe
+from tarski_lab.sets import Mode, ModeError, make_universe
 from tarski_lab.operators import (
     ClosureSystem,
-    Compose,
     CPrime,
     Cxy,
     FromSystem,
@@ -40,7 +39,7 @@ from tarski_lab.algebra import (
 )
 from tarski_lab.classify import enumerate_operators
 
-from oracles import least_closed_supersets
+from oracles import all_subsets, least_closed_supersets
 
 
 @pytest.fixture

@@ -6,17 +6,20 @@ to four elements); the n<=2 families are additionally spelled out by hand.
 """
 
 import itertools
+import random
 
 import pytest
 
-from tarski_lab.sets import Mode, ModeError, SentenceSet, all_subsets, make_universe
+from tarski_lab.sets import Mode, SentenceSet, make_universe
 from tarski_lab.operators import (
     ClosureSystem,
+    Compose,
     CPrime,
     Cxy,
     FromSystem,
     FromTable,
     Identity,
+    Meet,
     NaiveJoin,
     SExample,
     Top,
@@ -28,6 +31,8 @@ from tarski_lab.operators import (
 from tarski_lab.algebra import equivalent, le
 from tarski_lab import classify
 from tarski_lab.classify import (
+    Verdict,
+    _bounded_family,
     _closure_systems,
     _cosingleton_witness,
     _extensive_idempotent_tables,
@@ -371,3 +376,88 @@ class TestExtensiveIdempotentTables:
         assert (len(extensive), len(yielded), len(monotone)) == (4096, 1152, 61)
         assert set(yielded) == idempotent
         assert monotone == {system.table for system in systems}
+
+
+def random_set(rng, nat):
+    members = rng.sample(range(5), rng.randint(0, 2))
+    return nat.cosubset(members) if rng.random() < 0.3 else nat.subset(members)
+
+
+def random_atomic(rng, nat):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Identity(nat)
+    if kind == 1:
+        return Top(nat)
+    family = Cxy if kind == 2 else CPrime
+    return family(random_set(rng, nat), random_set(rng, nat))
+
+
+def random_composite(rng, nat, depth):
+    """An operator of exactly this depth: binary nodes over atomic leaves."""
+    if depth == 0:
+        return random_atomic(rng, nat)
+    node = rng.choice([Meet, NaiveJoin, Compose])
+    children = [random_composite(rng, nat, depth - 1)]
+    children.append(random_composite(rng, nat, rng.randrange(depth)))
+    rng.shuffle(children)
+    return node(*children)
+
+
+class TestBoundedSearchSoundness:
+    """Every conclusive bounded-search failure is re-checked by evaluation on ℕ.
+
+    Every expression on ℕ is monotone (its leaves are, and meet, join,
+    composition and the weak join keep it), so the seeded composites fail
+    only axiom (i); a stand-in map reaches the (ii) and (iii) loops.
+    """
+
+    @pytest.mark.parametrize("cap", [1, 3, 6])
+    def test_failures_are_real(self, nat, cap):
+        rng = random.Random(cap)
+        failures = 0
+        for _ in range(150):
+            op = random_composite(rng, nat, rng.randint(1, 2))
+            report = check_axioms(op, cap=cap)
+            assert report.mode_note == f"bounded-search(cap={cap})"
+            assert report.finitary_from_monotone is None
+            for verdict in (report.axiom_i, report.axiom_ii, report.axiom_iii):
+                assert verdict.conclusive != verdict.passed
+            if not report.axiom_i.passed:
+                (s,) = report.axiom_i.witness
+                image = evaluate(op, s)
+                assert not s.is_subset(image) or evaluate(op, image) != image
+            if not report.axiom_ii.passed:
+                s, t = report.axiom_ii.witness
+                assert s.is_subset(t) and not evaluate(op, s).is_subset(evaluate(op, t))
+            if not report.axiom_iii.passed:
+                s, element = report.axiom_iii.witness
+                assert element not in evaluate(op, s)
+                assert any(
+                    a.is_finite() and a.is_subset(s) and element in evaluate(op, a)
+                    for a in _bounded_family(nat, cap)
+                )
+            failures += not report.all_pass
+        assert failures  # the seeds reach failing composites
+
+    @pytest.mark.parametrize("cap", [1, 3, 6])
+    def test_self_meet_of_an_atomic_operator_agrees_with_its_closed_form(self, nat, cap):
+        rng = random.Random(cap)
+        for _ in range(50):
+            atomic = random_atomic(rng, nat)
+            closed_form = check_axioms(atomic)
+            report = check_axioms(Meet(atomic, atomic), cap=cap)
+            assert report.axiom_i.passed and report.axiom_ii.passed
+            assert report.axiom_iii.passed or not closed_form.axiom_iii.passed
+
+    def test_a_non_monotone_map_fails_ii_and_iii(self, nat, monkeypatch):
+        # A ∪ {1} unless 0 ∈ A: extensive and idempotent, but ∅ ⊆ {0} while
+        # C(∅) = {1} ⊄ C({0}) = {0}, and so {0}'s finite parts reach 1.
+        def stand_in(op, s):
+            return s if 0 in s else s.union(nat.subset([1]))
+
+        monkeypatch.setattr(classify, "evaluate", stand_in)
+        report = check_axioms(NaiveJoin(Identity(nat), Identity(nat)), cap=3)
+        assert report.axiom_i.passed and not report.axiom_i.conclusive
+        assert report.axiom_ii == Verdict(False, witness=(nat.empty(), nat.subset([0])))
+        assert report.axiom_iii == Verdict(False, witness=(nat.subset([0]), 1))

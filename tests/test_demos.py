@@ -23,7 +23,9 @@ from tarski_lab.cli import main
 from tarski_lab.concurrence import monotone_union_check
 from tarski_lab.demos import DEMOS, _absorbs, _below, _union_escapes, run_demo
 from tarski_lab.operators import CPrime, Cxy, FromSystem, FromTable, compose, evaluate, table
-from tarski_lab.sets import Mode, all_subsets, make_universe
+from tarski_lab.sets import Mode, make_universe
+
+from oracles import all_subsets
 
 GOLDEN = Path(__file__).parent / "golden"
 

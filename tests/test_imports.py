@@ -1,0 +1,42 @@
+"""Every imported name is used: a stdlib ``ast`` scan of the package and the tests.
+
+A name counts as used when it is read anywhere in its module, as a bare
+name or as the root of an attribute chain.  Package ``__init__`` modules
+are skipped, since their imports are the public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    path
+    for folder in (ROOT / "src" / "tarski_lab", ROOT / "tests")
+    for path in folder.rglob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names ``source`` imports and never reads, in import order."""
+    tree = ast.parse(source)
+    imported: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_the_scan_sees_an_unused_name():
+    source = "import os, sys\nfrom a.b import c as d, e\nimport x.y\nprint(sys, e.f, x.y)\n"
+    assert unused_imports(source) == ["os", "d"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

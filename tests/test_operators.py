@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from tarski_lab.sets import Mode, ModeError, UniverseMismatchError, all_subsets, make_universe
+from tarski_lab.sets import Mode, ModeError, UniverseMismatchError, make_universe
 from tarski_lab.operators import (
     ClosureSystem,
     Compose,
@@ -25,6 +25,8 @@ from tarski_lab.operators import (
     evaluate,
     to_closure_system,
 )
+
+from oracles import all_subsets
 
 
 @pytest.fixture

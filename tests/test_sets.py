@@ -17,9 +17,10 @@ from tarski_lab.sets import (
     Polarity,
     SentenceSet,
     UniverseMismatchError,
-    all_subsets,
     make_universe,
 )
+
+from oracles import all_subsets
 
 PREFIX = 64
 

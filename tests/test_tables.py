@@ -261,6 +261,15 @@ class TestTable:
             system = ClosureSystem(u, intersection_closure(generators, n))
             assert system.table == least_closed_supersets(system.masks, n)
 
+    def test_a_failing_operand_falls_back_to_pointwise_evaluation(self):
+        # flip swaps {} and {a}, so its weak join with I never settles there;
+        # composed after Top, that join is only ever read at L.
+        u = make_universe(Mode.FINITE, "abc")
+        flip = FromTable(u, (1, 0, 2, 3, 4, 5, 6, 7))
+        assert table(Compose(WeakJoin(Identity(u), flip), Top(u))) == (7,) * 8
+        with pytest.raises(OperatorConstraintError):
+            table(WeakJoin(Identity(u), flip))
+
     def test_infinite_universe_has_no_table(self):
         with pytest.raises(ModeError):
             table(Identity(make_universe(Mode.COFINITE)))
