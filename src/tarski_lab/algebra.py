@@ -352,8 +352,10 @@ def _distributive(tables: list[tuple[int, ...]], joins: dict) -> bool:
 
     The meet is ``&`` on tables and the join is the weak join; ``joins``
     holds the weak joins already computed, keyed by operand pair, and
-    grows with the ones the laws need.
+    grows with the ones the laws need.  Meets are memoised for this call
+    the same way: the triples revisit a few distinct tables many times.
     """
+    meets: dict = {}
 
     def join(p, q):
         if (p, q) not in joins:
@@ -361,7 +363,9 @@ def _distributive(tables: list[tuple[int, ...]], joins: dict) -> bool:
         return joins[p, q]
 
     def meet(p, q):
-        return tuple(x & y for x, y in zip(p, q))
+        if (p, q) not in meets:
+            meets[p, q] = tuple(x & y for x, y in zip(p, q))
+        return meets[p, q]
 
     for t1 in tables:
         for t2 in tables:

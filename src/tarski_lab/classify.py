@@ -15,7 +15,10 @@ O(n·2ⁿ), by a superset-AND and a subset-OR zeta transform; the Thm 2.5 and
 Remark 2.2 demos and ``lemma26_witness`` decide through it.  The
 exhaustive sweep keeps its ``SentenceSet`` pair loops until ``check_axioms``
 wraps the same kernel (ROADMAP item 3).  Remark 2.2 runs the kernel on
-every extensive idempotent table on three symbols.
+every extensive idempotent table on three symbols, which
+``_extensive_idempotent_tables`` builds directly: each image is chosen
+among the fixed points already decided, so no table is built only to be
+filtered out.
 
 Enumeration produces every closure system (intersection-closed family
 containing L) on a tiny universe, in ascending order of the family's
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .sets import Mode, ModeError, SentenceSet, Universe, make_universe
@@ -247,14 +249,26 @@ def _cosingleton_witness(t: tuple[int, ...]) -> int | None:
 def _extensive_idempotent_tables(n: int) -> Iterator[tuple[int, ...]]:
     """Every extensive, idempotent table on n symbols, built one at a time.
 
-    Each image t[m] runs over the supersets m | r of m, r ⊆ L − m; the
-    tables with t[t[m]] = t[m] for every m are yielded.
+    Masks are decided from L downward.  t[m] is either m itself or a
+    fixed point already decided that contains m: every strict superset of m
+    is a larger mask, so it was decided first.  Images are therefore fixed
+    points, t[t[m]] = t[m] holds by construction, and each extensive
+    idempotent table is built exactly once.
     """
-    size = 1 << n
-    choices = [[m | r for r in range(size) if not r & m] for m in range(size)]
-    for t in product(*choices):
-        if all(t[v] == v for v in t):
-            yield t
+    t = [0] * (1 << n)
+
+    def decide(m: int, fixed: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if m < 0:
+            yield tuple(t)
+            return
+        t[m] = m
+        yield from decide(m - 1, fixed + (m,))
+        for f in fixed:
+            if f & m == m:
+                t[m] = f
+                yield from decide(m - 1, fixed)
+
+    return decide(len(t) - 1, ())
 
 
 # -- exhaustive enumeration ----------------------------------------------------

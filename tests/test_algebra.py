@@ -8,6 +8,8 @@ are asserted against these tables.
 """
 
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +41,11 @@ from tarski_lab.algebra import (
 )
 from tarski_lab.classify import enumerate_operators
 
-from oracles import all_subsets, least_closed_supersets
+from oracles import all_subsets
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import oracle  # noqa: E402
 
 
 @pytest.fixture
@@ -62,7 +68,7 @@ def table_le(t1, t2) -> bool:
 @pytest.fixture(scope="module")
 def oracle3():
     systems = list(enumerate_operators(3))
-    tables = [least_closed_supersets(s.masks, 3) for s in systems]
+    tables = [tuple(oracle.closure_table(s.masks, 3)) for s in systems]
     ops = [FromSystem(s) for s in systems]
     return systems, tables, ops
 
@@ -234,7 +240,7 @@ class TestLatticeLawsExhaustive:
         size = systems[0].universe.size
         for i, j in itertools.product(range(len(tables)), repeat=2):
             fixed = [m for m in range(1 << size) if tables[i][m] == m and tables[j][m] == m]
-            joined = least_closed_supersets(fixed, size)
+            joined = tuple(oracle.closure_table(fixed, size))
             assert joined in index
             k = index[joined]
             assert matrix[i][k] and matrix[j][k]

@@ -6,6 +6,7 @@ the expression-level procedures they replace.
 """
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from tarski_lab.classify import (
 )
 from tarski_lab.cli import main
 from tarski_lab.concurrence import monotone_union_check
-from tarski_lab.demos import DEMOS, _absorbs, _below, _union_escapes, run_demo
+from tarski_lab.demos import DEMOS, _absorbs, _below, _pack, _union_escapes, run_demo
 from tarski_lab.operators import CPrime, Cxy, FromSystem, FromTable, compose, evaluate, table
 from tarski_lab.sets import Mode, make_universe
 
@@ -51,11 +52,14 @@ def test_unknown_demo_raises():
 
 SYSTEMS = list(enumerate_operators(3))
 L3 = make_universe(Mode.FINITE, ("a", "b", "c"))
+# Arbitrary maps P(L) → P(L): neither extensive, idempotent nor monotone.
+_rng = random.Random(35)
+ARBITRARY = [tuple(_rng.randrange(8) for _ in range(8)) for _ in range(20)]
 
 
 def _order_and_composition_agree(a, b):
-    ta, tb = table(a), table(b)
-    return (_below(ta, tb), _absorbs(ta, tb)) == (le(a, b).holds, equivalent(compose(b, a), b))
+    pa, pb = _pack(table(a)), _pack(table(b))
+    return (_below(pa, pb), _absorbs(pa, pb)) == (le(a, b).holds, equivalent(compose(b, a), b))
 
 
 def _union_agrees(op, t, s, u):
@@ -64,14 +68,19 @@ def _union_agrees(op, t, s, u):
 
 
 def test_order_and_composition_helpers_match_le_and_equivalent():
-    ops = [FromSystem(system) for system in SYSTEMS]
+    extensive = [all(m & ~t[m] == 0 for m in range(8)) for t in ARBITRARY]
+    idempotent = [all(t[t[m]] == t[m] for m in range(8)) for t in ARBITRARY]
+    monotone = [axiom_witnesses(t)[1] is None for t in ARBITRARY]
+    assert not any(extensive) and not any(idempotent) and not any(monotone)
+    ops = [FromSystem(system) for system in SYSTEMS] + [FromTable(L3, t) for t in ARBITRARY]
     assert all(_order_and_composition_agree(a, b) for a in ops for b in ops)
 
 
 def test_order_and_composition_helpers_on_an_incomparable_pair():
     a, b = Cxy(L3.of_names("a"), L3.of_names("b")), Cxy(L3.of_names("c"), L3.of_names("b"))
     assert _order_and_composition_agree(a, b) and _order_and_composition_agree(b, a)
-    assert not _below(table(a), table(b)) and not _absorbs(table(a), table(b))
+    pa, pb = _pack(table(a)), _pack(table(b))
+    assert not _below(pa, pb) and not _absorbs(pa, pb)
 
 
 def test_union_helper_matches_monotone_union_check():
