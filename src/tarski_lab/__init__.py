@@ -39,7 +39,6 @@ from .algebra import (
     le,
     relative_complement,
     sublattice_report,
-    weak_join,
 )
 from .classify import (
     AxiomReport,

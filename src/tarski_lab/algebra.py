@@ -3,9 +3,9 @@
 ``le(a, b)`` holds when a(X) ⊆ b(X) for every subset X.  Finite universes
 are decided on both tables in ascending bitmask order (so witnesses are
 the least counterexample).  On the infinite universe the comparison is
-decided exactly through closed-form case analysis on the two parametric
-families (plus the identity and the top map); anything else raises rather
-than samples.
+decided exactly by case analysis on the shapes that ``operators._closed_form``
+gives the identity, the top map and the two parametric families; anything
+else raises rather than samples.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import reduce
 from .sets import Mode, ModeError, SentenceSet, Universe, UniverseMismatchError
 from .operators import (
     Compose,
-    CPrime,
     Cxy,
     FromTable,
     Identity,
@@ -25,7 +24,7 @@ from .operators import (
     OperatorConstraintError,
     OperatorExpr,
     Top,
-    WeakJoin,
+    _closed_form,
     evaluate,
     table,
     weak_join_table,
@@ -69,31 +68,19 @@ def equivalent(a: OperatorExpr, b: OperatorExpr) -> bool:
 
 # -- cofinite closed forms ----------------------------------------------------
 #
-# Every supported operator normalises to one of two shapes:
-#   ("meets", X, Y):    A -> A ∪ X when A ∩ Y ≠ ∅   (identity = ("meets", ∅, ∅))
-#   ("contains", X, Y): A -> A ∪ X when Y ⊆ A       (top = ("contains", L, ∅))
-#
-# The order is decided by minimal-argument analysis: for a "meets" left
-# operand the binding constraints come from singletons {y} with y ∈ Y, and
-# for a "contains" left operand from the single minimal argument Y itself.
-
-_MEETS = "meets"
-_CONTAINS = "contains"
+# The order is decided on the shapes of ``operators._closed_form`` by
+# minimal-argument analysis: for a "meets" left operand the binding
+# constraints come from singletons {y} with y ∈ Y, and for a "contains"
+# left operand from the single minimal argument Y itself.
 
 
-def _closed_form(op: OperatorExpr) -> tuple[str, SentenceSet, SentenceSet]:
-    u = op.universe
-    if isinstance(op, Identity):
-        return (_MEETS, u.empty(), u.empty())
-    if isinstance(op, Top):
-        return (_CONTAINS, u.full(), u.empty())
-    if isinstance(op, Cxy):
-        return (_MEETS, op.x, op.y)
-    if isinstance(op, CPrime):
-        return (_CONTAINS, op.x, op.y)
-    raise UndecidableComparisonError(
-        f"no exact comparison for {type(op).__name__} on an infinite universe"
-    )
+def _shape(op: OperatorExpr) -> tuple[str, SentenceSet, SentenceSet]:
+    shape = _closed_form(op)
+    if shape is None:
+        raise UndecidableComparisonError(
+            f"no exact comparison for {type(op).__name__} on an infinite universe"
+        )
+    return shape
 
 
 def _singleton_violation(x: SentenceSet, over: SentenceSet) -> int | None:
@@ -107,29 +94,24 @@ def _singleton_violation(x: SentenceSet, over: SentenceSet) -> int | None:
 
 
 def _le_cofinite(a: OperatorExpr, b: OperatorExpr) -> Comparison:
-    kind_a, x1, y1 = _closed_form(a)
-    kind_b, x2, y2 = _closed_form(b)
-    u = a.universe
-    if kind_a == _MEETS:
-        # Binding arguments are the singletons {y}, y ∈ Y1.
-        if kind_b == _MEETS:
-            v1 = _singleton_violation(x1, y1.difference(y2))
-            v2 = _singleton_violation(x1.difference(x2), y1.intersect(y2))
+    kind_a, x1, y1 = _shape(a)
+    kind_b, x2, y2 = _shape(b)
+    if kind_a == "meets":
+        # Binding arguments are the singletons {y}, y ∈ Y1; b adds X2 at the y in fires.
+        if kind_b == "meets" or y2.cardinality() == 1:
+            fires = y1.intersect(y2)
+        elif y2.is_empty():
+            fires = y1
         else:
-            if y2.is_empty():
-                v1, v2 = None, _singleton_violation(x1.difference(x2), y1)
-            elif y2.cardinality() == 1:
-                v1 = _singleton_violation(x1, y1.difference(y2))
-                inside = y1.intersect(y2)
-                v2 = _singleton_violation(x1.difference(x2), inside)
-            else:
-                v1, v2 = _singleton_violation(x1, y1), None
+            fires = a.universe.empty()
+        v1 = _singleton_violation(x1, y1.difference(fires))
+        v2 = _singleton_violation(x1.difference(x2), fires)
         hits = [v for v in (v1, v2) if v is not None]
         if not hits:
             return Comparison(True)
-        return Comparison(False, u.subset([min(hits)]))
+        return Comparison(False, a.universe.subset([min(hits)]))
     # "contains" left operand: the single binding argument is Y1 itself.
-    if kind_b == _MEETS:
+    if kind_b == "meets":
         relaxed = not y1.intersect(y2).is_empty()
     else:
         relaxed = y2.is_subset(y1)
@@ -137,19 +119,6 @@ def _le_cofinite(a: OperatorExpr, b: OperatorExpr) -> Comparison:
     if needed.is_subset(y1):
         return Comparison(True)
     return Comparison(False, y1)
-
-
-# -- weak join -----------------------------------------------------------------
-
-
-def weak_join(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    """``WeakJoin(a, b)``, refused here rather than at evaluation when cofinite
-    operands have no closed form."""
-    expr = WeakJoin(a, b)
-    if a.universe.mode is Mode.COFINITE:
-        # Fail fast on unsupported operand combinations.
-        evaluate(expr, a.universe.empty())
-    return expr
 
 
 # -- relative complements ------------------------------------------------------
@@ -210,7 +179,7 @@ class ChainResult:
 def _equal_same_family(kind: str, p: SentenceSet, q: SentenceSet, y: SentenceSet) -> bool:
     """Pointwise equality of two same-family operators sharing parameter Y."""
     diff = p.difference(q).union(q.difference(p))
-    if kind == _MEETS:
+    if kind == "meets":
         return _singleton_violation(diff, y) is None
     return diff.is_subset(y)
 
@@ -227,14 +196,14 @@ def _comparable_by_composition(a: OperatorExpr, b: OperatorExpr) -> bool:
     """
     if a.universe.mode is Mode.FINITE:
         return equivalent(Compose(b, a), b) or equivalent(Compose(a, b), a)
-    for one, other in ((a, b), (b, a)):
-        kind, x, y = _closed_form(one)
-        if kind == _MEETS and _singleton_violation(x, y) is None:
+    for one in (a, b):
+        kind, x, y = _shape(one)
+        if kind == "meets" and _singleton_violation(x, y) is None:
             return True  # semantically the identity: other ∘ id = other
-        if kind == _CONTAINS and y.is_empty() and x.is_full():
+        if kind == "contains" and y.is_empty() and x.is_full():
             return True  # semantically the top map: top ∘ other = top
-    kind_a, x1, y1 = _closed_form(a)
-    kind_b, x2, y2 = _closed_form(b)
+    kind_a, x1, y1 = _shape(a)
+    kind_b, x2, y2 = _shape(b)
     if kind_a == kind_b and y1 == y2:
         composite_x = x1.union(x2)
         return _equal_same_family(kind_a, composite_x, x2, y1) or _equal_same_family(
@@ -309,7 +278,8 @@ def sublattice_report(b: SentenceSet, generators: list[SentenceSet]) -> Sublatti
             raise UniverseMismatchError("generator from a different universe")
     full = (1 << universe.size) - 1
     b_mask = b.mask
-    tables = [table(Cxy(g, b)) for g in generators]
+    # Meet and weak join are idempotent, so duplicate tables change no verdict.
+    tables = list(dict.fromkeys(table(Cxy(g, b)) for g in generators))
 
     inf_table = sup_table = tables[0]
     for t in tables[1:]:

@@ -6,9 +6,10 @@ finitarity (C(X) is the union of C(A) over the finite subsets A of X).
 ``check_axioms`` runs one sweep of the three axioms over a family of sets.
 On a finite universe the family is every subset, so the sweep is
 exhaustive and reports least-bitmask witnesses.  On the infinite universe
-the built-in constructions receive exact closed-form verdicts; other
-expressions are swept over a bounded family, whose failures are conclusive
-and whose passes are explicitly inconclusive.
+an atomic operator gets the exact verdicts of its shape
+(``operators._closed_form``); other expressions are swept over a bounded
+family, whose failures are conclusive and whose passes are explicitly
+inconclusive.
 
 ``axiom_witnesses`` finds the same least witnesses on an int table in
 O(n·2ⁿ), by a superset-AND and a subset-OR zeta transform; the Thm 2.5 and
@@ -39,10 +40,9 @@ from .sets import Mode, ModeError, SentenceSet, Universe, make_universe
 from .operators import (
     ClosureSystem,
     CPrime,
-    Cxy,
     Identity,
     OperatorExpr,
-    Top,
+    _closed_form,
     evaluate,
     table,
 )
@@ -86,8 +86,9 @@ def check_axioms(op: OperatorExpr, cap: int | None = None) -> AxiomReport:
         subsets = [universe.from_mask(m) for m in range(len(t))]
         images = [subsets[v] for v in t]
         return _sweep(subsets, images, lambda image: images[image.mask], EXHAUSTIVE)
-    if isinstance(op, (Identity, Top, Cxy, CPrime)):
-        return _check_closed_form(op)
+    shape = _closed_form(op)
+    if shape is not None:
+        return _check_closed_form(*shape)
     if cap is None:
         raise ValueError("bounded search on the infinite universe needs a cap")
     if cap < 1:
@@ -150,30 +151,22 @@ def _sweep(
     )
 
 
-def _check_closed_form(op: OperatorExpr) -> AxiomReport:
-    universe = op.universe
+def _check_closed_form(kind: str, x: SentenceSet, y: SentenceSet) -> AxiomReport:
+    """The exact report for an operator of shape (kind, X, Y) on the naturals.
+
+    Both shapes satisfy (i) and (ii).  C(∅) is ∅ unless C adds a nonempty X
+    to every argument, which only "contains" with Y = ∅ does.  Finitarity
+    fails exactly for "contains" with Y infinite and X ⊄ Y: any element of
+    X − Y enters C(Y), but no finite part of Y contains Y.
+    """
     axiom_iii = Verdict(True)
-    if isinstance(op, Identity):
-        axiomless = True
-    elif isinstance(op, Top):
-        axiomless = False
-    elif isinstance(op, Cxy):
-        axiomless = True
-    else:
-        assert isinstance(op, CPrime)
-        axiomless = op.x.is_empty() or not op.y.is_empty()
-        # Finitarity holds when Y is finite, or vacuously when X ⊆ Y makes
-        # the operator the identity.  Otherwise the argument Y itself is a
-        # witness: any element of X − Y enters C(Y) but no finite part of
-        # the infinite Y ever contains Y.
-        if not op.y.is_finite() and not op.x.is_subset(op.y):
-            element = op.x.difference(op.y).least()
-            axiom_iii = Verdict(False, witness=(op.y, element))
+    if kind == "contains" and not y.is_finite() and not x.is_subset(y):
+        axiom_iii = Verdict(False, witness=(y, x.difference(y).least()))
     return AxiomReport(
         axiom_i=Verdict(True),
         axiom_ii=Verdict(True),
         axiom_iii=axiom_iii,
-        axiomless=axiomless,
+        axiomless=kind == "meets" or x.is_empty() or not y.is_empty(),
         mode_note=CLOSED_FORM,
     )
 

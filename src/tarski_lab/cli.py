@@ -21,14 +21,13 @@ from pathlib import Path
 import click
 
 from .sets import Mode, ModeError, make_universe
-from .operators import Identity, Meet, evaluate, table, to_closure_system
+from .operators import Identity, Meet, WeakJoin, evaluate, table, to_closure_system
 from .algebra import (
     descending_chain,
     is_chain,
     le,
     relative_complement,
     sublattice_report,
-    weak_join,
 )
 from .classify import (
     ENUMERATION_LIMIT,
@@ -160,7 +159,7 @@ def meet(sctx, at_set, left, right) -> Report:
 @click.argument("right")
 def wjoin(sctx, at_set, left, right) -> Report:
     """Least upper bound (common-closure join) of two operators."""
-    return _combine("wjoin", weak_join, sctx, at_set, left, right)
+    return _combine("wjoin", WeakJoin, sctx, at_set, left, right)
 
 
 @command(main, operands=True)

@@ -18,6 +18,10 @@ b outside M, and at least two elements outside M).  The naive join of two
 closure operators need not be idempotent.  ``WeakJoin`` is computed by
 iterating the operands to a fixed point.
 
+On the naturals exact answers exist for the four atomic operators only;
+``_closed_form`` gives their shape, which the order and the axiom verdicts
+read, and ``WeakJoin`` refuses on construction a pair whose join is none of them.
+
 In finite mode, ``table(op)`` is the whole map at once: ``table(op)[m]`` is
 the image mask of the subset with mask m, compiled bottom-up on ints.  A
 ``ClosureSystem`` is built from closed-set masks (``closed`` is for display)
@@ -156,7 +160,18 @@ class NaiveJoin(_Binary):
 
 
 class WeakJoin(_Binary):
-    """The least superset of A fixed by both operands."""
+    """The least superset of A fixed by both operands.
+
+    On the naturals the pair must have a derived closed form (``_weak_join_atom``).
+    """
+
+    def __post_init__(self) -> None:
+        _check_pair(self.left, self.right)
+        if self.universe.mode is Mode.COFINITE and _weak_join_atom(self.left, self.right) is None:
+            raise ModeError(
+                "weak join on an infinite universe is supported only for operands "
+                "with a derived closed form"
+            )
 
 
 @dataclass(frozen=True)
@@ -279,9 +294,6 @@ def evaluate(op: OperatorExpr, x: SentenceSet) -> SentenceSet:
     return _eval(op, x)
 
 
-_ATOMIC_CLOSURES = (Identity, Top, Cxy, CPrime)
-
-
 def _eval(op: OperatorExpr, x: SentenceSet) -> SentenceSet:
     if isinstance(op, Identity):
         return x
@@ -313,19 +325,39 @@ def _eval_weak_join(op: WeakJoin, x: SentenceSet) -> SentenceSet:
     universe = op.universe
     if universe.mode is Mode.FINITE:
         return _settle(lambda y: _eval(op.right, _eval(op.left, y)), x, (1 << universe.size) + 1)
-    # Cofinite mode: only combinations with a derived closed form are
-    # evaluated; anything else is rejected rather than approximated.
-    left, right = op.left, op.right
-    if isinstance(left, Identity) and isinstance(right, _ATOMIC_CLOSURES):
-        return _eval(right, x)
-    if isinstance(right, Identity) and isinstance(left, _ATOMIC_CLOSURES):
-        return _eval(left, x)
+    return _eval(_weak_join_atom(op.left, op.right), x)
+
+
+def _closed_form(op: OperatorExpr) -> tuple[str, SentenceSet, SentenceSet] | None:
+    """The shape of an atomic operator, or None for every other node.
+
+    ``("meets", X, Y)`` is A ↦ A ∪ X when A ∩ Y ≠ ∅, and ``("contains", X, Y)``
+    is A ↦ A ∪ X when Y ⊆ A: the identity is meets ∅ ∅ and the top map
+    contains L ∅.
+    """
+    if isinstance(op, Identity):
+        return ("meets", op.universe.empty(), op.universe.empty())
+    if isinstance(op, Top):
+        return ("contains", op.universe.full(), op.universe.empty())
+    if isinstance(op, Cxy):
+        return ("meets", op.x, op.y)
+    if isinstance(op, CPrime):
+        return ("contains", op.x, op.y)
+    return None
+
+
+def _weak_join_atom(left: OperatorExpr, right: OperatorExpr) -> OperatorExpr | None:
+    """The atomic operator equal to ``WeakJoin(left, right)``, or None.
+
+    The identity is neutral, and two ``Cxy`` sharing Y join to Cxy(X1 ∪ X2, Y).
+    """
+    if isinstance(left, Identity) and _closed_form(right) is not None:
+        return right
+    if isinstance(right, Identity) and _closed_form(left) is not None:
+        return left
     if isinstance(left, Cxy) and isinstance(right, Cxy) and left.y == right.y:
-        return _eval(Cxy(left.x.union(right.x), left.y), x)
-    raise ModeError(
-        "weak join on an infinite universe is supported only for operands "
-        "with a derived closed form"
-    )
+        return Cxy(left.x.union(right.x), left.y)
+    return None
 
 
 def _settle(step, y, rounds: int):

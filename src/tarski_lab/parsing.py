@@ -35,7 +35,6 @@ from .operators import (
     Top,
     WeakJoin,
 )
-from .algebra import weak_join
 
 
 class ParseError(ValueError):
@@ -103,7 +102,7 @@ class SpecContext:
             self.operators[name] = value
 
 
-_BINARY = {"meet": Meet, "join": NaiveJoin, "wjoin": weak_join, "comp": Compose}
+_BINARY = {"meet": Meet, "join": NaiveJoin, "wjoin": WeakJoin, "comp": Compose}
 
 _KEYWORDS = {"I", "U", "cxy", "cprime", "s", "meet", "join", "wjoin", "comp", "system", "L", "co"}
 

@@ -24,6 +24,7 @@ from tarski_lab.operators import (
     NaiveJoin,
     OperatorConstraintError,
     Top,
+    WeakJoin,
     evaluate,
     table,
     to_closure_system,
@@ -37,14 +38,16 @@ from tarski_lab.algebra import (
     le,
     relative_complement,
     sublattice_report,
-    weak_join,
 )
-from tarski_lab.classify import enumerate_operators
+from tarski_lab.classify import check_axioms, enumerate_operators
+from tarski_lab.parsing import SpecContext, parse_set
+from tarski_lab.report import axiom_report_payload
 
 from oracles import all_subsets
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import expect  # noqa: E402
 import oracle  # noqa: E402
 
 
@@ -153,6 +156,46 @@ class TestLe:
                 assert not evaluate(a, witness).is_subset(evaluate(b, witness))
 
 
+# Parameter literals for the exact comparison with perfbench's cofinite model.
+REFERENCE_LITERALS = ("{}", "{0}", "{1,2}", "{0,3}", "L", "co{0}", "co{1,3}")
+
+
+@pytest.fixture(scope="module")
+def reference_leaves():
+    """(operator, perfbench leaf) for every cxy/cprime over REFERENCE_LITERALS,
+    plus I and U with the leaves cxy {} {} and cprime L {} that they equal."""
+    ctx = SpecContext(make_universe(Mode.COFINITE))
+    sets = [(parse_set(t, ctx), oracle.parse_cofinite_literal(t)) for t in REFERENCE_LITERALS]
+    empty, full = sets[0], sets[4]
+    leaves = [
+        (Identity(ctx.universe), ("cxy", empty[1], empty[1])),
+        (Top(ctx.universe), ("cprime", full[1], empty[1])),
+    ]
+    for head, node in (("cxy", Cxy), ("cprime", CPrime)):
+        for (x, x_leaf), (y, y_leaf) in itertools.product(sets, repeat=2):
+            leaves.append((node(x, y), (head, x_leaf, y_leaf)))
+    return leaves
+
+
+class TestCofiniteAgainstReference:
+    """The closed forms on ℕ against perfbench's finite model of the naturals."""
+
+    def test_order_matches_the_model_with_failing_witnesses(self, reference_leaves):
+        for (a, a_leaf), (b, b_leaf) in itertools.product(reference_leaves, repeat=2):
+            result = le(a, b)
+            assert result.holds == expect._cofinite_le(a_leaf, b_leaf), (a, b)
+            if not result.holds:
+                witness = oracle.parse_cofinite_literal(result.witness.literal())
+                model = oracle.CofiniteModel(a_leaf[1], a_leaf[2], b_leaf[1], b_leaf[2], witness)
+                at = model.mask(witness)
+                assert model.table(*a_leaf)[at] & ~model.table(*b_leaf)[at], (a, b)
+
+    def test_axiom_reports_match_the_model(self, reference_leaves):
+        for op, leaf in reference_leaves:
+            expected = oracle.cofinite_check_payload(*leaf)
+            assert axiom_report_payload(check_axioms(op)) == expected, op
+
+
 class TestMeetAndJoins:
     def test_meet_example(self, u):
         both = Meet(Cxy(u.of_names("a"), u.of_names("b")), Cxy(u.of_names("c"), u.of_names("b")))
@@ -178,25 +221,25 @@ class TestMeetAndJoins:
         assert equivalent(NaiveJoin(Identity(u), op), op)
 
     def test_weak_join_closed_form(self, u):
-        joined = weak_join(
+        joined = WeakJoin(
             Cxy(u.of_names("a"), u.of_names("b")), Cxy(u.of_names("c"), u.of_names("b"))
         )
         assert equivalent(joined, Cxy(u.of_names("a", "c"), u.of_names("b")))
 
     def test_weak_join_with_identity(self, u):
         op = CPrime(u.of_names("a"), u.of_names("c"))
-        assert equivalent(weak_join(Identity(u), op), op)
+        assert equivalent(WeakJoin(Identity(u), op), op)
 
     def test_weak_join_family_intersection(self, u):
         a = Cxy(u.of_names("a"), u.of_names("b"))
         b = Cxy(u.of_names("c"), u.of_names("b"))
-        joined = to_closure_system(weak_join(a, b)).closed
+        joined = to_closure_system(WeakJoin(a, b)).closed
         common = set(to_closure_system(b).closed)
         assert joined == tuple(s for s in to_closure_system(a).closed if s in common)
 
     def test_weak_join_cofinite_guard(self, nat):
         with pytest.raises(ModeError):
-            weak_join(
+            WeakJoin(
                 CPrime(nat.subset([1]), nat.subset([2])), Cxy(nat.subset([3]), nat.subset([4]))
             )
 
@@ -252,7 +295,7 @@ class TestLatticeLawsExhaustive:
         systems, tables, ops = oracle3
         universe = systems[0].universe
         for i, j in itertools.product(range(len(ops)), repeat=2):
-            joined_family = {s.mask for s in to_closure_system(weak_join(ops[i], ops[j])).closed}
+            joined_family = {s.mask for s in to_closure_system(WeakJoin(ops[i], ops[j])).closed}
             expected = {
                 m for m in range(len(tables[i])) if tables[i][m] == m and tables[j][m] == m
             }

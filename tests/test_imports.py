@@ -32,6 +32,35 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in read]
 
 
+def package_imports(source: str) -> set[str]:
+    """The ``tarski_lab`` modules ``source`` imports, relatively or by full name."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = f"tarski_lab.{node.module or ''}" if node.level else node.module
+            package = module.rstrip(".") == "tarski_lab"
+            names = [f"tarski_lab.{alias.name}" for alias in node.names] if package else [module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("tarski_lab."))
+    return found
+
+
+def test_the_import_scan_sees_every_form():
+    source = (
+        "from .sets import a\nfrom . import words\nfrom tarski_lab.algebra import b\n"
+        "from tarski_lab import report\nimport tarski_lab.cli\nimport re\nfrom os import path\n"
+    )
+    assert package_imports(source) == {"sets", "words", "algebra", "report", "cli"}
+
+
+def test_parsing_imports_only_sets_and_operators():
+    source = (ROOT / "src" / "tarski_lab" / "parsing.py").read_text(encoding="utf-8")
+    assert package_imports(source) <= {"sets", "operators"}
+
+
 def test_the_scan_sees_an_unused_name():
     source = "import os, sys\nfrom a.b import c as d, e\nimport x.y\nprint(sys, e.f, x.y)\n"
     assert unused_imports(source) == ["os", "d"]

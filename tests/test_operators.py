@@ -173,18 +173,16 @@ class TestWeakJoinCofinite:
         assert evaluate(WeakJoin(Identity(nat), other), probe) == evaluate(other, probe)
 
     def test_unsupported_pair_rejected(self, nat):
-        mixed = WeakJoin(
-            CPrime(nat.subset([1]), nat.subset([2])), Cxy(nat.subset([3]), nat.subset([4]))
-        )
         with pytest.raises(ModeError):
-            evaluate(mixed, nat.empty())
+            WeakJoin(
+                CPrime(nat.subset([1]), nat.subset([2])), Cxy(nat.subset([3]), nat.subset([4]))
+            )
 
     def test_different_triggers_rejected(self, nat):
-        pair = WeakJoin(
-            Cxy(nat.subset([1]), nat.subset([0])), Cxy(nat.subset([2]), nat.subset([5]))
-        )
         with pytest.raises(ModeError):
-            evaluate(pair, nat.empty())
+            WeakJoin(
+                Cxy(nat.subset([1]), nat.subset([0])), Cxy(nat.subset([2]), nat.subset([5]))
+            )
 
 
 class TestCompose:
