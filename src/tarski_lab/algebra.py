@@ -6,6 +6,12 @@ the least counterexample).  On the infinite universe the comparison is
 decided exactly by case analysis on the shapes that ``operators._closed_form``
 gives the identity, the top map and the two parametric families; anything
 else raises rather than samples.
+
+On the naturals there is no bitmask order, so "least" is read per shape of
+the left operand.  A "meets" left operand (the identity and ``cxy``) fails
+first at a singleton, and the witness is {y} for the least y with
+a({y}) ⊄ b({y}).  A "contains" left operand (the top map and ``cprime``)
+has one minimal argument, its trigger set Y, and the witness is Y itself.
 """
 
 from __future__ import annotations

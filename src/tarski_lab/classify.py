@@ -11,9 +11,14 @@ an atomic operator gets the exact verdicts of its shape
 family, whose failures are conclusive and whose passes are explicitly
 inconclusive.
 
-``axiom_witnesses`` finds the same least witnesses on an int table in
-O(n·2ⁿ), by a superset-AND and a subset-OR zeta transform; the Thm 2.5 and
-Remark 2.2 demos and ``lemma26_witness`` decide through it.  The
+``axiom_witnesses`` finds the same least witnesses on an int table.  It
+packs the table into one int, ⌈n/8⌉ little-endian bytes per image, and
+runs a superset-AND and a subset-OR zeta transform on that int in O(n)
+masked whole-int shifts; the Thm 2.5 and Remark 2.2 demos and
+``lemma26_witness`` decide through it.  The packed format lives here once:
+``_pack`` gives a table on at most eight symbols as that int, as bytes and
+as a 256-byte lookup for ``bytes.translate``, and ``_below`` and
+``_absorbs`` read order and composition off two packed tables.  The
 exhaustive sweep keeps its ``SentenceSet`` pair loops until ``check_axioms``
 wraps the same kernel (ROADMAP item 3).  Remark 2.2 runs the kernel on
 every extensive idempotent table on three symbols, which
@@ -182,37 +187,103 @@ def _bounded_family(universe: Universe, cap: int) -> list[SentenceSet]:
     return sets
 
 
+_Packed = tuple[int, bytes, bytes]
+
+
+def _pack(t: tuple[int, ...]) -> _Packed:
+    """A table on at most eight symbols, one byte per image: as one int (byte
+    m is t[m]), as bytes, and as the 256-byte lookup v ↦ t[v] that
+    ``bytes.translate`` reads."""
+    images = bytes(t)
+    return int.from_bytes(images, "little"), images, images.ljust(256, b"\0")
+
+
+def _below(a: _Packed, b: _Packed) -> bool:
+    """a ≤ b on packed tables: no image of a leaves the image of b."""
+    return a[0] & ~b[0] == 0
+
+
+def _absorbs(a: _Packed, b: _Packed) -> bool:
+    """b∘a = b on packed tables: b sends each image a[m] to b[m]."""
+    return a[1].translate(b[2]) == b[1]
+
+
+def _lanes(values: Iterable[int], width: int) -> int:
+    """One int whose lane m, ``width`` little-endian bytes wide, holds values[m]."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+_LaneConstants = tuple[int, int, tuple[tuple[int, int], ...]]
+
+
+def _lane_constants(n: int) -> _LaneConstants:
+    """The lane width in bits, the packed identity table, and per bit the
+    selector (every lane whose index has the bit, filled with L) with the
+    shift that moves a lane m to m + bit."""
+    width, size = (n + 7) // 8 or 1, 1 << n
+    empty, full = bytes(width), ((1 << n) - 1).to_bytes(width, "little")
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * size, "little")
+    identity, steps = 0, []
+    for b in range(n):
+        run = 1 << b
+        selector = int.from_bytes((empty * run + full * run) * (size >> b + 1), "little")
+        identity |= selector & (ones << b)
+        steps.append((selector, 8 * width * run))
+    return 8 * width, identity, tuple(steps)
+
+
+def _lowest_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+# Lane constants for tables on at most eight symbols; larger ones are built per call.
+_BYTE_LANES: dict[int, _LaneConstants] = {}
+
+
 def axiom_witnesses(t: tuple[int, ...]) -> tuple[tuple | None, tuple | None, tuple | None]:
     """The least witnesses against axioms (i), (ii) and (iii) on the table t.
 
     Each is None where its axiom holds, else ``(s,)``, ``(s, r)`` or
     ``(s, element)`` in masks: the witnesses ``check_axioms`` reports in finite mode.
-    D(s), the AND of C(r) over r ⊇ s, and U(s), the OR of C(a) over a ⊆ s,
-    take one pass per bit.  The least s with C(s) ⊄ D(s) fails (ii), paired
-    with its first failing superset; the least s with U(s) ≠ C(s) fails (iii).
+    The table is packed into one int, ⌈n/8⌉ little-endian bytes per image,
+    lane m holding t[m].  D(s), the AND of C(r) over r ⊇ s, and U(s), the OR
+    of C(a) over a ⊆ s, are zeta transforms with one masked shift of the
+    whole int per bit, O(n) big-int steps in all.  Each axiom then fails at
+    the lowest nonzero lane of one int: (i) of (I & ~C) | (C∘C ^ C), (ii) of
+    C & ~D, paired with the first superset r where C(s) ⊄ C(r), and (iii) of
+    U & ~C, whose lowest set bit within the lane is the element.
     """
     size = len(t)
-    first = next(((s,) for s in range(size) if s & ~t[s] or t[t[s]] != t[s]), None)
-    down, up = list(t), list(t)
-    bit = 1
-    while bit < size:
-        for m in range(size):
-            if m & bit:
-                up[m] |= up[m ^ bit]
-            else:
-                down[m] &= down[m | bit]
-        bit <<= 1
-    second = third = None
-    s = next((s for s in range(size) if t[s] & ~down[s]), None)
-    if s is not None:
+    constants = _BYTE_LANES.get(size)
+    if constants is None:
+        n = size.bit_length() - 1
+        constants = _lane_constants(n)
+        if n <= 8:
+            _BYTE_LANES[size] = constants
+    lane, identity, steps = constants
+    if lane == 8:
+        packed, images, lookup = _pack(t)
+        twice = int.from_bytes(images.translate(lookup), "little")
+    else:
+        packed, twice = _lanes(t, lane // 8), _lanes([t[v] for v in t], lane // 8)
+    down = up = packed
+    for selector, shift in steps:
+        down &= ((down & selector) >> shift) | selector
+        up |= (up & ~selector) << shift
+    first = second = third = None
+    failed = (identity & ~packed) | (twice ^ packed)
+    if failed:
+        first = (_lowest_bit(failed) // lane,)
+    failed = packed & ~down
+    if failed:
+        s = _lowest_bit(failed) // lane
         r = s
         while not t[s] & ~t[r]:
             r = (r + 1) | s  # the next superset of s
         second = (s, r)
-    s = next((s for s in range(size) if up[s] != t[s]), None)
-    if s is not None:
-        extra = up[s] & ~t[s]
-        third = (s, (extra & -extra).bit_length() - 1)
+    failed = up & ~packed
+    if failed:
+        third = divmod(_lowest_bit(failed), lane)
     return first, second, third
 
 

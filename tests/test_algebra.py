@@ -8,6 +8,7 @@ are asserted against these tables.
 """
 
 import itertools
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from tarski_lab.operators import (
     to_closure_system,
 )
 from tarski_lab.algebra import (
+    Comparison,
     UndecidableComparisonError,
     _distributive,
     descending_chain,
@@ -189,6 +191,21 @@ class TestCofiniteAgainstReference:
                 model = oracle.CofiniteModel(a_leaf[1], a_leaf[2], b_leaf[1], b_leaf[2], witness)
                 at = model.mask(witness)
                 assert model.table(*a_leaf)[at] & ~model.table(*b_leaf)[at], (a, b)
+
+    def test_meets_left_witness_is_the_least_failing_singleton(self, reference_leaves):
+        # For a meets-left operand the binding arguments are singletons, and
+        # every y ≥ K (one past the largest listed element) acts like K.
+        k = 1 + max(int(e) for text in REFERENCE_LITERALS for e in re.findall(r"\d+", text))
+        nat = reference_leaves[0][0].universe
+        singletons = [nat.subset([y]) for y in range(k + 1)]
+        hits = 0
+        for (a, a_leaf), (b, _) in itertools.product(reference_leaves, repeat=2):
+            if a_leaf[0] != "cxy":
+                continue
+            failing = [s for s in singletons if not evaluate(a, s).is_subset(evaluate(b, s))]
+            assert le(a, b) == Comparison(not failing, failing[0] if failing else None), (a, b)
+            hits += len(failing) > 1
+        assert hits
 
     def test_axiom_reports_match_the_model(self, reference_leaves):
         for op, leaf in reference_leaves:

@@ -1,12 +1,17 @@
 """Every named demo exits 0 and its JSON report matches the checked-in golden.
 
-The table predicates behind thm-3.5 and thm-4.3-lemma, and the axiom kernel
-behind thm-2.5, remark-2.2 and lemma-2.6, are checked item by item against
-the expression-level procedures they replace.
+The packed-table predicates behind thm-3.5 (``classify._below`` and
+``classify._absorbs``) and the escape count behind thm-4.3-lemma (three
+``bytes.translate`` gathers), and the axiom kernel behind thm-2.5,
+remark-2.2 and lemma-2.6, are checked item by item against the
+expression-level procedures they replace.  Packed ≤ is also checked on all
+6,150,400 ordered pairs of closure systems on four symbols, listed by
+perfbench's independent enumeration, against fixed(b) ⊆ fixed(a).
 """
 
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +19,10 @@ from click.testing import CliRunner
 
 from tarski_lab.algebra import equivalent, le
 from tarski_lab.classify import (
+    _absorbs,
+    _below,
     _extensive_idempotent_tables,
+    _pack,
     axiom_witnesses,
     check_axioms,
     enumerate_operators,
@@ -22,11 +30,15 @@ from tarski_lab.classify import (
 )
 from tarski_lab.cli import main
 from tarski_lab.concurrence import monotone_union_check
-from tarski_lab.demos import DEMOS, _absorbs, _below, _pack, _union_escapes, run_demo
+from tarski_lab.demos import DEMOS, _union_escapes, _union_pairs, run_demo
 from tarski_lab.operators import CPrime, Cxy, FromSystem, FromTable, compose, evaluate, table
 from tarski_lab.sets import Mode, make_universe
 
 from oracles import all_subsets
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import oracle  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,9 +74,18 @@ def _order_and_composition_agree(a, b):
     return (_below(pa, pb), _absorbs(pa, pb)) == (le(a, b).holds, equivalent(compose(b, a), b))
 
 
-def _union_agrees(op, t, s, u):
-    parts = [op.universe.from_mask(s), op.universe.from_mask(u)]
-    return _union_escapes(t, s, u) == (not monotone_union_check(op, parts))
+def _union_agrees(op, t):
+    """The escape count for t agrees with ``monotone_union_check`` on op, pair by
+    pair and over all pairs; returns the count."""
+    lookup = _pack(t)[2]
+    masks = range(1 << op.universe.size)
+    escapes = 0
+    for s, u in itertools.product(masks, masks):
+        escaped = not monotone_union_check(op, [op.universe.from_mask(s), op.universe.from_mask(u)])
+        assert _union_escapes(lookup, (bytes([s]), bytes([u]), bytes([s | u]))) == escaped
+        escapes += escaped
+    assert _union_escapes(lookup, _union_pairs(op.universe.size)) == escapes
+    return escapes
 
 
 def test_order_and_composition_helpers_match_le_and_equivalent():
@@ -84,10 +105,8 @@ def test_order_and_composition_helpers_on_an_incomparable_pair():
 
 
 def test_union_helper_matches_monotone_union_check():
-    masks = range(1 << 3)
     for system in SYSTEMS:
-        op = FromSystem(system)
-        assert all(_union_agrees(op, system.table, s, u) for s in masks for u in masks)
+        assert _union_agrees(FromSystem(system), system.table) == 0
 
 
 def test_union_helper_on_a_non_monotone_table():
@@ -95,9 +114,20 @@ def test_union_helper_on_a_non_monotone_table():
     values = list(range(8))
     values[0b001] = 0b111
     op = FromTable(L3, tuple(values))
-    masks = range(1 << 3)
-    assert all(_union_agrees(op, op.table, s, u) for s in masks for u in masks)
-    assert _union_escapes(op.table, 0b001, 0b010)
+    assert _union_agrees(op, op.table) > 0
+    assert _union_escapes(_pack(op.table)[2], (b"\1", b"\2", b"\3")) == 1
+
+
+def test_packed_order_is_reverse_inclusion_of_fixed_points_on_four_symbols():
+    families = oracle.moore_families(4)
+    packed = [_pack(oracle.closure_table(family, 4)) for family in families]
+    fixed = [sum(1 << m for m in family) for family in families]
+    comparable = 0
+    for a, fixed_a in zip(packed, fixed):
+        below = [_below(a, b) for b in packed]
+        assert below == [fixed_b & ~fixed_a == 0 for fixed_b in fixed]
+        comparable += sum(below)
+    assert (len(packed), comparable) == (2480, 325967)
 
 
 def test_kernel_matches_check_axioms_on_the_remark_2_2_sample():

@@ -2,7 +2,9 @@
 
 A name counts as used when it is read anywhere in its module, as a bare
 name or as the root of an attribute chain.  Package ``__init__`` modules
-are skipped, since their imports are the public re-exports.
+are skipped, since their imports are the public re-exports.  The same kind
+of scan checks that every ``int.to_bytes``/``int.from_bytes`` call in the
+package names its byteorder, which Python 3.10 still requires.
 """
 
 import ast
@@ -17,6 +19,7 @@ MODULES = sorted(
     for path in folder.rglob("*.py")
     if path.name != "__init__.py"
 )
+SOURCES = sorted((ROOT / "src" / "tarski_lab").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,6 +33,19 @@ def unused_imports(source: str) -> list[str]:
             imported += [alias.asname or alias.name for alias in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in read]
+
+
+def calls_without_byteorder(source: str) -> list[int]:
+    """Line numbers of ``to_bytes``/``from_bytes`` calls that pass no byteorder."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("to_bytes", "from_bytes")
+        and len(node.args) < 2
+        and not any(keyword.arg == "byteorder" for keyword in node.keywords)
+    ]
 
 
 def package_imports(source: str) -> set[str]:
@@ -69,3 +85,16 @@ def test_the_scan_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_byteorder_scan_sees_a_missing_byteorder():
+    source = (
+        "x.to_bytes(2, 'little')\nint.from_bytes(b, byteorder='big')\n"
+        "x.to_bytes(2)\nint.from_bytes(b)\nx.to_bytes(length=2, signed=True)\n"
+    )
+    assert calls_without_byteorder(source) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_byte_conversion_names_its_byteorder(path):
+    assert calls_without_byteorder(path.read_text(encoding="utf-8")) == []

@@ -1,7 +1,8 @@
 """The finite-mode table compiler against pointwise evaluation, the axiom
 sweep, the axiom kernel and the closure-system table against literal int
-definitions, and the Moore-family search against a brute-force scan of every
-family bitmask."""
+definitions, the packed axiom kernel against the loop kernel it replaced
+(``oracles.loop_axiom_witnesses``), and the Moore-family search against a
+brute-force scan of every family bitmask."""
 
 import random
 import sys
@@ -42,6 +43,7 @@ from tarski_lab.classify import (
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import oracle  # noqa: E402
+from oracles import loop_axiom_witnesses  # noqa: E402
 
 SYMBOLS = "abcd"
 
@@ -277,6 +279,54 @@ class TestTable:
     def test_infinite_universe_has_no_table(self):
         with pytest.raises(ModeError):
             table(Identity(make_universe(Mode.COFINITE)))
+
+
+def edge_table(n):
+    """A closure table with faults planted where lanes meet once n ≥ 8.
+
+    The base adds the top symbol to every argument meeting the first one.
+    Sending {} to {top} breaks (ii) and (iii) in the top value bit of lane 0,
+    the last bit of a lane when n is a multiple of eight; the chain
+    L − {0, 1} → L − {0} → L breaks idempotence in lane 2ⁿ − 4, near the
+    top of the packed int.
+    """
+    size, top = 1 << n, 1 << (n - 1)
+    values = [m | top if m & 1 else m for m in range(size)]
+    values[0] = top
+    values[size - 4], values[size - 2] = size - 2, size - 1
+    return tuple(values)
+
+
+def kernel_tables(n):
+    """Seeded tables on n symbols: arbitrary, extensive, closure tables, and
+    closure tables with one open set sent to itself."""
+    rng = random.Random(n)
+    size = 1 << n
+    tables = [tuple(rng.randrange(size) for _ in range(size)) for _ in range(3)]
+    tables += [tuple(m | rng.randrange(size) for m in range(size)) for _ in range(3)]
+    for _ in range(3):
+        generators = rng.sample(range(size), min(size, rng.randint(0, 7)))
+        values = oracle.closure_table(intersection_closure(generators, n), n)
+        tables.append(tuple(values))
+        s = rng.choice([m for m in range(size) if values[m] != m] or [0])
+        values[s] = s
+        tables.append(tuple(values))
+    return tables + [tuple(range(size)), (size - 1,) * size]
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_loop_kernel(self, n):
+        tables = kernel_tables(n) + ([edge_table(n)] if n >= 2 else [])
+        assert [axiom_witnesses(t) for t in tables] == [loop_axiom_witnesses(t) for t in tables]
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17])
+    def test_matches_the_loop_kernel_at_the_lane_width_edges(self, n):
+        # One-byte lanes end at n = 8 and two-byte lanes at n = 16.
+        t = edge_table(n)
+        size = 1 << n
+        expected = ((size - 4,), (0, 2), (2, n - 1))
+        assert axiom_witnesses(t) == loop_axiom_witnesses(t) == expected
 
 
 def is_closure_system(n, fam):
