@@ -12,19 +12,30 @@ family, whose failures are conclusive and whose passes are explicitly
 inconclusive.
 
 ``axiom_witnesses`` finds the same least witnesses on an int table.  It
-packs the table into one int, ⌈n/8⌉ little-endian bytes per image, and
-runs a superset-AND and a subset-OR zeta transform on that int in O(n)
-masked whole-int shifts; the Thm 2.5 and Remark 2.2 demos and
-``lemma26_witness`` decide through it.  The packed format lives here once:
-``_pack`` gives a table on at most eight symbols as that int, as bytes and
-as a 256-byte lookup for ``bytes.translate``, and ``_below`` and
-``_absorbs`` read order and composition off two packed tables.  The
-exhaustive sweep keeps its ``SentenceSet`` pair loops until ``check_axioms``
-wraps the same kernel (ROADMAP item 3).  Remark 2.2 runs the kernel on
-every extensive idempotent table on three symbols, which
-``_extensive_idempotent_tables`` builds directly: each image is chosen
-among the fixed points already decided, so no table is built only to be
-filtered out.
+packs the table into one int, one little-endian lane of 1, 2 or 4 bytes
+per image (``struct.pack``), and runs a superset-AND and a subset-OR zeta
+transform on that int in O(n) masked whole-int shifts
+(``_zeta_failures``); ``lemma26_witness`` decides through it.  The packed format lives here once.
+A family of k tables on the same symbols packs end to end into one int,
+table i filling slot i (2ⁿ lanes), and ``_lane_constants(n, k)`` tiles the
+selectors and the identity over the k slots, so the same shifts run once
+for the whole family and no lane crosses a slot.  ``_fold`` turns a
+failure int into one flag bit per table, the first bit of its slot, with
+log₂(slot bits) shifts of ``x |= x >> s`` and one mask; callers count with
+``int.bit_count``.  On such families ``_axiom_flags`` flags the tables
+failing (i), (ii) and (iii) for the Thm 2.5 demo, and
+``_monotone_finitary_flags`` only (ii) and (iii) for Remark 2.2, whose
+tables are idempotent by construction.  ``_column`` compares one table b
+with a family packed one byte per image: a ≤ b where no lane of the family
+leaves the tiled b, and b∘a = b where the family gathered through b's
+256-byte lookup (``bytes.translate``) equals the tiled b; the Thm 3.5 demo
+runs one column per system.  ``is_atom`` tests its whole oracle against
+the tiled target in one pass.  The exhaustive sweep keeps its
+``SentenceSet`` pair loops until ``check_axioms`` wraps the same kernel
+(ROADMAP item 3).  Remark 2.2 checks every extensive idempotent table on
+three symbols, which ``_extensive_idempotent_tables`` builds directly:
+each image is chosen among the fixed points already decided, so no table
+is built only to be filtered out.
 
 Enumeration produces every closure system (intersection-closed family
 containing L) on a tiny universe, in ascending order of the family's
@@ -37,9 +48,11 @@ builds its closure table lazily, once.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from itertools import starmap
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .sets import Mode, ModeError, SentenceSet, Universe, make_universe
 from .operators import (
@@ -187,57 +200,128 @@ def _bounded_family(universe: Universe, cap: int) -> list[SentenceSet]:
     return sets
 
 
-_Packed = tuple[int, bytes, bytes]
+class _Lanes(NamedTuple):
+    """Constants for ``count`` tables on n symbols laid end to end in one int."""
+
+    width: int  # bytes per lane: 1, 2 or 4, enough for a mask of n bits
+    identity: int  # lane m of every table holds m
+    steps: tuple[tuple[int, int], ...]  # per bit: the selector and the shift
+    slot: int  # bits per table, a power of two
+    starts: int  # the first bit of every table
 
 
-def _pack(t: tuple[int, ...]) -> _Packed:
-    """A table on at most eight symbols, one byte per image: as one int (byte
-    m is t[m]), as bytes, and as the 256-byte lookup v ↦ t[v] that
-    ``bytes.translate`` reads."""
-    images = bytes(t)
-    return int.from_bytes(images, "little"), images, images.ljust(256, b"\0")
+_LANE_CODES = {1: "B", 2: "H", 4: "I"}
 
 
-def _below(a: _Packed, b: _Packed) -> bool:
-    """a ≤ b on packed tables: no image of a leaves the image of b."""
-    return a[0] & ~b[0] == 0
+def _lane_constants(n: int, count: int) -> _Lanes:
+    """The lane constants for ``count`` tables on n symbols.
 
-
-def _absorbs(a: _Packed, b: _Packed) -> bool:
-    """b∘a = b on packed tables: b sends each image a[m] to b[m]."""
-    return a[1].translate(b[2]) == b[1]
-
-
-def _lanes(values: Iterable[int], width: int) -> int:
-    """One int whose lane m, ``width`` little-endian bytes wide, holds values[m]."""
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-
-
-_LaneConstants = tuple[int, int, tuple[tuple[int, int], ...]]
-
-
-def _lane_constants(n: int) -> _LaneConstants:
-    """The lane width in bits, the packed identity table, and per bit the
-    selector (every lane whose index has the bit, filled with L) with the
-    shift that moves a lane m to m + bit."""
-    width, size = (n + 7) // 8 or 1, 1 << n
-    empty, full = bytes(width), ((1 << n) - 1).to_bytes(width, "little")
-    ones = int.from_bytes((b"\1" + bytes(width - 1)) * size, "little")
-    identity, steps = 0, []
+    Per bit b, the selector fills with L every lane whose index within its
+    table has bit b, and the shift moves a lane m to m + 2ᵇ.  The pattern
+    repeats every table, so a shift never carries a lane across a table
+    boundary.
+    """
+    width, size = 1 if n <= 8 else 2 if n <= 16 else 4, 1 << n
+    empty, full = bytes(width), (size - 1).to_bytes(width, "little")
+    identity = int.from_bytes(_lanes([range(size)], width, size) * count, "little")
+    steps = []
     for b in range(n):
         run = 1 << b
-        selector = int.from_bytes((empty * run + full * run) * (size >> b + 1), "little")
-        identity |= selector & (ones << b)
+        selector = int.from_bytes((empty * run + full * run) * (count * size >> b + 1), "little")
         steps.append((selector, 8 * width * run))
-    return 8 * width, identity, tuple(steps)
+    slot = 8 * width * size
+    starts = int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * count, "little")
+    return _Lanes(width, identity, tuple(steps), slot, starts)
+
+
+def _lanes(tables: Iterable[Iterable[int]], width: int, size: int) -> bytes:
+    """The tables of ``size`` images end to end, one little-endian lane of
+    ``width`` bytes per image."""
+    pack = struct.Struct(f"<{size}{_LANE_CODES[width]}").pack
+    return b"".join(starmap(pack, tables))
+
+
+def _batch(tables: Sequence[tuple[int, ...]]) -> tuple[bytes, _Lanes]:
+    """Tables on the same n symbols packed end to end, and the lane constants
+    tiled over them."""
+    size = len(tables[0])
+    lanes = _lane_constants(size.bit_length() - 1, len(tables))
+    return _lanes(tables, lanes.width, size), lanes
+
+
+def _lookup(t: tuple[int, ...]) -> bytes:
+    """The 256-byte lookup v ↦ t[v] that ``bytes.translate`` reads, for a
+    table on at most eight symbols."""
+    return bytes(t).ljust(256, b"\0")
+
+
+def _zeta_failures(packed: int, steps: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """C & ~D and U & ~C of every packed table, nonzero in the lanes that fail
+    (ii) and (iii), where lane s of D holds the AND of C(r) over r ⊇ s and
+    lane s of U the OR of C(a) over a ⊆ s.  Both zeta transforms take one
+    masked shift of the whole int per bit."""
+    down = up = packed
+    for selector, shift in steps:
+        down &= ((down & selector) >> shift) | selector
+        up |= (up & ~selector) << shift
+    return packed & ~down, up & ~packed
+
+
+def _failures(tables: Sequence[tuple[int, ...]], lanes: _Lanes) -> tuple[int, int, int]:
+    """The failure ints of (i), (ii) and (iii) for the tables packed end to
+    end: (I & ~C) | (C∘C ^ C), C & ~D and U & ~C."""
+    size = len(tables[0])
+    packed = int.from_bytes(_lanes(tables, lanes.width, size), "little")
+    twice = _lanes([[t[v] for v in t] for t in tables], lanes.width, size)
+    first = (lanes.identity & ~packed) | (int.from_bytes(twice, "little") ^ packed)
+    return (first, *_zeta_failures(packed, lanes.steps))
+
+
+def _fold(failed: int, lanes: _Lanes) -> int:
+    """One flag per table: bit k·slot of the result is set exactly when
+    ``failed`` has a bit set in table k.  After the shifts by 1, 2, 4, …,
+    slot/2, each bit holds the OR of the ``slot`` bits from it upward."""
+    shift = 1
+    while shift < lanes.slot:
+        failed |= failed >> shift
+        shift <<= 1
+    return failed & lanes.starts
+
+
+def _axiom_flags(tables: Sequence[tuple[int, ...]]) -> tuple[int, int, int]:
+    """The flags (see ``_fold``) of the tables that fail (i), (ii) and (iii),
+    all tables on the same symbols checked in one pass."""
+    lanes = _lane_constants(len(tables[0]).bit_length() - 1, len(tables))
+    first, second, third = _failures(tables, lanes)
+    return _fold(first, lanes), _fold(second, lanes), _fold(third, lanes)
+
+
+def _monotone_finitary_flags(tables: Sequence[tuple[int, ...]]) -> tuple[int, int]:
+    """The flags (see ``_fold``) of the tables that fail (ii) and of those
+    that fail (iii), in one pass that skips the C∘C gather of (i)."""
+    images, lanes = _batch(tables)
+    second, third = _zeta_failures(int.from_bytes(images, "little"), lanes.steps)
+    return _fold(second, lanes), _fold(third, lanes)
+
+
+def _column(b: tuple[int, ...], images: bytes, lanes: _Lanes) -> tuple[int, int]:
+    """For the table b and the tables a packed in ``images`` one byte per
+    image, the flags (see ``_fold``) of the a with a ≤ b, where no image of a
+    leaves the image of b, and of the a with b∘a = b, where b sends each
+    image a[m] to b[m]."""
+    tile = bytes(b) * (len(images) // len(b))
+    column = int.from_bytes(tile, "little")
+    outside = int.from_bytes(images, "little") & ~column
+    moved = int.from_bytes(images.translate(_lookup(b)), "little") ^ column
+    return lanes.starts & ~_fold(outside, lanes), lanes.starts & ~_fold(moved, lanes)
 
 
 def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-# Lane constants for tables on at most eight symbols; larger ones are built per call.
-_BYTE_LANES: dict[int, _LaneConstants] = {}
+# Lane constants for one table on at most eight symbols; others are built per call.
+_BYTE_LANES: dict[int, _Lanes] = {}
 
 
 def axiom_witnesses(t: tuple[int, ...]) -> tuple[tuple | None, tuple | None, tuple | None]:
@@ -245,45 +329,33 @@ def axiom_witnesses(t: tuple[int, ...]) -> tuple[tuple | None, tuple | None, tup
 
     Each is None where its axiom holds, else ``(s,)``, ``(s, r)`` or
     ``(s, element)`` in masks: the witnesses ``check_axioms`` reports in finite mode.
-    The table is packed into one int, ⌈n/8⌉ little-endian bytes per image,
-    lane m holding t[m].  D(s), the AND of C(r) over r ⊇ s, and U(s), the OR
-    of C(a) over a ⊆ s, are zeta transforms with one masked shift of the
-    whole int per bit, O(n) big-int steps in all.  Each axiom then fails at
-    the lowest nonzero lane of one int: (i) of (I & ~C) | (C∘C ^ C), (ii) of
-    C & ~D, paired with the first superset r where C(s) ⊄ C(r), and (iii) of
-    U & ~C, whose lowest set bit within the lane is the element.
+    The table is packed into one int, lane m holding t[m], and
+    ``_zeta_failures`` builds D and U in O(n) big-int steps.  Each axiom
+    then fails at the lowest nonzero lane of one int: (i) of
+    (I & ~C) | (C∘C ^ C), (ii) of C & ~D, paired with the first superset r
+    where C(s) ⊄ C(r), and (iii) of U & ~C, whose lowest set bit within the
+    lane is the element.
     """
     size = len(t)
-    constants = _BYTE_LANES.get(size)
-    if constants is None:
+    lanes = _BYTE_LANES.get(size)
+    if lanes is None:
         n = size.bit_length() - 1
-        constants = _lane_constants(n)
+        lanes = _lane_constants(n, 1)
         if n <= 8:
-            _BYTE_LANES[size] = constants
-    lane, identity, steps = constants
-    if lane == 8:
-        packed, images, lookup = _pack(t)
-        twice = int.from_bytes(images.translate(lookup), "little")
-    else:
-        packed, twice = _lanes(t, lane // 8), _lanes([t[v] for v in t], lane // 8)
-    down = up = packed
-    for selector, shift in steps:
-        down &= ((down & selector) >> shift) | selector
-        up |= (up & ~selector) << shift
+            _BYTE_LANES[size] = lanes
+    lane = 8 * lanes.width
     first = second = third = None
-    failed = (identity & ~packed) | (twice ^ packed)
-    if failed:
-        first = (_lowest_bit(failed) // lane,)
-    failed = packed & ~down
-    if failed:
-        s = _lowest_bit(failed) // lane
+    fails_i, fails_ii, fails_iii = _failures([t], lanes)
+    if fails_i:
+        first = (_lowest_bit(fails_i) // lane,)
+    if fails_ii:
+        s = _lowest_bit(fails_ii) // lane
         r = s
         while not t[s] & ~t[r]:
             r = (r + 1) | s  # the next superset of s
         second = (s, r)
-    failed = up & ~packed
-    if failed:
-        third = divmod(_lowest_bit(failed), lane)
+    if fails_iii:
+        third = divmod(_lowest_bit(fails_iii), lane)
     return first, second, third
 
 
@@ -427,7 +499,12 @@ def e0_family(universe: Universe) -> list[OperatorExpr]:
 
 
 def is_atom(op: OperatorExpr, oracle: Iterable[ClosureSystem]) -> bool:
-    """Whether nothing lies strictly between the identity and ``op``."""
+    """Whether nothing in the oracle lies strictly between the identity and ``op``.
+
+    The oracle's tables are packed end to end and tested against the target
+    tiled over them in one pass; only the few tables found below the target
+    are then looked at one by one.
+    """
     universe = op.universe
     if universe.mode is not Mode.FINITE:
         raise ModeError("atom checks run in finite mode only")
@@ -435,10 +512,23 @@ def is_atom(op: OperatorExpr, oracle: Iterable[ClosureSystem]) -> bool:
     identity = table(Identity(universe))
     if target == identity:
         raise ValueError("the identity is not eligible for the atom check")
-    for system in oracle:
-        values = system.table
-        if values not in (identity, target) and all(t & ~u == 0 for t, u in zip(values, target)):
+    tables = [system.table for system in oracle]
+    if not tables:
+        return True
+    size = len(target)
+    other = next((len(t) for t in tables if len(t) != size), None)
+    if other is not None:
+        raise ValueError(
+            f"the oracle holds a system on {other.bit_length() - 1} symbols,"
+            f" but the operator is on {universe.size}"
+        )
+    images, lanes = _batch(tables)
+    tile = int.from_bytes(_lanes([target], lanes.width, size) * len(tables), "little")
+    below = lanes.starts & ~_fold(int.from_bytes(images, "little") & ~tile, lanes)
+    while below:
+        if tables[_lowest_bit(below) // lanes.slot] not in (identity, target):
             return False
+        below &= below - 1
     return True
 
 

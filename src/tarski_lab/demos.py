@@ -29,11 +29,12 @@ from .algebra import (
     sublattice_report,
 )
 from .classify import (
-    _absorbs,
-    _below,
+    _axiom_flags,
+    _batch,
+    _column,
     _extensive_idempotent_tables,
-    _pack,
-    axiom_witnesses,
+    _lookup,
+    _monotone_finitary_flags,
     check_axioms,
     dense_cover_check,
     e0_family,
@@ -121,13 +122,11 @@ def demo_thm_2_5() -> Report:
     finitarity exactly when its trigger set is infinite."""
     u = _l3()
     subsets = [u.from_mask(m) for m in range(1 << u.size)]
-    cxy_pass = cprime_pass = 0
-    for x in subsets:
-        for y in subsets:
-            if axiom_witnesses(table(Cxy(x, y))) == (None, None, None):
-                cxy_pass += 1
-            if axiom_witnesses(table(CPrime(x, y))) == (None, None, None):
-                cprime_pass += 1
+    passes = []
+    for family in (Cxy, CPrime):
+        first, second, third = _axiom_flags([table(family(x, y)) for x in subsets for y in subsets])
+        passes.append(len(subsets) ** 2 - (first | second | third).bit_count())
+    cxy_pass, cprime_pass = passes
     infinite = make_universe(Mode.COFINITE)
     caveat = check_axioms(CPrime(infinite.subset([0]), infinite.cosubset([0])))
     return Report(
@@ -202,8 +201,12 @@ def demo_thm_3_3() -> Report:
 def demo_thm_3_5() -> Report:
     """Order and composition characterise each other across every pair of
     operators on three symbols."""
-    tables = [_pack(system.table) for system in enumerate_operators(3)]
-    discrepancies = sum(_below(a, b) != _absorbs(a, b) for a in tables for b in tables)
+    tables = [system.table for system in enumerate_operators(3)]
+    images, lanes = _batch(tables)
+    discrepancies = 0
+    for b in tables:
+        below, absorbs = _column(b, images, lanes)
+        discrepancies += (below ^ absorbs).bit_count()
     return Report(
         command="demo thm-3.5",
         verdict=discrepancies == 0,
@@ -218,12 +221,11 @@ def demo_lemma_2_6() -> Report:
     failures = 0
     checked = 0
     for system in enumerate_operators(3):
-        op = FromSystem(system)
-        if evaluate(op, u.empty()).is_empty():
+        if system.table[0] == 0:
             continue
         checked += 1
         try:
-            lemma26_witness(op)
+            lemma26_witness(FromSystem(system))
         except (ValueError, RuntimeError):
             failures += 1
     example = SExample(u.of_names("a"), u.index_of("b"))
@@ -244,12 +246,12 @@ def demo_remark_2_2() -> Report:
     """On a finite carrier, monotonicity and finitarity stand or fall
     together for extensive idempotent tables (exhaustive on three symbols),
     and the monotone ones are as many as the closure systems."""
-    tables = agreements = monotone = 0
-    for t in _extensive_idempotent_tables(3):
-        _, second, third = axiom_witnesses(t)
-        tables += 1
-        agreements += (second is None) == (third is None)
-        monotone += second is None
+    # Each table is idempotent by construction, so only (ii) and (iii) are checked.
+    found = list(_extensive_idempotent_tables(3))
+    second, third = _monotone_finitary_flags(found)
+    tables = len(found)
+    agreements = tables - (second ^ third).bit_count()
+    monotone = tables - second.bit_count()
     systems = len(tuple(enumerate_operators(3)))
     return Report(
         command="demo remark-2.2",
@@ -268,7 +270,7 @@ def _union_pairs(n: int) -> tuple[bytes, bytes, bytes]:
 
 def _union_escapes(lookup: bytes, pairs: tuple[bytes, bytes, bytes]) -> int:
     """How many of the ``_union_pairs`` have C(s) ∪ C(u) ⊄ C(s ∪ u), where
-    ``lookup`` is the packed lookup of C's table.  Each index string is
+    ``lookup`` is ``classify._lookup`` of C's table.  Each index string is
     gathered through the lookup with one ``bytes.translate``."""
     left, right, union = (int.from_bytes(p.translate(lookup), "little") for p in pairs)
     escaped = ((left | right) & ~union).to_bytes(len(pairs[0]), "little")
@@ -279,7 +281,7 @@ def demo_thm_4_3_lemma() -> Report:
     """The union of images never escapes the image of the union, for every
     operator on three symbols and every pair of subsets."""
     pairs = _union_pairs(3)
-    lookups = [_pack(system.table)[2] for system in enumerate_operators(3)]
+    lookups = [_lookup(system.table) for system in enumerate_operators(3)]
     violations = sum(_union_escapes(lookup, pairs) for lookup in lookups)
     return Report(
         command="demo thm-4.3-lemma",

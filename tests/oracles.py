@@ -1,9 +1,17 @@
-"""Literal reference computations shared by the test modules."""
+"""Literal reference computations, and a reader for packed flags, shared by
+the test modules."""
 
 
 def all_subsets(universe) -> tuple:
     """Every subset of a finite universe, ascending by bitmask."""
     return tuple(universe.from_mask(m) for m in range(1 << universe.size))
+
+
+def flag_bytes(flags, lanes, count):
+    """The per-table flags of a ``classify._fold`` result over ``count`` tables
+    as one byte each, 1 where table k's flag is set: its first byte."""
+    step = lanes.slot // 8
+    return flags.to_bytes(count * step, "little")[::step]
 
 
 def loop_axiom_witnesses(t):

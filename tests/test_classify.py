@@ -308,6 +308,26 @@ class TestAtoms:
         with pytest.raises(ValueError):
             is_atom(Identity(u), list(enumerate_operators(3)))
 
+    def test_empty_oracle_finds_nothing_between(self, u):
+        assert is_atom(Cxy(u.of_names("a", "c"), u.of_names("b")), [])
+
+    def test_middle_system_first_among_those_below(self, u):
+        # The packed sweep flags the middle system, the identity and the
+        # target, in that order; the first flag alone must decide.
+        big = Cxy(u.of_names("a", "c"), u.of_names("b"))
+        middle = to_closure_system(Cxy(u.of_names("a"), u.of_names("b")))
+        top = to_closure_system(Top(u))
+        oracle = [top, middle, to_closure_system(Identity(u)), to_closure_system(big), top]
+        assert not is_atom(big, oracle)
+        assert is_atom(big, oracle[:1] + oracle[2:])
+
+    @pytest.mark.parametrize("sizes,other", [((4,), 4), ((3, 3, 2), 2), ((2, 2, 4), 2)])
+    def test_oracle_on_another_universe_rejected(self, u, sizes, other):
+        # (2, 2, 4) packs to exactly as many images as three systems on three symbols.
+        oracle = [next(enumerate_operators(n)) for n in sizes]
+        with pytest.raises(ValueError, match=f"on {other} symbols, but the operator is on 3"):
+            is_atom(CPrime(u.of_names("a"), u.of_names("b", "c")), oracle)
+
 
 class TestDenseCover:
     @pytest.mark.parametrize("n", [2, 3])

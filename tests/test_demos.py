@@ -1,12 +1,14 @@
 """Every named demo exits 0 and its JSON report matches the checked-in golden.
 
-The packed-table predicates behind thm-3.5 (``classify._below`` and
-``classify._absorbs``) and the escape count behind thm-4.3-lemma (three
-``bytes.translate`` gathers), and the axiom kernel behind thm-2.5,
-remark-2.2 and lemma-2.6, are checked item by item against the
-expression-level procedures they replace.  Packed ≤ is also checked on all
+The packed column primitive behind thm-3.5 (``classify._column``, the
+flags of a ≤ b and of b∘a = b for one table b against a packed family) and
+the escape count behind thm-4.3-lemma (three ``bytes.translate`` gathers),
+and the axiom kernels behind thm-2.5, remark-2.2 and lemma-2.6, are checked
+item by item against the expression-level procedures they replace.  On all
 6,150,400 ordered pairs of closure systems on four symbols, listed by
-perfbench's independent enumeration, against fixed(b) ⊆ fixed(a).
+perfbench's independent enumeration, packed ≤ is checked against
+fixed(b) ⊆ fixed(a) and packed b∘a = b against packed ≤, and the escape
+count is checked to be zero on every one of those systems.
 """
 
 import itertools
@@ -19,10 +21,10 @@ from click.testing import CliRunner
 
 from tarski_lab.algebra import equivalent, le
 from tarski_lab.classify import (
-    _absorbs,
-    _below,
+    _batch,
+    _column,
     _extensive_idempotent_tables,
-    _pack,
+    _lookup,
     axiom_witnesses,
     check_axioms,
     enumerate_operators,
@@ -34,7 +36,7 @@ from tarski_lab.demos import DEMOS, _union_escapes, _union_pairs, run_demo
 from tarski_lab.operators import CPrime, Cxy, FromSystem, FromTable, compose, evaluate, table
 from tarski_lab.sets import Mode, make_universe
 
-from oracles import all_subsets
+from oracles import all_subsets, flag_bytes
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -69,15 +71,20 @@ _rng = random.Random(35)
 ARBITRARY = [tuple(_rng.randrange(8) for _ in range(8)) for _ in range(20)]
 
 
+def _column_of_one(a, b):
+    """``_column`` of b against the family holding only a, as two booleans."""
+    below, absorbs = _column(table(b), *_batch([table(a)]))
+    return bool(below), bool(absorbs)
+
+
 def _order_and_composition_agree(a, b):
-    pa, pb = _pack(table(a)), _pack(table(b))
-    return (_below(pa, pb), _absorbs(pa, pb)) == (le(a, b).holds, equivalent(compose(b, a), b))
+    return _column_of_one(a, b) == (le(a, b).holds, equivalent(compose(b, a), b))
 
 
 def _union_agrees(op, t):
     """The escape count for t agrees with ``monotone_union_check`` on op, pair by
     pair and over all pairs; returns the count."""
-    lookup = _pack(t)[2]
+    lookup = _lookup(t)
     masks = range(1 << op.universe.size)
     escapes = 0
     for s, u in itertools.product(masks, masks):
@@ -100,8 +107,7 @@ def test_order_and_composition_helpers_match_le_and_equivalent():
 def test_order_and_composition_helpers_on_an_incomparable_pair():
     a, b = Cxy(L3.of_names("a"), L3.of_names("b")), Cxy(L3.of_names("c"), L3.of_names("b"))
     assert _order_and_composition_agree(a, b) and _order_and_composition_agree(b, a)
-    pa, pb = _pack(table(a)), _pack(table(b))
-    assert not _below(pa, pb) and not _absorbs(pa, pb)
+    assert _column_of_one(a, b) == (False, False)
 
 
 def test_union_helper_matches_monotone_union_check():
@@ -115,19 +121,28 @@ def test_union_helper_on_a_non_monotone_table():
     values[0b001] = 0b111
     op = FromTable(L3, tuple(values))
     assert _union_agrees(op, op.table) > 0
-    assert _union_escapes(_pack(op.table)[2], (b"\1", b"\2", b"\3")) == 1
+    assert _union_escapes(_lookup(op.table), (b"\1", b"\2", b"\3")) == 1
 
 
 def test_packed_order_is_reverse_inclusion_of_fixed_points_on_four_symbols():
     families = oracle.moore_families(4)
-    packed = [_pack(oracle.closure_table(family, 4)) for family in families]
+    tables = [tuple(oracle.closure_table(family, 4)) for family in families]
     fixed = [sum(1 << m for m in family) for family in families]
+    images, lanes = _batch(tables)
     comparable = 0
-    for a, fixed_a in zip(packed, fixed):
-        below = [_below(a, b) for b in packed]
-        assert below == [fixed_b & ~fixed_a == 0 for fixed_b in fixed]
-        comparable += sum(below)
-    assert (len(packed), comparable) == (2480, 325967)
+    for b, fixed_b in zip(tables, fixed):
+        below, absorbs = _column(b, images, lanes)
+        assert flag_bytes(below, lanes, len(tables)) == bytes(fixed_b & ~fixed_a == 0 for fixed_a in fixed)
+        assert absorbs == below
+        comparable += below.bit_count()
+    assert (len(tables), comparable) == (2480, 325967)
+
+
+def test_union_lemma_on_four_symbols():
+    pairs = _union_pairs(4)
+    tables = [oracle.closure_table(family, 4) for family in oracle.moore_families(4)]
+    assert len(tables) == 2480
+    assert all(_union_escapes(_lookup(t), pairs) == 0 for t in tables)
 
 
 def test_kernel_matches_check_axioms_on_the_remark_2_2_sample():

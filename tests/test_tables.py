@@ -1,6 +1,7 @@
 """The finite-mode table compiler against pointwise evaluation, the axiom
 sweep, the axiom kernel and the closure-system table against literal int
-definitions, the packed axiom kernel against the loop kernel it replaced
+definitions, the packed axiom kernel, on one table and on many packed end
+to end, against the loop kernel it replaced
 (``oracles.loop_axiom_witnesses``), and the Moore-family search against a
 brute-force scan of every family bitmask."""
 
@@ -35,6 +36,9 @@ from tarski_lab.classify import (
     EXHAUSTIVE,
     AxiomReport,
     Verdict,
+    _axiom_flags,
+    _lane_constants,
+    _monotone_finitary_flags,
     _moore_family_masks,
     axiom_witnesses,
     check_axioms,
@@ -43,7 +47,7 @@ from tarski_lab.classify import (
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import oracle  # noqa: E402
-from oracles import loop_axiom_witnesses  # noqa: E402
+from oracles import flag_bytes, loop_axiom_witnesses  # noqa: E402
 
 SYMBOLS = "abcd"
 
@@ -314,6 +318,41 @@ def kernel_tables(n):
     return tables + [tuple(range(size)), (size - 1,) * size]
 
 
+def top_lane_tables(n):
+    """Two tables whose faults sit high in their slot once n ≥ 2.  The first
+    is the identity with L sent to L − {top}: (i) and (iii) fail only in
+    lane L, in its top value bit.  The second sends L − {0} to itself and
+    all else to {}: (ii) fails only in lane 2ⁿ − 2, and (iii) only in lane L."""
+    size = 1 << n
+    values = [0] * size
+    values[size - 2] = size - 2
+    return tuple(range(size - 1)) + (size // 2 - 1,), tuple(values)
+
+
+def kernel_batches(n):
+    """Seeded batches of 1 to 64 tables on n symbols, mostly arbitrary, and
+    batches of closure tables that begin and end with ``top_lane_tables``."""
+    rng = random.Random(100 + n)
+    size = 1 << n
+    first, last = top_lane_tables(n)
+
+    def closure_table():
+        generators = rng.sample(range(size), min(size, rng.randint(0, 7)))
+        return tuple(oracle.closure_table(intersection_closure(generators, n), n))
+
+    def any_table():
+        kind = rng.random()
+        if kind < 0.7:
+            return tuple(rng.randrange(size) for _ in range(size))
+        if kind < 0.85:
+            return tuple(m | rng.randrange(size) for m in range(size))
+        return closure_table()
+
+    closure = [closure_table() for _ in range(rng.randint(1, 6))]
+    batches = [[first], [last], [first] + closure + [last], [last] + closure + [first]]
+    return batches + [[any_table() for _ in range(rng.randint(1, 64))] for _ in range(4)]
+
+
 class TestPackedKernel:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_the_loop_kernel(self, n):
@@ -327,6 +366,23 @@ class TestPackedKernel:
         size = 1 << n
         expected = ((size - 4,), (0, 2), (2, n - 1))
         assert axiom_witnesses(t) == loop_axiom_witnesses(t) == expected
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_batch_flags_match_the_witnesses(self, n):
+        for tables in kernel_batches(n):
+            witnesses = [axiom_witnesses(t) for t in tables]
+            assert witnesses == [loop_axiom_witnesses(t) for t in tables]
+            lanes = _lane_constants(n, len(tables))
+            flags = _axiom_flags(tables)
+            for k, axiom in enumerate(flags):
+                assert axiom & ~lanes.starts == 0
+                assert flag_bytes(axiom, lanes, len(tables)) == bytes(w[k] is not None for w in witnesses)
+            assert _monotone_finitary_flags(tables) == flags[1:]
+
+    def test_top_lane_tables_fail_where_planted(self):
+        first, last = top_lane_tables(4)
+        assert axiom_witnesses(first) == ((15,), (8, 15), (15, 3))
+        assert axiom_witnesses(last) == ((1,), (14, 15), (15, 1))
 
 
 def is_closure_system(n, fam):
