@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import TYPE_CHECKING
 
 from .sets import Mode, ModeError, SentenceSet, Universe, UniverseMismatchError
 from .operators import (
@@ -35,7 +36,9 @@ from .operators import (
     table,
     weak_join_table,
 )
-from .classify import AxiomReport, check_axioms
+
+if TYPE_CHECKING:
+    from .classify import AxiomReport
 
 
 class UndecidableComparisonError(ValueError):
@@ -148,6 +151,10 @@ def relative_complement(
     a consequence operator; the lattice check asserts the two defining
     equations (naive join back to ``c1``, meet down to the identity).
     """
+    # Only the complement checks axioms; order, chain and the sublattice
+    # commands load no ``classify``.
+    from .classify import check_axioms
+
     universe = c.universe
     if universe.mode is not Mode.FINITE:
         raise ModeError("relative complements are computed in finite mode only")

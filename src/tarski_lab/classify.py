@@ -30,7 +30,8 @@ with a family packed one byte per image: a ≤ b where no lane of the family
 leaves the tiled b, and b∘a = b where the family gathered through b's
 256-byte lookup (``bytes.translate``) equals the tiled b; the Thm 3.5 demo
 runs one column per system.  ``is_atom`` tests its whole oracle against
-the tiled target in one pass.  The exhaustive sweep keeps its
+the tiled target in one pass and builds only the slot constants
+(``_slots``) that ``_fold`` reads.  The exhaustive sweep keeps its
 ``SentenceSet`` pair loops until ``check_axioms`` wraps the same kernel
 (ROADMAP item 3).  Remark 2.2 checks every extensive idempotent table on
 three symbols, which ``_extensive_idempotent_tables`` builds directly:
@@ -200,6 +201,20 @@ def _bounded_family(universe: Universe, cap: int) -> list[SentenceSet]:
     return sets
 
 
+class _Slots(NamedTuple):
+    """Where ``count`` tables on n symbols sit when laid end to end in one int."""
+
+    width: int  # bytes per lane: 1, 2 or 4, enough for a mask of n bits
+    slot: int  # bits per table, a power of two
+    starts: int  # the first bit of every table
+
+
+def _slots(n: int, count: int) -> _Slots:
+    width = 1 if n <= 8 else 2 if n <= 16 else 4
+    slot = 8 * width << n
+    return _Slots(width, slot, int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * count, "little"))
+
+
 class _Lanes(NamedTuple):
     """Constants for ``count`` tables on n symbols laid end to end in one int."""
 
@@ -221,7 +236,8 @@ def _lane_constants(n: int, count: int) -> _Lanes:
     repeats every table, so a shift never carries a lane across a table
     boundary.
     """
-    width, size = 1 if n <= 8 else 2 if n <= 16 else 4, 1 << n
+    width, slot, starts = _slots(n, count)
+    size = 1 << n
     empty, full = bytes(width), (size - 1).to_bytes(width, "little")
     identity = int.from_bytes(_lanes([range(size)], width, size) * count, "little")
     steps = []
@@ -229,8 +245,6 @@ def _lane_constants(n: int, count: int) -> _Lanes:
         run = 1 << b
         selector = int.from_bytes((empty * run + full * run) * (count * size >> b + 1), "little")
         steps.append((selector, 8 * width * run))
-    slot = 8 * width * size
-    starts = int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * count, "little")
     return _Lanes(width, identity, tuple(steps), slot, starts)
 
 
@@ -277,7 +291,7 @@ def _failures(tables: Sequence[tuple[int, ...]], lanes: _Lanes) -> tuple[int, in
     return (first, *_zeta_failures(packed, lanes.steps))
 
 
-def _fold(failed: int, lanes: _Lanes) -> int:
+def _fold(failed: int, lanes: _Slots | _Lanes) -> int:
     """One flag per table: bit k·slot of the result is set exactly when
     ``failed`` has a bit set in table k.  After the shifts by 1, 2, 4, …,
     slot/2, each bit holds the OR of the ``slot`` bits from it upward."""
@@ -522,11 +536,12 @@ def is_atom(op: OperatorExpr, oracle: Iterable[ClosureSystem]) -> bool:
             f"the oracle holds a system on {other.bit_length() - 1} symbols,"
             f" but the operator is on {universe.size}"
         )
-    images, lanes = _batch(tables)
-    tile = int.from_bytes(_lanes([target], lanes.width, size) * len(tables), "little")
-    below = lanes.starts & ~_fold(int.from_bytes(images, "little") & ~tile, lanes)
+    slots = _slots(universe.size, len(tables))
+    images = int.from_bytes(_lanes(tables, slots.width, size), "little")
+    tile = int.from_bytes(_lanes([target], slots.width, size) * len(tables), "little")
+    below = slots.starts & ~_fold(images & ~tile, slots)
     while below:
-        if tables[_lowest_bit(below) // lanes.slot] not in (identity, target):
+        if tables[_lowest_bit(below) // slots.slot] not in (identity, target):
             return False
         below &= below - 1
     return True

@@ -10,6 +10,11 @@ decorator adds ``--json`` (and, with ``operands``, ``--spec``/``--universe``,
 handing the body the parsed ``SpecContext`` as ``sctx``), times the body,
 turns ``ValueError``/``KeyError`` into a usage error, prints the report,
 and exits 0 or 1 on its verdict.
+
+This module imports no other module of the package at its top: each body
+imports what it uses on its first lines, so ``--help`` loads only click and
+this module, and a command loads only the modules it runs.  The timing of
+a text report therefore includes loading them.
 """
 
 from __future__ import annotations
@@ -17,37 +22,20 @@ from __future__ import annotations
 import functools
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from .sets import Mode, ModeError, make_universe
-from .operators import Identity, Meet, WeakJoin, evaluate, table, to_closure_system
-from .algebra import (
-    descending_chain,
-    is_chain,
-    le,
-    relative_complement,
-    sublattice_report,
-)
-from .classify import (
-    ENUMERATION_LIMIT,
-    check_axioms,
-    count_closure_systems,
-    default_universe,
-    dense_cover_check,
-    e0_family,
-    enumerate_operators,
-    is_atom,
-    lemma26_witness,
-)
-from .concurrence import is_concurrent
-from .demos import DEMOS, run_demo
-from .parsing import SpecContext, parse_operator, parse_set, parse_spec, render_operator
-from .report import Report, axiom_report_payload, sublattice_payload
-from . import words as words_mod
+if TYPE_CHECKING:
+    from .parsing import SpecContext
+    from .report import Report
+    from .words import Alphabet, PartialSeq
 
 
 def _context(spec_path: str | None, universe_spec: str | None) -> SpecContext:
+    from .sets import Mode, make_universe
+    from .parsing import SpecContext, parse_spec
+
     if spec_path is not None:
         return parse_spec(Path(spec_path).read_text())
     if universe_spec is None:
@@ -102,6 +90,10 @@ def main() -> None:
 @click.argument("expression")
 def check(sctx, cap, expression) -> Report:
     """Report the axiom verdicts of an operator expression."""
+    from .classify import check_axioms
+    from .parsing import parse_operator, render_operator
+    from .report import Report, axiom_report_payload
+
     op = parse_operator(expression, sctx)
     report = check_axioms(op, cap=cap)
     return Report(
@@ -116,6 +108,11 @@ def check(sctx, cap, expression) -> Report:
 @click.argument("right")
 def order(sctx, left, right) -> Report:
     """Decide left <= right pointwise; a false verdict carries a witness."""
+    from .operators import evaluate
+    from .algebra import le
+    from .parsing import parse_operator, render_operator
+    from .report import Report
+
     a = parse_operator(left, sctx)
     b = parse_operator(right, sctx)
     result = le(a, b)
@@ -128,6 +125,11 @@ def order(sctx, left, right) -> Report:
 
 
 def _combine(name, builder, sctx, at_set, left, right) -> Report:
+    from .sets import Mode
+    from .operators import evaluate, to_closure_system
+    from .parsing import parse_operator, parse_set, render_operator
+    from .report import Report
+
     combined = builder(parse_operator(left, sctx), parse_operator(right, sctx))
     data = {"operator": render_operator(combined)}
     if at_set is not None:
@@ -150,6 +152,8 @@ at_option = click.option("--at", "at_set", help="Evaluate the result at this set
 @click.argument("right")
 def meet(sctx, at_set, left, right) -> Report:
     """Pointwise-intersection meet of two operators."""
+    from .operators import Meet
+
     return _combine("meet", Meet, sctx, at_set, left, right)
 
 
@@ -159,6 +163,8 @@ def meet(sctx, at_set, left, right) -> Report:
 @click.argument("right")
 def wjoin(sctx, at_set, left, right) -> Report:
     """Least upper bound (common-closure join) of two operators."""
+    from .operators import WeakJoin
+
     return _combine("wjoin", WeakJoin, sctx, at_set, left, right)
 
 
@@ -168,6 +174,10 @@ def wjoin(sctx, at_set, left, right) -> Report:
 @click.argument("upper")
 def complement(sctx, include_top, lower, upper) -> Report:
     """Relative complement of LOWER inside UPPER, with axiom verdicts."""
+    from .algebra import relative_complement
+    from .parsing import parse_operator, render_operator
+    from .report import Report, axiom_report_payload
+
     c = parse_operator(lower, sctx)
     c1 = parse_operator(upper, sctx)
     result = relative_complement(c, c1, include_top=include_top)
@@ -186,6 +196,10 @@ def complement(sctx, include_top, lower, upper) -> Report:
 @click.argument("expressions", nargs=-1, required=True)
 def chain(sctx, expressions) -> Report:
     """Whether the given operators are pairwise comparable."""
+    from .algebra import is_chain
+    from .parsing import parse_operator, render_operator
+    from .report import Report
+
     ops = [parse_operator(e, sctx) for e in expressions]
     result = is_chain(ops)
     data: dict = {"members": [render_operator(op) for op in ops]}
@@ -200,6 +214,12 @@ def chain(sctx, expressions) -> Report:
 @click.argument("generators", nargs=-1)
 def sublattice(sctx, b_literal, all_generators, generators) -> Report:
     """Verify the lattice structure of the fixed-trigger family."""
+    from .sets import Mode, ModeError
+    from .operators import Identity, table
+    from .algebra import sublattice_report
+    from .parsing import parse_set
+    from .report import Report, sublattice_payload
+
     b = parse_set(b_literal, sctx)
     if all_generators:
         u = sctx.universe
@@ -223,6 +243,11 @@ def sublattice(sctx, b_literal, all_generators, generators) -> Report:
 @click.argument("count", type=int)
 def descend(count) -> Report:
     """A strictly descending chain of COUNT operators on the naturals."""
+    from .sets import Mode, make_universe
+    from .algebra import descending_chain
+    from .parsing import render_operator
+    from .report import Report
+
     ops = descending_chain(make_universe(Mode.COFINITE), count)
     data = {"length": len(ops), "first-members": [render_operator(op) for op in ops[:8]]}
     return Report(command=f"descend {count}", verdict=True, data=data)
@@ -234,6 +259,9 @@ def descend(count) -> Report:
 @click.option("--list-systems", is_flag=True, help="List every closed-set family.")
 def enumerate_systems(size, include_top, list_systems) -> Report:
     """Count (and optionally list) all closure systems on a tiny universe."""
+    from .classify import count_closure_systems, enumerate_operators
+    from .report import Report
+
     data: dict = {"n": size, "include-top": include_top}
     if list_systems:
         systems = list(enumerate_operators(size, include_top=include_top))
@@ -250,6 +278,17 @@ def enumerate_systems(size, include_top, list_systems) -> Report:
 @click.option("--n", "size", type=int, required=True, help="Universe size (2..4).")
 def atoms(size) -> Report:
     """Check that the single-element candidates are atoms and densely cover."""
+    from .classify import (
+        ENUMERATION_LIMIT,
+        default_universe,
+        dense_cover_check,
+        e0_family,
+        enumerate_operators,
+        is_atom,
+    )
+    from .parsing import render_operator
+    from .report import Report
+
     if not 2 <= size <= ENUMERATION_LIMIT:
         raise ValueError(f"atoms are checked for 2 <= n <= {ENUMERATION_LIMIT}, got {size}")
     universe = default_universe(size)
@@ -268,6 +307,10 @@ def atoms(size) -> Report:
 @click.argument("expression")
 def lemma26(sctx, expression) -> Report:
     """Least element whose co-singleton closes to the whole universe."""
+    from .classify import lemma26_witness
+    from .parsing import parse_operator, render_operator
+    from .report import Report
+
     op = parse_operator(expression, sctx)
     witness = lemma26_witness(op)
     return Report(
@@ -281,6 +324,10 @@ def lemma26(sctx, expression) -> Report:
 @click.argument("expression")
 def theories(sctx, expression) -> Report:
     """List the deductive systems (fixed points) of an operator."""
+    from .operators import to_closure_system
+    from .parsing import parse_operator, render_operator
+    from .report import Report
+
     op = parse_operator(expression, sctx)
     system = to_closure_system(op)
     return Report(
@@ -299,15 +346,19 @@ def theories(sctx, expression) -> Report:
 @click.pass_context
 def words(ctx, alphabet_text) -> None:
     """Word encoding, decomposition, and equivalence utilities."""
+    from .words import alphabet
+
     try:
-        ctx.obj = words_mod.alphabet(alphabet_text)
+        ctx.obj = alphabet(alphabet_text)
     except ValueError as error:
         raise click.UsageError(str(error)) from error
 
 
-def _parse_pieces(alpha: words_mod.Alphabet, text: str) -> words_mod.PartialSeq:
+def _parse_pieces(alpha: Alphabet, text: str) -> PartialSeq:
+    from .words import seq_of_pieces
+
     pieces = [alpha.word(part) for part in text.split(",") if part]
-    return words_mod.seq_of_pieces(pieces)
+    return seq_of_pieces(pieces)
 
 
 @command(words, name="encode")
@@ -315,7 +366,10 @@ def _parse_pieces(alpha: words_mod.Alphabet, text: str) -> words_mod.PartialSeq:
 @click.pass_obj
 def words_encode(alpha, text) -> Report:
     """Shortlex code of a word."""
-    code = words_mod.encode(alpha.word(text))
+    from .words import encode
+    from .report import Report
+
+    code = encode(alpha.word(text))
     return Report(command=f"words encode {text}", verdict=True, data={"word": text, "code": code})
 
 
@@ -324,7 +378,10 @@ def words_encode(alpha, text) -> Report:
 @click.pass_obj
 def words_decode(alpha, code) -> Report:
     """Word addressed by a shortlex code."""
-    word = words_mod.decode(alpha, code)
+    from .words import decode
+    from .report import Report
+
+    word = decode(alpha, code)
     return Report(command=f"words decode {code}", verdict=True, data={"code": code, "word": word.text()})
 
 
@@ -334,9 +391,12 @@ def words_decode(alpha, code) -> Report:
 @click.pass_obj
 def words_split(alpha, arity, text) -> Report:
     """All arity-k decompositions of a word, in cut-mask order."""
+    from .words import decode, decompositions
+    from .report import Report
+
     splits = [
-        ",".join(words_mod.decode(alpha, code).text() for code in reversed(seq.codes))
-        for seq in words_mod.decompositions(alpha.word(text), arity)
+        ",".join(decode(alpha, code).text() for code in reversed(seq.codes))
+        for seq in decompositions(alpha.word(text), arity)
     ]
     return Report(
         command=f"words split {text} --k {arity}",
@@ -350,8 +410,11 @@ def words_split(alpha, arity, text) -> Report:
 @click.pass_obj
 def words_classify(alpha, text) -> Report:
     """Size, maximal split arity, and decomposition count of a word."""
+    from .words import class_of, count_decompositions, encode, seq_of_word
+    from .report import Report
+
     word = alpha.word(text)
-    cls = words_mod.class_of(words_mod.seq_of_word(word))
+    cls = class_of(seq_of_word(word))
     return Report(
         command=f"words classify {text}",
         verdict=True,
@@ -359,8 +422,8 @@ def words_classify(alpha, text) -> Report:
             "word": text,
             "size": cls.size,
             "max-arity": cls.size - 1,
-            "decompositions": words_mod.count_decompositions(word),
-            "code": words_mod.encode(word),
+            "decompositions": count_decompositions(word),
+            "code": encode(word),
         },
     )
 
@@ -371,14 +434,17 @@ def words_classify(alpha, text) -> Report:
 @click.pass_obj
 def words_equiv(alpha, first, second) -> Report:
     """Whether two comma-separated piece sequences denote the same word."""
+    from .words import equivalent_seqs, word_of_seq
+    from .report import Report
+
     f = _parse_pieces(alpha, first)
     g = _parse_pieces(alpha, second)
     return Report(
         command=f"words equiv {first} {second}",
-        verdict=words_mod.equivalent_seqs(f, g),
+        verdict=equivalent_seqs(f, g),
         data={
-            "first": words_mod.word_of_seq(f).text(),
-            "second": words_mod.word_of_seq(g).text(),
+            "first": word_of_seq(f).text(),
+            "second": word_of_seq(g).text(),
         },
     )
 
@@ -399,6 +465,9 @@ def _edge_pairs(handle) -> list[tuple[str, str]]:
 @click.argument("edges", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
 def concurrent(domain_text, edges) -> Report:
     """Concurrence of a relation read as an edge list ('x y' per line)."""
+    from .concurrence import is_concurrent
+    from .report import Report
+
     with click.open_file(edges) as handle:
         pairs = _edge_pairs(handle)
     if domain_text:
@@ -419,6 +488,9 @@ def concurrent(domain_text, edges) -> Report:
 @click.argument("name", required=False)
 def demo(list_demos, name) -> Report:
     """Run a named demonstration; expected failures count as demonstrated."""
+    from .demos import DEMOS, run_demo
+    from .report import Report
+
     if list_demos or name is None:
         return Report(
             command="demo --list",

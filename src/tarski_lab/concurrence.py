@@ -13,10 +13,12 @@ infinite-bound constructions rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 from .sets import SentenceSet, UniverseMismatchError
-from .operators import OperatorExpr, evaluate
+
+if TYPE_CHECKING:
+    from .operators import OperatorExpr
 
 DOMAIN_CAP = 20
 
@@ -92,6 +94,9 @@ def monotone_union_check(op: OperatorExpr, parts: Sequence[SentenceSet]) -> bool
     This holds for every monotone operator; a false verdict identifies an
     axiom (ii) violation in the operand.
     """
+    # Imported here so that the concurrence check loads no ``operators``.
+    from .operators import evaluate
+
     parts = list(parts)
     if not parts:
         raise ValueError("at least one part is required")

@@ -2,17 +2,22 @@
 
 JSON output must be byte-stable across runs for identical inputs, so it
 carries only deterministic content (timing appears in the human-readable
-rendering only) with sorted keys and canonical set literals.
+rendering only) with sorted keys and canonical set literals.  At run time
+this module needs only ``sets``, so a command that reports on words loads
+neither ``algebra`` nor ``classify``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .sets import SentenceSet
-from .algebra import SublatticeReport
-from .classify import AxiomReport, Verdict
+
+if TYPE_CHECKING:
+    from .algebra import SublatticeReport
+    from .classify import AxiomReport, Verdict
 
 
 @dataclass

@@ -4,7 +4,9 @@ A name counts as used when it is read anywhere in its module, as a bare
 name or as the root of an attribute chain.  Package ``__init__`` modules
 are skipped, since their imports are the public re-exports.  The same kind
 of scan checks that every ``int.to_bytes``/``int.from_bytes`` call in the
-package names its byteorder, which Python 3.10 still requires.
+package names its byteorder, which Python 3.10 still requires.  The
+package-import scan bounds what ``parsing`` and ``report`` import; for
+``report`` it skips the ``if TYPE_CHECKING:`` block, which never runs.
 """
 
 import ast
@@ -64,6 +66,15 @@ def package_imports(source: str) -> set[str]:
     return found
 
 
+def runtime_package_imports(source: str) -> set[str]:
+    """``package_imports`` of ``source`` outside its ``if TYPE_CHECKING:`` blocks."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            node.body = [ast.Pass()]
+    return package_imports(ast.unparse(tree))
+
+
 def test_the_import_scan_sees_every_form():
     source = (
         "from .sets import a\nfrom . import words\nfrom tarski_lab.algebra import b\n"
@@ -75,6 +86,20 @@ def test_the_import_scan_sees_every_form():
 def test_parsing_imports_only_sets_and_operators():
     source = (ROOT / "src" / "tarski_lab" / "parsing.py").read_text(encoding="utf-8")
     assert package_imports(source) <= {"sets", "operators"}
+
+
+def test_the_runtime_scan_skips_type_checking_blocks():
+    source = (
+        "from typing import TYPE_CHECKING\nfrom .sets import a\nif TYPE_CHECKING:\n"
+        "    from .classify import b\nelse:\n    from .words import c\n"
+        "def f():\n    from .algebra import d\n"
+    )
+    assert runtime_package_imports(source) == {"sets", "words", "algebra"}
+
+
+def test_report_imports_only_sets_at_run_time():
+    source = (ROOT / "src" / "tarski_lab" / "report.py").read_text(encoding="utf-8")
+    assert runtime_package_imports(source) <= {"sets"}
 
 
 def test_the_scan_sees_an_unused_name():
