@@ -32,11 +32,12 @@ leaves the tiled b, and b∘a = b where the family gathered through b's
 runs one column per system.  ``is_atom`` tests its whole oracle against
 the tiled target in one pass and builds only the slot constants
 (``_slots``) that ``_fold`` reads.  The exhaustive sweep keeps its
-``SentenceSet`` pair loops until ``check_axioms`` wraps the same kernel
-(ROADMAP item 3).  Remark 2.2 checks every extensive idempotent table on
-three symbols, which ``_extensive_idempotent_tables`` builds directly:
-each image is chosen among the fixed points already decided, so no table
-is built only to be filtered out.
+``SentenceSet`` pair loops, each inclusion one test on the two sets'
+stored masks, until ``check_axioms`` wraps the same kernel (ROADMAP
+item 3).  Remark 2.2 checks every extensive idempotent table on
+three symbols, which ``_extensive_idempotent_tables`` builds directly, one
+mask per level from L down: each image is chosen among the fixed points
+already decided, so no table is built only to be filtered out.
 
 Enumeration produces every closure system (intersection-closed family
 containing L) on a tiny universe, in ascending order of the family's
@@ -396,29 +397,27 @@ def _cosingleton_witness(t: tuple[int, ...]) -> int | None:
     return next((x for x in range(full.bit_length()) if t[full & ~(1 << x)] == full), None)
 
 
-def _extensive_idempotent_tables(n: int) -> Iterator[tuple[int, ...]]:
-    """Every extensive, idempotent table on n symbols, built one at a time.
+def _extensive_idempotent_tables(n: int) -> list[tuple[int, ...]]:
+    """Every extensive, idempotent table on n symbols, built level by level.
 
-    Masks are decided from L downward.  t[m] is either m itself or a
-    fixed point already decided that contains m: every strict superset of m
-    is a larger mask, so it was decided first.  Images are therefore fixed
-    points, t[t[m]] = t[m] holds by construction, and each extensive
-    idempotent table is built exactly once.
+    Masks are decided from L downward, each level extending every partial
+    table of the level before, kept as (images of the masks decided so far,
+    fixed points among them).  t[m] is either m itself or a fixed point
+    already decided that contains m: every strict superset of m is a larger
+    mask, so it was decided first.  Images are therefore fixed points,
+    t[t[m]] = t[m] holds by construction, and each extensive idempotent
+    table is built exactly once.
     """
-    t = [0] * (1 << n)
-
-    def decide(m: int, fixed: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if m < 0:
-            yield tuple(t)
-            return
-        t[m] = m
-        yield from decide(m - 1, fixed + (m,))
-        for f in fixed:
-            if f & m == m:
-                t[m] = f
-                yield from decide(m - 1, fixed)
-
-    return decide(len(t) - 1, ())
+    level: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    for m in range((1 << n) - 1, -1, -1):
+        following = []
+        for images, fixed in level:
+            following.append(((m,) + images, fixed + (m,)))
+            for f in fixed:
+                if f & m == m:
+                    following.append(((f,) + images, fixed))
+        level = following
+    return [images for images, _ in level]
 
 
 # -- exhaustive enumeration ----------------------------------------------------

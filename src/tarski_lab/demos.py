@@ -247,7 +247,7 @@ def demo_remark_2_2() -> Report:
     together for extensive idempotent tables (exhaustive on three symbols),
     and the monotone ones are as many as the closure systems."""
     # Each table is idempotent by construction, so only (ii) and (iii) are checked.
-    found = list(_extensive_idempotent_tables(3))
+    found = _extensive_idempotent_tables(3)
     second, third = _monotone_finitary_flags(found)
     tables = len(found)
     agreements = tables - (second ^ third).bit_count()

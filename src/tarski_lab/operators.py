@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from operator import and_, or_
 
 from .sets import (
     Mode,
@@ -396,22 +397,22 @@ def _table(op: OperatorExpr, size: int) -> tuple[int, ...]:
         return (full,) * size
     if isinstance(op, Cxy):
         x, y = op.x.mask, op.y.mask
-        return tuple(m | x if m & y else m for m in range(size))
+        return tuple([m | x if m & y else m for m in range(size)])
     if isinstance(op, CPrime):
         x, y = op.x.mask, op.y.mask
-        return tuple(m | x if m & y == y else m for m in range(size))
+        return tuple([m | x if m & y == y else m for m in range(size)])
     if isinstance(op, SExample):
         base, trigger = op.m.mask, 1 << op.b
-        return tuple(full if m & trigger else m | base for m in range(size))
+        return tuple([full if m & trigger else m | base for m in range(size)])
     if isinstance(op, FromTable):
         return op.table
     if isinstance(op, Meet):
-        return tuple(p & q for p, q in zip(_table(op.left, size), _table(op.right, size)))
+        return tuple(map(and_, _table(op.left, size), _table(op.right, size)))
     if isinstance(op, NaiveJoin):
-        return tuple(p | q for p, q in zip(_table(op.left, size), _table(op.right, size)))
+        return tuple(map(or_, _table(op.left, size), _table(op.right, size)))
     if isinstance(op, Compose):
         outer = _table(op.outer, size)
-        return tuple(outer[v] for v in _table(op.inner, size))
+        return tuple([outer[v] for v in _table(op.inner, size)])
     if isinstance(op, FromSystem):
         return op.system.table
     if isinstance(op, WeakJoin):
@@ -422,7 +423,18 @@ def _table(op: OperatorExpr, size: int) -> tuple[int, ...]:
 def weak_join_table(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
     """The table of ``WeakJoin`` over operands with tables ``left`` and ``right``."""
     size = len(left)
-    return tuple(_settle(lambda y: right[left[y]], m, size + 1) for m in range(size))
+    out = []
+    for y in range(size):
+        # _settle's loop, inline: a frame per mask would cost more than the steps.
+        for _ in range(size + 1):
+            z = right[left[y]]
+            if z == y:
+                break
+            y = z
+        else:
+            raise OperatorConstraintError("weak join iteration did not reach a fixed point")
+        out.append(y)
+    return tuple(out)
 
 
 def to_closure_system(op: OperatorExpr) -> ClosureSystem:

@@ -4,6 +4,14 @@ Two universe modes are supported: an explicit finite symbol table, and a
 countably infinite carrier (the naturals) whose representable subsets are
 exactly the finite and the cofinite ones.  Every operation here is exact;
 nothing is sampled or approximated.
+
+A finite-mode set is its sorted member ids plus its bitmask (bit i set
+when symbol i is a member), computed once on construction and kept as a
+plain attribute beside the dataclass fields: equality, hashing and repr
+read only the fields, and a pickled or copied set keeps its mask.
+Inclusion of two finite-mode sets is one test on their masks; the other
+operations build their results from members, which costs about as much
+as building them from masks.
 """
 
 from __future__ import annotations
@@ -105,9 +113,9 @@ class SentenceSet:
     """A subset of a universe, kept in canonical form.
 
     Finite mode stores the member ids directly (polarity is always
-    positive).  Cofinite mode tags a finite member list as either the set
-    itself (positive) or the complement of it (negative); negative with no
-    members denotes the full universe.
+    positive) and their bitmask (``mask``).  Cofinite mode tags a finite
+    member list as either the set itself (positive) or the complement of it
+    (negative); negative with no members denotes the full universe.
     """
 
     universe: Universe
@@ -118,14 +126,20 @@ class SentenceSet:
         canon = tuple(sorted(set(self.members)))
         if canon != self.members:
             object.__setattr__(self, "members", canon)
+        mask = None
         if self.universe.mode is Mode.FINITE:
             if self.polarity is not Polarity.POSITIVE:
                 raise ValueError("finite-mode sets are stored positively")
             if canon and (canon[0] < 0 or canon[-1] >= self.universe.size):
                 raise ValueError(f"member out of range: {canon}")
+            mask = 0
+            for i in canon:
+                mask |= 1 << i
         else:
             if canon and canon[0] < 0:
                 raise ValueError("cofinite-mode members are naturals")
+        # A plain attribute, not a field: equality, hashing and repr ignore it.
+        object.__setattr__(self, "_mask", mask)
 
     # -- predicates ---------------------------------------------------------
 
@@ -150,12 +164,9 @@ class SentenceSet:
 
     @property
     def mask(self) -> int:
-        if self.universe.mode is not Mode.FINITE:
+        if self._mask is None:
             raise ModeError("masks exist only for finite universes")
-        out = 0
-        for i in self.members:
-            out |= 1 << i
-        return out
+        return self._mask
 
     def least(self) -> int:
         """The smallest element; errors on the empty set."""
@@ -172,7 +183,8 @@ class SentenceSet:
     # -- algebra ------------------------------------------------------------
 
     def _check(self, other: "SentenceSet") -> None:
-        if self.universe != other.universe:
+        # One shared Universe object is the common case; `is` skips the field comparison.
+        if self.universe is not other.universe and self.universe != other.universe:
             raise UniverseMismatchError("sets belong to different universes")
 
     def union(self, other: "SentenceSet") -> "SentenceSet":
@@ -209,6 +221,8 @@ class SentenceSet:
 
     def is_subset(self, other: "SentenceSet") -> bool:
         self._check(other)
+        if self._mask is not None:
+            return not self._mask & ~other._mask
         a, b = set(self.members), set(other.members)
         if self.is_finite() and other.is_finite():
             return a <= b

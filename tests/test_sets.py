@@ -5,7 +5,10 @@ oracle: materialise each set over the naturals 0..63 and compare against
 plain Python set arithmetic on the prefixes.
 """
 
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from tarski_lab.sets import (
     DuplicateSymbolError,
     Mode,
+    ModeError,
     Polarity,
     SentenceSet,
     UniverseMismatchError,
@@ -160,3 +164,75 @@ class TestIsSubset:
     def test_infinite_not_inside_finite(self):
         u = naturals()
         assert not u.cosubset([0]).is_subset(u.subset([1, 2, 3]))
+
+
+def member_mask(members) -> int:
+    return sum(1 << i for i in members)
+
+
+class TestMaskRepresentation:
+    """Finite-mode sets carry their bitmask: every operation agrees with the
+    members-based definition on every pair of subsets of 1-4 symbols."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_operations_match_the_member_sets(self, n):
+        u = make_universe(Mode.FINITE, "abcd"[:n])
+        subsets = all_subsets(u)
+        full = set(range(n))
+        for x in subsets:
+            assert x.mask == member_mask(x.members)
+            assert x.complement().mask == member_mask(full - set(x.members))
+        for x, y in itertools.product(subsets, repeat=2):
+            a, b = set(x.members), set(y.members)
+            assert x.is_subset(y) == (a <= b)
+            assert x.union(y).mask == member_mask(a | b)
+            assert x.intersect(y).mask == member_mask(a & b)
+            assert x.difference(y).mask == member_mask(a - b)
+            assert (x == y) == (a == b)
+            if x == y:
+                assert hash(x) == hash(y)
+
+    def test_equal_sets_built_differently_hash_alike(self):
+        u, again = make_universe(Mode.FINITE, "abcd"), make_universe(Mode.FINITE, "abcd")
+        for m in range(16):
+            x = u.from_mask(m)
+            for y in (u.subset(x.members[::-1] * 2), again.from_mask(m)):
+                assert x == y and hash(x) == hash(y) and x.mask == y.mask == m
+
+    def test_mask_survives_pickle_copy_and_replace(self):
+        u = make_universe(Mode.FINITE, "abcd")
+        for m in range(16):
+            x = u.from_mask(m)
+            other = u.from_mask(m ^ 0b0101)
+            for y in (
+                pickle.loads(pickle.dumps(x)),
+                copy.deepcopy(x),
+                copy.copy(x),
+                dataclasses.replace(x),
+            ):
+                assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+                assert y.mask == m
+                assert y.is_subset(other) == x.is_subset(other)
+            replaced = dataclasses.replace(x, members=other.members)
+            assert replaced.mask == other.mask
+        assert [f.name for f in dataclasses.fields(SentenceSet)] == ["universe", "polarity", "members"]
+
+    def test_cofinite_sets_have_no_mask(self):
+        u = naturals()
+        for s in (u.subset([1, 2]), u.cosubset([0]), u.full(), u.empty()):
+            with pytest.raises(ModeError):
+                s.mask
+
+    def test_equal_but_distinct_universes_combine(self):
+        u, v = make_universe(Mode.FINITE, "abc"), make_universe(Mode.FINITE, "abc")
+        assert u is not v and u == v
+        assert u.of_names("a").is_subset(v.of_names("a", "b"))
+        assert not v.of_names("c").is_subset(u.of_names("a", "b"))
+        assert u.of_names("a").union(v.of_names("c")) == u.of_names("a", "c")
+
+    def test_different_universes_are_rejected(self):
+        u, v = make_universe(Mode.FINITE, "ab"), make_universe(Mode.FINITE, "cd")
+        x, y = u.of_names("a"), v.of_names("c", "d")
+        for combine in (x.is_subset, x.union, x.intersect, x.difference):
+            with pytest.raises(UniverseMismatchError):
+                combine(y)

@@ -111,6 +111,36 @@ def operator_pairs(draw):
     return draw(expressions(u)), draw(expressions(u))
 
 
+def seeded_leaf(rng, u):
+    n, size = u.size, 1 << u.size
+    kind = rng.choice(["I", "U", "cxy", "cprime", "s", "table", "system"])
+    if kind == "I":
+        return Identity(u)
+    if kind == "U":
+        return Top(u)
+    if kind in ("cxy", "cprime"):
+        family = Cxy if kind == "cxy" else CPrime
+        return family(u.from_mask(rng.randrange(size)), u.from_mask(rng.randrange(size)))
+    if kind == "s":
+        b = rng.randrange(n)
+        others = [i for i in range(n) if i != b]
+        return SExample(u.subset(rng.sample(others, rng.randint(1, n - 2))), b)
+    if kind == "system":
+        generators = rng.sample(range(size), rng.randint(0, 7))
+        return FromSystem(ClosureSystem(u, intersection_closure(generators, n)))
+    values = [rng.randrange(size) for _ in range(size)]
+    if rng.random() < 0.5:
+        values = [m | v for m, v in enumerate(values)]  # extensive
+    return FromTable(u, tuple(values))
+
+
+def seeded_expression(rng, u, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return seeded_leaf(rng, u)
+    node = rng.choice([Meet, NaiveJoin, Compose, WeakJoin])
+    return node(seeded_expression(rng, u, depth - 1), seeded_expression(rng, u, depth - 1))
+
+
 def pointwise(op):
     u = op.universe
     return tuple(evaluate(op, u.from_mask(m)).mask for m in range(1 << u.size))
@@ -190,6 +220,16 @@ class TestTable:
     def test_table_matches_pointwise_evaluation(self, pair):
         for op in pair:
             assert outcome(table, op) == outcome(pointwise, op)
+
+    def test_table_matches_pointwise_evaluation_on_five_symbols(self):
+        u = make_universe(Mode.FINITE, "abcde")
+        rng = random.Random(5)
+        ops = [seeded_expression(rng, u, 2) for _ in range(150)]
+        compiled = [outcome(table, op) for op in ops]
+        assert compiled == [outcome(pointwise, op) for op in ops]
+        tables = [t for t in compiled if not isinstance(t, str)]
+        assert all(type(t) is tuple for t in tables)
+        assert 0 < len(tables) < len(compiled)  # some weak joins never settle
 
     @settings(deadline=None)
     @given(operator_pairs())
