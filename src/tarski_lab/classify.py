@@ -21,17 +21,21 @@ table i filling slot i (2ⁿ lanes), and ``_lane_constants(n, k)`` tiles the
 selectors and the identity over the k slots, so the same shifts run once
 for the whole family and no lane crosses a slot.  ``_fold`` turns a
 failure int into one flag bit per table, the first bit of its slot, with
-log₂(slot bits) shifts of ``x |= x >> s`` and one mask; callers count with
-``int.bit_count``.  On such families ``_axiom_flags`` flags the tables
-failing (i), (ii) and (iii) for the Thm 2.5 demo, and
-``_monotone_finitary_flags`` only (ii) and (iii) for Remark 2.2, whose
-tables are idempotent by construction.  ``_column`` compares one table b
-with a family packed one byte per image: a ≤ b where no lane of the family
-leaves the tiled b, and b∘a = b where the family gathered through b's
-256-byte lookup (``bytes.translate``) equals the tiled b; the Thm 3.5 demo
-runs one column per system.  ``is_atom`` tests its whole oracle against
-the tiled target in one pass and builds only the slot constants
-(``_slots``) that ``_fold`` reads.  The exhaustive sweep keeps its
+no loop: adding ``low`` (the bits of every slot but its last) to the bits
+below each slot's last bit carries into that bit exactly when one of them
+is set, so five whole-int operations fold every slot at once; callers
+count with ``int.bit_count``.  On such families ``_axiom_flags`` flags the
+tables failing (i), (ii) and (iii) for the Thm 2.5 demo, both of its
+families in one pass, and ``_monotone_finitary_flags`` only (ii) and (iii)
+for Remark 2.2, whose tables are idempotent by construction.  ``_column``
+compares one table b with a family packed one byte per image, which
+``_batch`` hands over once as bytes and as one int: a ≤ b where no lane of
+the family leaves b tiled over the slots (b times ``starts``), and
+b∘a = b where the family gathered through b's 256-byte lookup
+(``bytes.translate``) equals the tiled b; the Thm 3.5 demo runs one column
+per system.  ``is_atom`` tests its whole oracle against the tiled target
+in one pass and builds only the slot constants (``_slots``) that ``_fold``
+reads.  The exhaustive sweep keeps its
 ``SentenceSet`` pair loops, each inclusion one test on the two sets'
 stored masks, until ``check_axioms`` wraps the same kernel (ROADMAP
 item 3).  Remark 2.2 checks every extensive idempotent table on
@@ -208,12 +212,16 @@ class _Slots(NamedTuple):
     width: int  # bytes per lane: 1, 2 or 4, enough for a mask of n bits
     slot: int  # bits per table, a power of two
     starts: int  # the first bit of every table
+    high: int  # the last bit of every table
+    low: int  # every bit of every table but its last
 
 
 def _slots(n: int, count: int) -> _Slots:
     width = 1 if n <= 8 else 2 if n <= 16 else 4
     slot = 8 * width << n
-    return _Slots(width, slot, int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * count, "little"))
+    starts = int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * count, "little")
+    high = starts << slot - 1
+    return _Slots(width, slot, starts, high, high - starts)
 
 
 class _Lanes(NamedTuple):
@@ -224,6 +232,8 @@ class _Lanes(NamedTuple):
     steps: tuple[tuple[int, int], ...]  # per bit: the selector and the shift
     slot: int  # bits per table, a power of two
     starts: int  # the first bit of every table
+    high: int  # the last bit of every table
+    low: int  # every bit of every table but its last
 
 
 _LANE_CODES = {1: "B", 2: "H", 4: "I"}
@@ -237,7 +247,7 @@ def _lane_constants(n: int, count: int) -> _Lanes:
     repeats every table, so a shift never carries a lane across a table
     boundary.
     """
-    width, slot, starts = _slots(n, count)
+    width, slot, starts, high, low = _slots(n, count)
     size = 1 << n
     empty, full = bytes(width), (size - 1).to_bytes(width, "little")
     identity = int.from_bytes(_lanes([range(size)], width, size) * count, "little")
@@ -246,7 +256,7 @@ def _lane_constants(n: int, count: int) -> _Lanes:
         run = 1 << b
         selector = int.from_bytes((empty * run + full * run) * (count * size >> b + 1), "little")
         steps.append((selector, 8 * width * run))
-    return _Lanes(width, identity, tuple(steps), slot, starts)
+    return _Lanes(width, identity, tuple(steps), slot, starts, high, low)
 
 
 def _lanes(tables: Iterable[Iterable[int]], width: int, size: int) -> bytes:
@@ -256,12 +266,13 @@ def _lanes(tables: Iterable[Iterable[int]], width: int, size: int) -> bytes:
     return b"".join(starmap(pack, tables))
 
 
-def _batch(tables: Sequence[tuple[int, ...]]) -> tuple[bytes, _Lanes]:
-    """Tables on the same n symbols packed end to end, and the lane constants
-    tiled over them."""
+def _batch(tables: Sequence[tuple[int, ...]]) -> tuple[bytes, int, _Lanes]:
+    """Tables on the same n symbols packed end to end, as bytes and as one
+    int, and the lane constants tiled over them."""
     size = len(tables[0])
     lanes = _lane_constants(size.bit_length() - 1, len(tables))
-    return _lanes(tables, lanes.width, size), lanes
+    images = _lanes(tables, lanes.width, size)
+    return images, int.from_bytes(images, "little"), lanes
 
 
 def _lookup(t: tuple[int, ...]) -> bytes:
@@ -294,13 +305,12 @@ def _failures(tables: Sequence[tuple[int, ...]], lanes: _Lanes) -> tuple[int, in
 
 def _fold(failed: int, lanes: _Slots | _Lanes) -> int:
     """One flag per table: bit k·slot of the result is set exactly when
-    ``failed`` has a bit set in table k.  After the shifts by 1, 2, 4, …,
-    slot/2, each bit holds the OR of the ``slot`` bits from it upward."""
-    shift = 1
-    while shift < lanes.slot:
-        failed |= failed >> shift
-        shift <<= 1
-    return failed & lanes.starts
+    ``failed`` has a bit set in table k.  Adding ``low`` to the bits of a
+    slot below its last carries into its last bit exactly when one of them
+    is set, and no further (Hacker's Delight, §6-1); OR-ing ``failed`` back
+    in adds the last bit itself, and the shift moves each last bit to the
+    first bit of its slot."""
+    return ((((failed & lanes.low) + lanes.low) | failed) & lanes.high) >> (lanes.slot - 1)
 
 
 def _axiom_flags(tables: Sequence[tuple[int, ...]]) -> tuple[int, int, int]:
@@ -314,19 +324,18 @@ def _axiom_flags(tables: Sequence[tuple[int, ...]]) -> tuple[int, int, int]:
 def _monotone_finitary_flags(tables: Sequence[tuple[int, ...]]) -> tuple[int, int]:
     """The flags (see ``_fold``) of the tables that fail (ii) and of those
     that fail (iii), in one pass that skips the C∘C gather of (i)."""
-    images, lanes = _batch(tables)
-    second, third = _zeta_failures(int.from_bytes(images, "little"), lanes.steps)
+    _, packed, lanes = _batch(tables)
+    second, third = _zeta_failures(packed, lanes.steps)
     return _fold(second, lanes), _fold(third, lanes)
 
 
-def _column(b: tuple[int, ...], images: bytes, lanes: _Lanes) -> tuple[int, int]:
+def _column(b: tuple[int, ...], images: bytes, packed: int, lanes: _Lanes) -> tuple[int, int]:
     """For the table b and the tables a packed in ``images`` one byte per
-    image, the flags (see ``_fold``) of the a with a ≤ b, where no image of a
-    leaves the image of b, and of the a with b∘a = b, where b sends each
-    image a[m] to b[m]."""
-    tile = bytes(b) * (len(images) // len(b))
-    column = int.from_bytes(tile, "little")
-    outside = int.from_bytes(images, "little") & ~column
+    image, and in ``packed`` as one int, the flags (see ``_fold``) of the a
+    with a ≤ b, where no image of a leaves the image of b, and of the a with
+    b∘a = b, where b sends each image a[m] to b[m]."""
+    column = int.from_bytes(bytes(b), "little") * lanes.starts
+    outside = packed & ~column
     moved = int.from_bytes(images.translate(_lookup(b)), "little") ^ column
     return lanes.starts & ~_fold(outside, lanes), lanes.starts & ~_fold(moved, lanes)
 

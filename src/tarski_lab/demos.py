@@ -18,8 +18,9 @@ from .operators import (
     FromSystem,
     NaiveJoin,
     SExample,
+    _cprime_table,
+    _cxy_table,
     evaluate,
-    table,
 )
 from .algebra import (
     descending_chain,
@@ -35,7 +36,9 @@ from .classify import (
     _extensive_idempotent_tables,
     _lookup,
     _monotone_finitary_flags,
+    _slots,
     check_axioms,
+    default_universe,
     dense_cover_check,
     e0_family,
     enumerate_operators,
@@ -44,10 +47,6 @@ from .classify import (
 )
 from .parsing import render_operator
 from .report import Report, axiom_report_payload, sublattice_payload
-
-
-def _l3():
-    return make_universe(Mode.FINITE, ("a", "b", "c"))
 
 
 def _idempotence_failure(name: str, op, start) -> Report:
@@ -73,7 +72,7 @@ def _idempotence_failure(name: str, op, start) -> Report:
 
 def _adder_and_example():
     """The two closure operators that examples 2.8 and 3.4 combine."""
-    u = _l3()
+    u = default_universe(3)
     return CPrime(u.of_names("b"), u.empty()), SExample(u.of_names("a"), u.index_of("b"))
 
 
@@ -120,13 +119,16 @@ def demo_thm_2_5() -> Report:
     """Both parametric families are closure operators for every parameter
     pair (exhaustive on three symbols), and the second family loses
     finitarity exactly when its trigger set is infinite."""
-    u = _l3()
-    subsets = [u.from_mask(m) for m in range(1 << u.size)]
-    passes = []
-    for family in (Cxy, CPrime):
-        first, second, third = _axiom_flags([table(family(x, y)) for x in subsets for y in subsets])
-        passes.append(len(subsets) ** 2 - (first | second | third).bit_count())
-    cxy_pass, cprime_pass = passes
+    n = 3
+    size = 1 << n
+    pairs = [(x, y) for x in range(size) for y in range(size)]
+    tables = [_cxy_table(x, y, size) for x, y in pairs] + [_cprime_table(x, y, size) for x, y in pairs]
+    first, second, third = _axiom_flags(tables)
+    failed = first | second | third
+    # The first family fills the first len(pairs) slots, the second the rest.
+    first_family = _slots(n, len(pairs)).starts
+    cxy_pass = len(pairs) - (failed & first_family).bit_count()
+    cprime_pass = len(pairs) - (failed & ~first_family).bit_count()
     infinite = make_universe(Mode.COFINITE)
     caveat = check_axioms(CPrime(infinite.subset([0]), infinite.cosubset([0])))
     return Report(
@@ -144,7 +146,7 @@ def demo_thm_2_5() -> Report:
 def demo_thm_2_7() -> Report:
     """Every single-element closure candidate is an atom, and every
     axiomatic operator dominates one of them (three symbols)."""
-    u = _l3()
+    u = default_universe(3)
     systems = list(enumerate_operators(3))
     members = e0_family(u)
     atoms = [is_atom(op, systems) for op in members]
@@ -165,7 +167,7 @@ def demo_thm_3_1() -> Report:
     """The family induced by a fixed trigger set is a complete distributive
     sublattice where both joins agree; with a qualifying parameter it is
     not a chain."""
-    u = _l3()
+    u = default_universe(3)
     b = u.of_names("b")
     generators = [u.from_mask(m) for m in range(1 << u.size)]
     result = sublattice_report(b, generators)
@@ -178,7 +180,7 @@ def demo_thm_3_1() -> Report:
 
 def demo_thm_3_3() -> Report:
     """The relative complement formula recovers the unique complement."""
-    u = _l3()
+    u = default_universe(3)
     b = u.of_names("b")
     lower = Cxy(u.of_names("a"), b)
     upper = Cxy(u.of_names("a", "c"), b)
@@ -202,10 +204,10 @@ def demo_thm_3_5() -> Report:
     """Order and composition characterise each other across every pair of
     operators on three symbols."""
     tables = [system.table for system in enumerate_operators(3)]
-    images, lanes = _batch(tables)
+    images, packed, lanes = _batch(tables)
     discrepancies = 0
     for b in tables:
-        below, absorbs = _column(b, images, lanes)
+        below, absorbs = _column(b, images, packed, lanes)
         discrepancies += (below ^ absorbs).bit_count()
     return Report(
         command="demo thm-3.5",
@@ -217,7 +219,7 @@ def demo_thm_3_5() -> Report:
 def demo_lemma_2_6() -> Report:
     """Every axiomatic operator sends some co-singleton to the whole
     universe; scanned over all axiomatic operators on three symbols."""
-    u = _l3()
+    u = default_universe(3)
     failures = 0
     checked = 0
     for system in enumerate_operators(3):

@@ -396,11 +396,9 @@ def _table(op: OperatorExpr, size: int) -> tuple[int, ...]:
     if isinstance(op, Top):
         return (full,) * size
     if isinstance(op, Cxy):
-        x, y = op.x.mask, op.y.mask
-        return tuple([m | x if m & y else m for m in range(size)])
+        return _cxy_table(op.x.mask, op.y.mask, size)
     if isinstance(op, CPrime):
-        x, y = op.x.mask, op.y.mask
-        return tuple([m | x if m & y == y else m for m in range(size)])
+        return _cprime_table(op.x.mask, op.y.mask, size)
     if isinstance(op, SExample):
         base, trigger = op.m.mask, 1 << op.b
         return tuple([full if m & trigger else m | base for m in range(size)])
@@ -418,6 +416,16 @@ def _table(op: OperatorExpr, size: int) -> tuple[int, ...]:
     if isinstance(op, WeakJoin):
         return weak_join_table(_table(op.left, size), _table(op.right, size))
     raise TypeError(f"unknown operator expression {op!r}")
+
+
+def _cxy_table(x: int, y: int, size: int) -> tuple[int, ...]:
+    """The table of ``Cxy`` with parameter masks x and y."""
+    return tuple([m | x if m & y else m for m in range(size)])
+
+
+def _cprime_table(x: int, y: int, size: int) -> tuple[int, ...]:
+    """The table of ``CPrime`` with parameter masks x and y."""
+    return tuple([m | x if m & y == y else m for m in range(size)])
 
 
 def weak_join_table(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:

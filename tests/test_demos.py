@@ -1,14 +1,18 @@
 """Every named demo exits 0 and its JSON report matches the checked-in golden.
 
 The packed column primitive behind thm-3.5 (``classify._column``, the
-flags of a ≤ b and of b∘a = b for one table b against a packed family) and
-the escape count behind thm-4.3-lemma (three ``bytes.translate`` gathers),
-and the axiom kernels behind thm-2.5, remark-2.2 and lemma-2.6, are checked
-item by item against the expression-level procedures they replace.  On all
-6,150,400 ordered pairs of closure systems on four symbols, listed by
-perfbench's independent enumeration, packed ≤ is checked against
-fixed(b) ⊆ fixed(a) and packed b∘a = b against packed ≤, and the escape
-count is checked to be zero on every one of those systems.
+flags of a ≤ b and of b∘a = b for one table b against a family packed once,
+as bytes and as one int) and the escape count behind thm-4.3-lemma (three
+``bytes.translate`` gathers), and the axiom kernels behind thm-2.5,
+remark-2.2 and lemma-2.6, are checked item by item against the
+expression-level procedures they replace.  On all 6,150,400 ordered pairs
+of closure systems on four symbols, listed by perfbench's independent
+enumeration, packed ≤ is checked against fixed(b) ⊆ fixed(a) and packed
+b∘a = b against packed ≤, and the escape count is checked to be zero on
+every one of those systems.  The tables thm-2.5 compiles from parameter
+masks are checked against ``table`` of the nodes, and breaking one family
+must zero that family's count alone: both families pass in the golden, so
+it cannot see their slot ranges swapped.
 """
 
 import itertools
@@ -19,6 +23,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from tarski_lab import demos
 from tarski_lab.algebra import equivalent, le
 from tarski_lab.classify import (
     _batch,
@@ -27,13 +32,24 @@ from tarski_lab.classify import (
     _lookup,
     axiom_witnesses,
     check_axioms,
+    default_universe,
     enumerate_operators,
     lemma26_witness,
 )
 from tarski_lab.cli import main
 from tarski_lab.concurrence import monotone_union_check
 from tarski_lab.demos import DEMOS, _union_escapes, _union_pairs, run_demo
-from tarski_lab.operators import CPrime, Cxy, FromSystem, FromTable, compose, evaluate, table
+from tarski_lab.operators import (
+    CPrime,
+    Cxy,
+    FromSystem,
+    FromTable,
+    _cprime_table,
+    _cxy_table,
+    compose,
+    evaluate,
+    table,
+)
 from tarski_lab.sets import Mode, make_universe
 
 from oracles import all_subsets, flag_bytes
@@ -128,10 +144,10 @@ def test_packed_order_is_reverse_inclusion_of_fixed_points_on_four_symbols():
     families = oracle.moore_families(4)
     tables = [tuple(oracle.closure_table(family, 4)) for family in families]
     fixed = [sum(1 << m for m in family) for family in families]
-    images, lanes = _batch(tables)
+    images, packed, lanes = _batch(tables)
     comparable = 0
     for b, fixed_b in zip(tables, fixed):
-        below, absorbs = _column(b, images, lanes)
+        below, absorbs = _column(b, images, packed, lanes)
         assert flag_bytes(below, lanes, len(tables)) == bytes(fixed_b & ~fixed_a == 0 for fixed_a in fixed)
         assert absorbs == below
         comparable += below.bit_count()
@@ -161,6 +177,29 @@ def test_kernel_matches_check_axioms_on_the_thm_2_5_families():
     for family, x, y in itertools.product((Cxy, CPrime), subsets, subsets):
         op = family(x, y)
         assert (axiom_witnesses(table(op)) == (None, None, None)) == check_axioms(op).all_pass
+
+
+def test_thm_2_5_tables_are_the_node_tables():
+    l4 = default_universe(4)
+    rng = random.Random(25)
+    pairs = [(x, y) for x in all_subsets(L3) for y in all_subsets(L3)]
+    pairs += [(l4.from_mask(rng.randrange(16)), l4.from_mask(rng.randrange(16))) for _ in range(64)]
+    for x, y in pairs:
+        size = 1 << x.universe.size
+        assert table(Cxy(x, y)) == _cxy_table(x.mask, y.mask, size)
+        assert table(CPrime(x, y)) == _cprime_table(x.mask, y.mask, size)
+
+
+@pytest.mark.parametrize(
+    "broken, failing, intact", [("_cxy_table", "first", "second"), ("_cprime_table", "second", "first")]
+)
+def test_thm_2_5_counts_each_family_in_its_own_slots(monkeypatch, broken, failing, intact):
+    # Sending every set to ∅ is not extensive, so every pair of the patched family fails.
+    monkeypatch.setattr(demos, broken, lambda x, y, size: (0,) * size)
+    report = run_demo("thm-2.5")
+    assert report.data[f"{failing}-family-pass"] == 0
+    assert report.data[f"{intact}-family-pass"] == 64
+    assert report.verdict is False
 
 
 def _lemma26_by_report(op):

@@ -2,8 +2,9 @@
 sweep, the axiom kernel and the closure-system table against literal int
 definitions, the packed axiom kernel, on one table and on many packed end
 to end, against the loop kernel it replaced
-(``oracles.loop_axiom_witnesses``), and the Moore-family search against a
-brute-force scan of every family bitmask."""
+(``oracles.loop_axiom_witnesses``), the per-table flags of ``_fold``
+against a literal per-slot OR at every lane width, and the Moore-family
+search against a brute-force scan of every family bitmask."""
 
 import random
 import sys
@@ -37,9 +38,11 @@ from tarski_lab.classify import (
     AxiomReport,
     Verdict,
     _axiom_flags,
+    _fold,
     _lane_constants,
     _monotone_finitary_flags,
     _moore_family_masks,
+    _slots,
     axiom_witnesses,
     check_axioms,
 )
@@ -423,6 +426,43 @@ class TestPackedKernel:
         first, last = top_lane_tables(4)
         assert axiom_witnesses(first) == ((15,), (8, 15), (15, 3))
         assert axiom_witnesses(last) == ((1,), (14, 15), (15, 1))
+
+
+def slot_or(failed, slot, count):
+    """The flags ``_fold`` promises, by their literal definition: bit k·slot
+    is set exactly when some bit of slot k of ``failed`` is set."""
+    whole = (1 << slot) - 1
+    return sum(1 << k * slot for k in range(count) if failed >> k * slot & whole)
+
+
+class TestFold:
+    COUNT = 3
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 17])
+    def test_matches_the_per_slot_or(self, n):
+        slots = _slots(n, self.COUNT)
+        assert slots.width == (1 if n <= 8 else 2 if n <= 16 else 4)
+        slot, last = slots.slot, (self.COUNT - 1) * slots.slot
+        whole = (1 << slot) - 1
+        cases = [
+            0,
+            1 << slot,  # only the first bit of the middle slot
+            1 << 2 * slot - 1,  # only its last bit
+            1 << 2 * slot - 2,  # only the bit below its last
+            1 << last,  # only the first bit of the last slot
+            1 << last + slot - 1,  # only the last bit of the last slot
+            whole << slot,  # the whole middle slot
+            whole << last | 1,
+            (1 << self.COUNT * slot) - 1,
+        ]
+        if slot <= 128:
+            cases += [1 << slot + b for b in range(slot)]
+        rng = random.Random(200 + n)
+        for _ in range(20):
+            chosen = [k for k in range(self.COUNT) if rng.random() < 0.5]
+            cases.append(sum(1 << k * slot + rng.randrange(slot) for k in chosen))
+        for failed in cases:
+            assert _fold(failed, slots) == slot_or(failed, slot, self.COUNT)
 
 
 def is_closure_system(n, fam):
