@@ -205,9 +205,10 @@ def demo_thm_3_5() -> Report:
     operators on three symbols."""
     tables = [system.table for system in enumerate_operators(3)]
     images, packed, lanes = _batch(tables)
+    slots = lanes.slots
     discrepancies = 0
     for b in tables:
-        below, absorbs = _column(b, images, packed, lanes)
+        below, absorbs = _column(b, images, packed, slots)
         discrepancies += (below ^ absorbs).bit_count()
     return Report(
         command="demo thm-3.5",

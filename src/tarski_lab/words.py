@@ -141,9 +141,6 @@ class PartialSeq:
     def arity(self) -> int:
         return len(self.codes) - 1
 
-    def value_at(self, position: int) -> int:
-        return self.codes[position]
-
 
 def seq_of_word(w: Word) -> PartialSeq:
     """The arity-0 representative of a word."""
@@ -220,8 +217,3 @@ def count_decompositions(w: Word, k: int | None = None) -> int:
     if not 0 <= k <= gaps:
         raise ValueError(f"arity must lie in 0..{gaps}")
     return math.comb(gaps, k)
-
-
-def theta(alpha: Alphabet, code: int) -> WordClass:
-    """The word class addressed by a code: classes inherit the encoding."""
-    return class_of(PartialSeq(alpha, (code,)))

@@ -7,11 +7,44 @@ def all_subsets(universe) -> tuple:
     return tuple(universe.from_mask(m) for m in range(1 << universe.size))
 
 
-def flag_bytes(flags, lanes, count):
+def flag_bytes(flags, slots, count):
     """The per-table flags of a ``classify._fold`` result over ``count`` tables
     as one byte each, 1 where table k's flag is set: its first byte."""
-    step = lanes.slot // 8
+    step = slots.slot // 8
     return flags.to_bytes(count * step, "little")[::step]
+
+
+def bounded_sweep(evaluate, family):
+    """The three axioms as pair loops over ``family``, whose first member is
+    the empty set, reading C through ``evaluate``.  Returns the witnesses, each
+    None where its axiom holds on the family: the first s failing (i) as
+    ``(s,)``, the first s ⊆ t with C(s) ⊄ C(t) as ``(s, t)``, and the first s
+    whose finite parts a ⊆ s in the family reach an element outside C(s), as
+    ``(s, least such element)``."""
+    images = [evaluate(s) for s in family]
+    first = second = third = None
+    for s, image in zip(family, images):
+        if not s.is_subset(image) or evaluate(image) != image:
+            first = (s,)
+            break
+    for s, image in zip(family, images):
+        if second is not None:
+            break
+        for t, other in zip(family, images):
+            if s.is_subset(t) and not image.is_subset(other):
+                second = (s, t)
+                break
+    finite = [(a, part) for a, part in zip(family, images) if a.is_finite()]
+    for s, image in zip(family, images):
+        union = family[0]
+        for a, part in finite:
+            if a.is_subset(s):
+                union = union.union(part)
+        # A finite s is among the parts, so for it "union ⊆ image" is equality.
+        if not union.is_subset(image):
+            third = (s, union.difference(image).least())
+            break
+    return first, second, third
 
 
 def loop_axiom_witnesses(t):

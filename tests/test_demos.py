@@ -89,7 +89,8 @@ ARBITRARY = [tuple(_rng.randrange(8) for _ in range(8)) for _ in range(20)]
 
 def _column_of_one(a, b):
     """``_column`` of b against the family holding only a, as two booleans."""
-    below, absorbs = _column(table(b), *_batch([table(a)]))
+    images, packed, lanes = _batch([table(a)])
+    below, absorbs = _column(table(b), images, packed, lanes.slots)
     return bool(below), bool(absorbs)
 
 
@@ -147,8 +148,8 @@ def test_packed_order_is_reverse_inclusion_of_fixed_points_on_four_symbols():
     images, packed, lanes = _batch(tables)
     comparable = 0
     for b, fixed_b in zip(tables, fixed):
-        below, absorbs = _column(b, images, packed, lanes)
-        assert flag_bytes(below, lanes, len(tables)) == bytes(fixed_b & ~fixed_a == 0 for fixed_a in fixed)
+        below, absorbs = _column(b, images, packed, lanes.slots)
+        assert flag_bytes(below, lanes.slots, len(tables)) == bytes(fixed_b & ~fixed_a == 0 for fixed_a in fixed)
         assert absorbs == below
         comparable += below.bit_count()
     assert (len(tables), comparable) == (2480, 325967)

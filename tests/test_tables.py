@@ -415,11 +415,11 @@ class TestPackedKernel:
         for tables in kernel_batches(n):
             witnesses = [axiom_witnesses(t) for t in tables]
             assert witnesses == [loop_axiom_witnesses(t) for t in tables]
-            lanes = _lane_constants(n, len(tables))
+            slots = _lane_constants(n, len(tables)).slots
             flags = _axiom_flags(tables)
             for k, axiom in enumerate(flags):
-                assert axiom & ~lanes.starts == 0
-                assert flag_bytes(axiom, lanes, len(tables)) == bytes(w[k] is not None for w in witnesses)
+                assert axiom & ~slots.starts == 0
+                assert flag_bytes(axiom, slots, len(tables)) == bytes(w[k] is not None for w in witnesses)
             assert _monotone_finitary_flags(tables) == flags[1:]
 
     def test_top_lane_tables_fail_where_planted(self):

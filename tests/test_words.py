@@ -16,6 +16,7 @@ from tarski_lab.words import (
     MAX_WORD_LENGTH,
     Alphabet,
     AlphabetMismatchError,
+    PartialSeq,
     Word,
     alphabet,
     class_of,
@@ -27,7 +28,6 @@ from tarski_lab.words import (
     join_words,
     seq_of_pieces,
     seq_of_word,
-    theta,
     word_of_seq,
 )
 
@@ -125,8 +125,8 @@ class TestPartialSequences:
         pieces = [MATH.word(p) for p in ("math", "e", "mat", "ics")]
         f = seq_of_pieces(pieces)
         assert f.arity == 3
-        assert f.value_at(3) == encode(MATH.word("math"))
-        assert f.value_at(0) == encode(MATH.word("ics"))
+        assert f.codes[3] == encode(MATH.word("math"))
+        assert f.codes[0] == encode(MATH.word("ics"))
         assert word_of_seq(f).text() == "mathematics"
 
     def test_arity_zero(self):
@@ -244,6 +244,11 @@ class TestDecompositions:
         for k in (0, 2, 5):
             for seq in decompositions(word, k):
                 assert equivalent_seqs(seq, base)
+
+
+def theta(alpha, code):
+    """The word class addressed by a code: classes inherit the encoding."""
+    return class_of(PartialSeq(alpha, (code,)))
 
 
 class TestTheta:
