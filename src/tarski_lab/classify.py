@@ -15,11 +15,14 @@ and passes of (i) and (iii) are explicitly inconclusive.
 packs the table into one int, one little-endian lane of 1, 2 or 4 bytes
 per image (``struct.pack``), and runs a superset-AND and a subset-OR zeta
 transform on that int in O(n) masked whole-int shifts
-(``_zeta_failures``); ``lemma26_witness`` decides through it.  The packed format lives here once.
-A family of k tables on the same symbols packs end to end into one int,
-table i filling slot i (2ⁿ lanes), and ``_lane_constants(n, k)`` tiles the
-selectors and the identity over the k slots, so the same shifts run once
-for the whole family and no lane crosses a slot.  ``_fold`` turns a
+(``_zeta_failures``); ``lemma26_witness`` decides through it.  The lane
+encoding is defined in ``operators``: the lane width, the ``struct`` codes,
+the per-bit steps and the superset-AND that ``ClosureSystem.table`` runs
+too.  The family layout and the flags are defined here.  A family of k
+tables on the same symbols packs end to end into one int, table i filling
+slot i (2ⁿ lanes), and ``_lane_constants(n, k)`` tiles the selectors and
+the identity over the k slots, so the same shifts run once for the whole
+family and no lane crosses a slot.  ``_fold`` turns a
 failure int into one flag bit per table, the first bit of its slot, with
 no loop: adding ``low`` (the bits of every slot but its last) to the bits
 below each slot's last bit carries into that bit exactly when one of them
@@ -62,11 +65,15 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .sets import Mode, ModeError, SentenceSet, Universe, make_universe
 from .operators import (
+    _LANE_CODES,
     ClosureSystem,
     CPrime,
     Identity,
     OperatorExpr,
     _closed_form,
+    _lane_width,
+    _superset_and,
+    _zeta_steps,
     evaluate,
     table,
 )
@@ -227,7 +234,7 @@ class _Slots(NamedTuple):
 
 
 def _slots(n: int, count: int) -> _Slots:
-    width = 1 if n <= 8 else 2 if n <= 16 else 4
+    width = _lane_width(n)
     slot = 8 * width << n
     starts = int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * count, "little")
     high = starts << slot - 1
@@ -242,28 +249,14 @@ class _Lanes(NamedTuple):
     steps: tuple[tuple[int, int], ...]  # per bit: the selector and the shift
 
 
-_LANE_CODES = {1: "B", 2: "H", 4: "I"}
-
-
 def _lane_constants(n: int, count: int) -> _Lanes:
-    """The lane constants for ``count`` tables on n symbols.
-
-    Per bit b, the selector fills with L every lane whose index within its
-    table has bit b, and the shift moves a lane m to m + 2ᵇ.  The pattern
-    repeats every table, so a shift never carries a lane across a table
-    boundary.
-    """
+    """The lane constants for ``count`` tables on n symbols, with the steps
+    of ``operators._zeta_steps`` kept for reuse."""
     slots = _slots(n, count)
     width = slots.width
     size = 1 << n
-    empty, full = bytes(width), (size - 1).to_bytes(width, "little")
     identity = int.from_bytes(_lanes([range(size)], width, size) * count, "little")
-    steps = []
-    for b in range(n):
-        run = 1 << b
-        selector = int.from_bytes((empty * run + full * run) * (count * size >> b + 1), "little")
-        steps.append((selector, 8 * width * run))
-    return _Lanes(slots, identity, tuple(steps))
+    return _Lanes(slots, identity, tuple(_zeta_steps(n, width, count)))
 
 
 def _lanes(tables: Iterable[Iterable[int]], width: int, size: int) -> bytes:
@@ -292,12 +285,11 @@ def _zeta_failures(packed: int, steps: tuple[tuple[int, int], ...]) -> tuple[int
     """C & ~D and U & ~C of every packed table, nonzero in the lanes that fail
     (ii) and (iii), where lane s of D holds the AND of C(r) over r ⊇ s and
     lane s of U the OR of C(a) over a ⊆ s.  Both zeta transforms take one
-    masked shift of the whole int per bit."""
-    down = up = packed
+    masked shift of the whole int per bit; D is ``operators._superset_and``."""
+    up = packed
     for selector, shift in steps:
-        down &= ((down & selector) >> shift) | selector
         up |= (up & ~selector) << shift
-    return packed & ~down, up & ~packed
+    return packed & ~_superset_and(packed, steps), up & ~packed
 
 
 def _failures(tables: Sequence[tuple[int, ...]], lanes: _Lanes) -> tuple[int, int, int]:

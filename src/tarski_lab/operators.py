@@ -28,13 +28,24 @@ the image mask of the subset with mask m, compiled bottom-up on ints.  A
 and holds ``system.table``, the least closed superset of every subset, built
 on first use and read by ``table`` for ``FromSystem``; evaluating at one
 point scans the closed masks instead.
+
+The lane encoding lives here too, below ``classify``'s axiom kernel: a table
+packs into one int, one little-endian lane of ``_lane_width(n)`` bytes per
+image (``_LANE_CODES`` names the ``struct`` code of each width), and
+``_superset_and`` ANDs every lane with the lanes of its supersets in one
+masked shift of the whole int per bit (``_zeta_steps``).  ``system.table``
+is that superset-AND, seeded with c in the lane of each closed c and with L
+in every other lane; it builds one selector at a time, except on at most
+eight symbols, where ``_byte_lane_steps`` keeps them per n.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import and_, or_
+from typing import Iterable, Iterator
 
 from .sets import (
     Mode,
@@ -46,6 +57,49 @@ from .sets import (
 
 # Tables and exhaustive sweeps have 2^n entries; beyond this size they are hopeless.
 MAX_SWEEP_SIZE = 24
+
+# The ``struct`` code of a little-endian lane of 1, 2 or 4 bytes.
+_LANE_CODES = {1: "B", 2: "H", 4: "I"}
+
+
+def _refuse_oversized(n: int) -> None:
+    if n > MAX_SWEEP_SIZE:
+        raise ValueError(f"universe of size {n} is too large for exhaustive sweeps")
+
+
+def _lane_width(n: int) -> int:
+    """Bytes per lane: 1, 2 or 4, enough for a mask of n bits."""
+    return 1 if n <= 8 else 2 if n <= 16 else 4
+
+
+def _zeta_steps(n: int, width: int, count: int) -> Iterator[tuple[int, int]]:
+    """Per bit b of ``count`` tables on n symbols packed end to end in lanes of
+    ``width`` bytes: the selector, which fills with L every lane whose index
+    within its table has bit b, and the shift, which moves a lane m to m + 2ᵇ.
+    The pattern repeats every table, so a shift never carries a lane across a
+    table boundary.  Each selector is built as it is asked for."""
+    size = 1 << n
+    empty, full = bytes(width), (size - 1).to_bytes(width, "little")
+    for b in range(n):
+        run = 1 << b
+        selector = int.from_bytes((empty * run + full * run) * (count * size >> b + 1), "little")
+        yield selector, 8 * width * run
+
+
+@lru_cache(maxsize=None)
+def _byte_lane_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """The steps of one table on at most eight symbols, kept for each such n:
+    n selectors of at most 256 bytes each, which cost more to build than the
+    superset-AND."""
+    return tuple(_zeta_steps(n, 1, 1))
+
+
+def _superset_and(packed: int, steps: Iterable[tuple[int, int]]) -> int:
+    """The packed tables with lane s holding the AND of the lanes r ⊇ s of its
+    table: one masked shift of the whole int per bit."""
+    for selector, shift in steps:
+        packed &= ((packed & selector) >> shift) | selector
+    return packed
 
 
 class OperatorConstraintError(ValueError):
@@ -234,20 +288,21 @@ class ClosureSystem:
     def table(self) -> tuple[int, ...]:
         """The mask of the least closed superset of every subset, indexed by mask.
 
-        That is the AND of all closed supersets, L among them: seed each closed
-        c with c and every other mask with L, then AND every entry with its
-        superset's entry across one bit at a time.
+        That is the AND of all closed supersets, L among them: pack one lane
+        per subset, seeding lane c with c for each closed c and every other
+        lane with L, then AND every lane with the lane of its superset across
+        one bit at a time (``_superset_and``).
         """
         n = self.universe.size
-        out = [(1 << n) - 1] * (1 << n)
+        _refuse_oversized(n)
+        size, width = 1 << n, _lane_width(n)
+        lane = struct.Struct(f"<{_LANE_CODES[width]}")
+        seeded = bytearray(lane.pack(size - 1) * size)
         for c in self.masks:
-            out[c] = c
-        for i in range(n):
-            bit = 1 << i
-            for m in range(1 << n):
-                if not m & bit:
-                    out[m] &= out[m | bit]
-        return tuple(out)
+            lane.pack_into(seeded, c * width, c)
+        steps = _byte_lane_steps(n) if width == 1 else _zeta_steps(n, width, 1)
+        packed = _superset_and(int.from_bytes(seeded, "little"), steps)
+        return struct.unpack(f"<{size}{_LANE_CODES[width]}", packed.to_bytes(size * width, "little"))
 
 
 @dataclass(frozen=True)
@@ -380,8 +435,7 @@ def table(op: OperatorExpr) -> tuple[int, ...]:
     """The mask of ``evaluate(op, X)`` for every subset X, indexed by X's mask."""
     universe = op.universe
     n = universe.size  # a ModeError on the infinite universe
-    if n > MAX_SWEEP_SIZE:
-        raise ValueError(f"universe of size {n} is too large for exhaustive sweeps")
+    _refuse_oversized(n)
     try:
         return _table(op, 1 << n)
     except OperatorConstraintError:

@@ -72,6 +72,7 @@ COMMAND_LOADS = [
     (["words", "--alphabet", "ab", "encode", "abba"], {"cli", "report", "sets", "words"}),
     (["check", "--universe", "a,b", "cxy {a} {b}"], {"cli", "sets", "operators", "parsing", "classify", "report"}),
     (["order", "--universe", "a,b", "I", "U"], {"cli", "sets", "operators", "parsing", "algebra", "report"}),
+    (["theories", "--universe", "a,b", "system[{a};L]"], {"cli", "sets", "operators", "parsing", "report"}),
     (["concurrent", "-"], {"cli", "concurrence", "sets", "report"}),
 ]
 

@@ -45,6 +45,7 @@ from tarski_lab.classify import (
     _slots,
     axiom_witnesses,
     check_axioms,
+    enumerate_operators,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -304,15 +305,45 @@ class TestTable:
         assert system.table == tuple(oracle.closure_table(system.masks, system.universe.size))
         assert table(FromSystem(system)) == system.table
 
-    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closure_system_table_on_every_system(self, n):
+        for system in enumerate_operators(n):
+            assert system.table == tuple(oracle.closure_table(system.masks, n))
+
+    @pytest.mark.parametrize("n", range(5, 13))
     def test_closure_system_table_beyond_the_strategy_sizes(self, n):
-        # The strategy stops at four symbols; a slip in the DP's high bit passes only shows here.
+        # The strategy stops at four symbols; a slip in a high bit's step, or at
+        # the 8/9 lane-width edge, only shows here.
         rng = random.Random(n)
         u = make_universe(Mode.FINITE, [f"s{i}" for i in range(n)])
         for _ in range(25):
             generators = rng.sample(range(1 << n), rng.randint(0, 7))
             system = ClosureSystem(u, intersection_closure(generators, n))
             assert system.table == tuple(oracle.closure_table(system.masks, n))
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_closure_system_table_on_four_byte_lanes(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        # Generators missing a few symbols each, so most samples have closed supersets besides L.
+        generators = [full & ~sum(1 << i for i in rng.sample(range(n), 3)) for _ in range(8)]
+        closed = intersection_closure(generators, n)
+        values = ClosureSystem(make_universe(Mode.FINITE, [f"s{i}" for i in range(n)]), closed).table
+        for _ in range(256):
+            m = rng.choice(closed) & rng.getrandbits(n)
+            expected = full
+            for c in closed:
+                if c & m == m:
+                    expected &= c
+            assert values[m] == expected
+
+    def test_closure_system_table_is_refused_above_the_sweep_bound(self):
+        # Construction and one point stay cheap; the 2^30-lane table is refused before any work.
+        u = make_universe(Mode.FINITE, [f"s{i}" for i in range(30)])
+        system = ClosureSystem(u, (1, (1 << 30) - 1))
+        assert evaluate(FromSystem(system), u.subset([0])) == u.subset([0])
+        with pytest.raises(ValueError, match="universe of size 30 is too large for exhaustive sweeps"):
+            system.table
 
     def test_a_failing_operand_falls_back_to_pointwise_evaluation(self):
         # flip swaps {} and {a}, so its weak join with I never settles there;
