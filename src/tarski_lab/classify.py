@@ -17,34 +17,38 @@ per image (``struct.pack``), and runs a superset-AND and a subset-OR zeta
 transform on that int in O(n) masked whole-int shifts
 (``_zeta_failures``); ``lemma26_witness`` decides through it.  The lane
 encoding is defined in ``operators``: the lane width, the ``struct`` codes,
-the per-bit steps and the superset-AND that ``ClosureSystem.table`` runs
-too.  The family layout and the flags are defined here.  A family of k
-tables on the same symbols packs end to end into one int, table i filling
-slot i (2ⁿ lanes), and ``_lane_constants(n, k)`` tiles the selectors and
-the identity over the k slots, so the same shifts run once for the whole
-family and no lane crosses a slot.  ``_fold`` turns a
-failure int into one flag bit per table, the first bit of its slot, with
-no loop: adding ``low`` (the bits of every slot but its last) to the bits
-below each slot's last bit carries into that bit exactly when one of them
-is set, so five whole-int operations fold every slot at once; callers
-count with ``int.bit_count``.  On such families ``_axiom_flags`` flags the
-tables failing (i), (ii) and (iii) for the Thm 2.5 demo, both of its
-families in one pass, and ``_monotone_finitary_flags`` only (ii) and (iii)
-for Remark 2.2, whose tables are idempotent by construction.  ``_column``
-compares one table b with a family packed one byte per image, which
-``_batch`` hands over once as bytes and as one int: a ≤ b where no lane of
-the family leaves b tiled over the slots (b times ``starts``), and
-b∘a = b where the family gathered through b's 256-byte lookup
-(``bytes.translate``) equals the tiled b; the Thm 3.5 demo runs one column
-per system.  ``is_atom`` tests its whole oracle against the tiled target
-in one pass and builds only the slot constants (``_slots``) that ``_fold``
-reads.  The exhaustive sweep keeps its
-``SentenceSet`` pair loops, each inclusion one test on the two sets'
-stored masks, until ``check_axioms`` wraps the same kernel (ROADMAP
-item 3).  Remark 2.2 checks every extensive idempotent table on
-three symbols, which ``_extensive_idempotent_tables`` builds directly, one
-mask per level from L down: each image is chosen among the fixed points
-already decided, so no table is built only to be filtered out.
+the per-bit steps and the superset-AND that builds ``ClosureSystem.lanes``.
+The family layout and the flags are defined here.  A family of k tables on
+the same symbols packs end to end into one int, table i filling slot i
+(2ⁿ lanes); ``_slots(n, k)`` places the slots (kept for the last few
+sizes) and ``_lane_constants(n, k)`` tiles the selectors and the identity
+over them, so the same shifts run once for the whole family and no lane
+crosses a slot.  ``_fold`` turns a failure int into one flag bit per
+table, the first bit of its slot, with no loop: adding ``low`` (the bits
+of every slot but its last) to the bits below each slot's last bit
+carries into that bit exactly when one of them is set, so five whole-int
+operations fold every slot at once; callers count with ``int.bit_count``.
+
+A family of closure systems is packed by joining their stored lanes
+(``b"".join``); no pass packs a closure table again.  ``is_atom`` tests
+the joined oracle against the tiled target in one pass and reads only the
+few systems flagged below it.  ``dense_cover_check`` is one pass too: XOR
+with L in the co-singleton lanes (``_cosingleton_lanes``), each lane's
+bits OR-ed down into its first bit, and one ``_fold`` per table.
+``_order_flags`` lays a k×m matrix of pairs, one slot each, for the Thm 3.5
+demo: a ≤ b where no lane of a leaves the tiled b, and b∘a = b where a
+gathered through b's 256-byte lookup (``bytes.translate``) equals it.  On
+families packed one byte per image, ``_axiom_flags`` flags the tables
+failing (i), (ii) and (iii), both Thm 2.5 families in one pass, with C∘C
+one ``bytes.translate`` per table, and ``_monotone_finitary_flags`` only
+(ii) and (iii) for Remark 2.2, whose tables are idempotent by
+construction.  The exhaustive sweep keeps its ``SentenceSet`` pair loops,
+each inclusion one test on the two sets' stored masks, until
+``check_axioms`` wraps the same kernel (ROADMAP item 3).  Remark 2.2
+checks every extensive idempotent table on three symbols, which
+``_extensive_idempotent_tables`` builds directly, one mask per level from
+L down: each image is chosen among the fixed points already decided, so no
+table is built only to be filtered out.
 
 Enumeration produces every closure system (intersection-closed family
 containing L) on a tiny universe, in ascending order of the family's
@@ -52,7 +56,7 @@ characteristic bitmask over P(L); these are the extensional forms of all
 consequence operators and serve as the oracle for the lattice and
 atom-structure checks.  For n ≤ ``ENUMERATION_LIMIT`` the systems of each
 size are built once per process and shared; they are immutable, and each
-builds its closure table lazily, once.
+packs its closure table into lanes lazily, once.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ from .operators import (
     _LANE_CODES,
     ClosureSystem,
     CPrime,
-    Identity,
     OperatorExpr,
     _closed_form,
     _lane_width,
@@ -233,7 +236,9 @@ class _Slots(NamedTuple):
     low: int  # every bit of every table but its last
 
 
+@lru_cache(maxsize=16)
 def _slots(n: int, count: int) -> _Slots:
+    """The slots of ``count`` tables on n symbols, kept for the last few sizes asked."""
     width = _lane_width(n)
     slot = 8 * width << n
     starts = int.from_bytes((b"\1" + bytes(slot // 8 - 1)) * count, "little")
@@ -266,18 +271,9 @@ def _lanes(tables: Iterable[Iterable[int]], width: int, size: int) -> bytes:
     return b"".join(starmap(pack, tables))
 
 
-def _batch(tables: Sequence[tuple[int, ...]]) -> tuple[bytes, int, _Lanes]:
-    """Tables on the same n symbols packed end to end, as bytes and as one
-    int, and the lane constants tiled over them."""
-    size = len(tables[0])
-    lanes = _lane_constants(size.bit_length() - 1, len(tables))
-    images = _lanes(tables, lanes.slots.width, size)
-    return images, int.from_bytes(images, "little"), lanes
-
-
-def _lookup(t: tuple[int, ...]) -> bytes:
+def _lookup(t: bytes | tuple[int, ...]) -> bytes:
     """The 256-byte lookup v ↦ t[v] that ``bytes.translate`` reads, for a
-    table on at most eight symbols."""
+    table on at most eight symbols, as a tuple or as its one-byte lanes."""
     return bytes(t).ljust(256, b"\0")
 
 
@@ -292,13 +288,11 @@ def _zeta_failures(packed: int, steps: tuple[tuple[int, int], ...]) -> tuple[int
     return packed & ~_superset_and(packed, steps), up & ~packed
 
 
-def _failures(tables: Sequence[tuple[int, ...]], lanes: _Lanes) -> tuple[int, int, int]:
-    """The failure ints of (i), (ii) and (iii) for the tables packed end to
-    end: (I & ~C) | (C∘C ^ C), C & ~D and U & ~C."""
-    size = len(tables[0])
-    width = lanes.slots.width
-    packed = int.from_bytes(_lanes(tables, width, size), "little")
-    twice = _lanes([[t[v] for v in t] for t in tables], width, size)
+def _failures(images: bytes, twice: bytes, lanes: _Lanes) -> tuple[int, int, int]:
+    """The failure ints of (i), (ii) and (iii) for the tables C packed end to
+    end in ``images``, with C∘C packed alike in ``twice``: (I & ~C) | (C∘C ^ C),
+    C & ~D and U & ~C."""
+    packed = int.from_bytes(images, "little")
     first = (lanes.identity & ~packed) | (int.from_bytes(twice, "little") ^ packed)
     return (first, *_zeta_failures(packed, lanes.steps))
 
@@ -313,11 +307,15 @@ def _fold(failed: int, slots: _Slots) -> int:
     return ((((failed & slots.low) + slots.low) | failed) & slots.high) >> (slots.slot - 1)
 
 
-def _axiom_flags(tables: Sequence[tuple[int, ...]]) -> tuple[int, int, int]:
+def _axiom_flags(images: bytes, n: int) -> tuple[int, int, int]:
     """The flags (see ``_fold``) of the tables that fail (i), (ii) and (iii),
-    all tables on the same symbols checked in one pass."""
-    lanes = _lane_constants(len(tables[0]).bit_length() - 1, len(tables))
-    first, second, third = _failures(tables, lanes)
+    for tables on n ≤ 8 symbols packed end to end in ``images``, one byte per
+    image, all checked in one pass; C∘C is one ``bytes.translate`` per table."""
+    size = 1 << n
+    lanes = _lane_constants(n, len(images) >> n)
+    tables = [images[i : i + size] for i in range(0, len(images), size)]
+    twice = b"".join([t.translate(t.ljust(256, b"\0")) for t in tables])
+    first, second, third = _failures(images, twice, lanes)
     slots = lanes.slots
     return _fold(first, slots), _fold(second, slots), _fold(third, slots)
 
@@ -325,20 +323,30 @@ def _axiom_flags(tables: Sequence[tuple[int, ...]]) -> tuple[int, int, int]:
 def _monotone_finitary_flags(tables: Sequence[tuple[int, ...]]) -> tuple[int, int]:
     """The flags (see ``_fold``) of the tables that fail (ii) and of those
     that fail (iii), in one pass that skips the C∘C gather of (i)."""
-    _, packed, lanes = _batch(tables)
+    size = len(tables[0])
+    lanes = _lane_constants(size.bit_length() - 1, len(tables))
+    packed = int.from_bytes(_lanes(tables, lanes.slots.width, size), "little")
     second, third = _zeta_failures(packed, lanes.steps)
     return _fold(second, lanes.slots), _fold(third, lanes.slots)
 
 
-def _column(b: tuple[int, ...], images: bytes, packed: int, slots: _Slots) -> tuple[int, int]:
-    """For the table b and the tables a packed in ``images`` one byte per
-    image, and in ``packed`` as one int, the flags (see ``_fold``) of the a
-    with a ≤ b, where no image of a leaves the image of b, and of the a with
-    b∘a = b, where b sends each image a[m] to b[m]."""
-    column = int.from_bytes(bytes(b), "little") * slots.starts
-    outside = packed & ~column
-    moved = int.from_bytes(images.translate(_lookup(b)), "little") ^ column
-    return slots.starts & ~_fold(outside, slots), slots.starts & ~_fold(moved, slots)
+def _order_flags(rows: Sequence[bytes], columns: Sequence[bytes]) -> tuple[int, int, _Slots]:
+    """For every table a of ``rows`` and b of ``columns``, each on the same
+    n ≤ 8 symbols as one-byte lanes, the flags (see ``_fold``) of the pairs
+    that fail a ≤ b, where some image of a leaves the image of b, and of those
+    that fail b∘a = b, where b sends some image a[m] elsewhere than b[m]; and
+    the slots.  The pair of columns[j] and rows[i] sits in slot
+    j·len(rows) + i: a is the rows repeated once per column, the tile of b
+    repeats each column once per row, and b∘a gathers the rows through each
+    column's lookup."""
+    family = b"".join(rows)
+    slots = _slots(len(rows[0]).bit_length() - 1, len(rows) * len(columns))
+    tile = int.from_bytes(b"".join([b * len(rows) for b in columns]), "little")
+    rows_tiled = int.from_bytes(family * len(columns), "little")
+    outside = rows_tiled ^ (rows_tiled & tile)  # rows & ~tile, without negating a whole int
+    composed = b"".join([family.translate(b.ljust(256, b"\0")) for b in columns])
+    moved = int.from_bytes(composed, "little") ^ tile
+    return _fold(outside, slots), _fold(moved, slots), slots
 
 
 def _lowest_bit(x: int) -> int:
@@ -368,9 +376,11 @@ def axiom_witnesses(t: tuple[int, ...]) -> tuple[tuple | None, tuple | None, tup
         lanes = _lane_constants(n, 1)
         if n <= 8:
             _BYTE_LANES[size] = lanes
-    lane = 8 * lanes.slots.width
+    width = lanes.slots.width
+    lane = 8 * width
     first = second = third = None
-    fails_i, fails_ii, fails_iii = _failures([t], lanes)
+    twice = [t[v] for v in t]
+    fails_i, fails_ii, fails_iii = _failures(_lanes([t], width, size), _lanes([twice], width, size), lanes)
     if fails_i:
         first = (_lowest_bit(fails_i) // lane,)
     if fails_ii:
@@ -494,7 +504,7 @@ def enumerate_operators(n: int, include_top: bool = True) -> Iterator[ClosureSys
     everything to L); its family mask is the least, so it comes first.
     Counts for n = 1..4 are 2, 7, 61, 2480.  The systems are built and
     validated once per process and shared by every call; they are immutable,
-    and each one builds its table lazily, once.
+    and each one packs its table into lanes lazily, once.
     """
     systems = _closure_systems(n)
     yield from systems if include_top else systems[1:]
@@ -524,36 +534,49 @@ def e0_family(universe: Universe) -> list[OperatorExpr]:
 def is_atom(op: OperatorExpr, oracle: Iterable[ClosureSystem]) -> bool:
     """Whether nothing in the oracle lies strictly between the identity and ``op``.
 
-    The oracle's tables are packed end to end and tested against the target
-    tiled over them in one pass; only the few tables found below the target
-    are then looked at one by one.
+    The oracle's lanes are joined end to end and tested against the target
+    tiled over them in one pass; only the few systems found below the target
+    are then read one by one.
     """
     universe = op.universe
     if universe.mode is not Mode.FINITE:
         raise ModeError("atom checks run in finite mode only")
     target = table(op)
-    identity = table(Identity(universe))
+    identity = tuple(range(len(target)))
     if target == identity:
         raise ValueError("the identity is not eligible for the atom check")
-    tables = [system.table for system in oracle]
-    if not tables:
+    systems = list(oracle)
+    if not systems:
         return True
-    size = len(target)
-    other = next((len(t) for t in tables if len(t) != size), None)
-    if other is not None:
-        raise ValueError(
-            f"the oracle holds a system on {other.bit_length() - 1} symbols,"
-            f" but the operator is on {universe.size}"
-        )
-    slots = _slots(universe.size, len(tables))
-    images = int.from_bytes(_lanes(tables, slots.width, size), "little")
-    tile = int.from_bytes(_lanes([target], slots.width, size) * len(tables), "little")
-    below = slots.starts & ~_fold(images & ~tile, slots)
+    n = universe.size
+    images = _joined_lanes(systems, n, "the operator")
+    slots = _slots(n, len(systems))
+    tile = int.from_bytes(_lanes([target], slots.width, len(target)), "little") * slots.starts
+    packed = int.from_bytes(images, "little")
+    # x ^ (x & y) is x & ~y without negating a whole int, and flags sit only
+    # at the starts, so XOR with the starts negates them.
+    below = slots.starts ^ _fold(packed ^ (packed & tile), slots)
     while below:
-        if tables[_lowest_bit(below) // slots.slot] not in (identity, target):
+        if systems[_lowest_bit(below) // slots.slot].table not in (identity, target):
             return False
         below &= below - 1
     return True
+
+
+def _joined_lanes(systems: Sequence[ClosureSystem], n: int, expected: str) -> bytes:
+    """The lanes of ``systems`` end to end.  A system on other than n symbols
+    is refused, the message naming ``expected`` as what is on n.  The lane
+    length fixes the number of symbols, so a total length of one n-symbol
+    table per system with none longer means every system is on n."""
+    lanes = [system.lanes for system in systems]
+    length = _lane_width(n) << n
+    images = b"".join(lanes)
+    if len(images) != length * len(lanes) or max(map(len, lanes)) != length:
+        other = next(system for system, lane in zip(systems, lanes) if len(lane) != length)
+        raise ValueError(
+            f"the oracle holds a system on {other.universe.size} symbols, but {expected} is on {n}"
+        )
+    return images
 
 
 @dataclass(frozen=True)
@@ -569,15 +592,40 @@ def dense_cover_check(oracle: Iterable[ClosureSystem]) -> CoverResult:
     """Every axiomatic operator in the oracle must dominate some e0 candidate.
 
     A closure table t dominates the candidate for x exactly when
-    t[L − {x}] = L, so this is Lemma 2.6's co-singleton scan.
+    t[L − {x}] = L, so this is Lemma 2.6's co-singleton scan, run on the
+    joined lanes in one pass.  XOR with L in the co-singleton lanes leaves
+    such a lane zero where its image is L, and lane 0 as it is, nonzero
+    where C(∅) ≠ ∅; OR-ing each lane's bits down into its first bit flags
+    the nonzero lanes.  A system fails when its lane 0 is nonzero and none
+    of its co-singleton lanes is zero; the first one that fails is reported.
     """
     systems = list(oracle)
     if not systems:
         return CoverResult(True)
-    if systems[0].universe.size < 2:
+    n = systems[0].universe.size
+    if n < 2:
         raise ValueError("the atom family needs at least two elements")
-    for system in systems:
-        values = system.table
-        if values[0] != 0 and _cosingleton_witness(values) is None:
-            return CoverResult(False, system)
+    images = _joined_lanes(systems, n, "its first system")
+    slots, cosingletons = _slots(n, len(systems)), _cosingleton_lanes(n, len(systems))
+    nonzero = int.from_bytes(images, "little") ^ cosingletons * ((1 << n) - 1)
+    shift = 1
+    while shift < 8 * slots.width:
+        # Bit 0 of a lane gathers bits below 8·width of its own lane only.
+        nonzero |= nonzero >> shift
+        shift <<= 1
+    # x ^ (x & y) is x & ~y without negating a whole int.
+    open_lanes = cosingletons ^ (cosingletons & nonzero)
+    axiomatic = nonzero & slots.starts
+    failing = axiomatic ^ (axiomatic & _fold(open_lanes, slots))
+    if failing:
+        return CoverResult(False, systems[_lowest_bit(failing) // slots.slot])
     return CoverResult(True)
+
+
+@lru_cache(maxsize=4)
+def _cosingleton_lanes(n: int, count: int) -> int:
+    """The first bit of the lane of every co-singleton L − {x} in each of
+    ``count`` tables on n symbols laid end to end."""
+    slots = _slots(n, count)
+    full, lane = (1 << n) - 1, 8 * slots.width
+    return sum(1 << lane * (full & ~(1 << x)) for x in range(n)) * slots.starts

@@ -25,15 +25,17 @@ read, and ``WeakJoin`` refuses on construction a pair whose join is none of them
 In finite mode, ``table(op)`` is the whole map at once: ``table(op)[m]`` is
 the image mask of the subset with mask m, compiled bottom-up on ints.  A
 ``ClosureSystem`` is built from closed-set masks (``closed`` is for display)
-and holds ``system.table``, the least closed superset of every subset, built
-on first use and read by ``table`` for ``FromSystem``; evaluating at one
-point scans the closed masks instead.
+and stores its closure table (the least closed superset of every subset) in
+one form, packed: ``system.lanes``, built on first use and kept.
+``system.table`` is a view of those bytes, built on each read, and ``table``
+reads it for ``FromSystem``; evaluating at one point scans the closed masks
+instead.  ``classify``'s family passes join the lanes of many systems.
 
 The lane encoding lives here too, below ``classify``'s axiom kernel: a table
 packs into one int, one little-endian lane of ``_lane_width(n)`` bytes per
 image (``_LANE_CODES`` names the ``struct`` code of each width), and
 ``_superset_and`` ANDs every lane with the lanes of its supersets in one
-masked shift of the whole int per bit (``_zeta_steps``).  ``system.table``
+masked shift of the whole int per bit (``_zeta_steps``).  ``system.lanes``
 is that superset-AND, seeded with c in the lane of each closed c and with L
 in every other lane; it builds one selector at a time, except on at most
 eight symbols, where ``_byte_lane_steps`` keeps them per n.
@@ -285,13 +287,16 @@ class ClosureSystem:
         return tuple(self.universe.from_mask(m) for m in self.masks)
 
     @cached_property
-    def table(self) -> tuple[int, ...]:
-        """The mask of the least closed superset of every subset, indexed by mask.
+    def lanes(self) -> bytes:
+        """The closure table packed one little-endian lane of ``_lane_width(n)``
+        bytes per subset, in mask order: lane m holds the mask of the least
+        closed superset of m.
 
-        That is the AND of all closed supersets, L among them: pack one lane
-        per subset, seeding lane c with c for each closed c and every other
-        lane with L, then AND every lane with the lane of its superset across
-        one bit at a time (``_superset_and``).
+        That is the AND of all closed supersets, L among them: seed lane c
+        with c for each closed c and every other lane with L, then AND every
+        lane with the lane of its superset across one bit at a time
+        (``_superset_and``).  Built on first use and kept; family passes join
+        these bytes.
         """
         n = self.universe.size
         _refuse_oversized(n)
@@ -301,8 +306,17 @@ class ClosureSystem:
         for c in self.masks:
             lane.pack_into(seeded, c * width, c)
         steps = _byte_lane_steps(n) if width == 1 else _zeta_steps(n, width, 1)
-        packed = _superset_and(int.from_bytes(seeded, "little"), steps)
-        return struct.unpack(f"<{size}{_LANE_CODES[width]}", packed.to_bytes(size * width, "little"))
+        return _superset_and(int.from_bytes(seeded, "little"), steps).to_bytes(size * width, "little")
+
+    @property
+    def table(self) -> tuple[int, ...]:
+        """The mask of the least closed superset of every subset, indexed by
+        mask: a view of ``lanes``, built on each read."""
+        lanes = self.lanes
+        n = self.universe.size
+        if n <= 8:
+            return tuple(lanes)
+        return struct.unpack(f"<{1 << n}{_LANE_CODES[_lane_width(n)]}", lanes)
 
 
 @dataclass(frozen=True)
@@ -504,9 +518,13 @@ def to_closure_system(op: OperatorExpr) -> ClosureSystem:
 
     For a closure operator this is its closed-set family; the constructor
     validates that the result contains L and is intersection-closed, so a
-    non-closure operand surfaces as a constraint error.
+    non-closure operand surfaces as a constraint error.  A ``FromSystem``
+    operand's fixed points are its own closed sets, so its system is
+    returned as it is, with no table built.
     """
     universe = op.universe
     if universe.mode is not Mode.FINITE:
         raise ModeError("closed-set families are enumerated in finite mode only")
+    if isinstance(op, FromSystem):
+        return op.system
     return ClosureSystem(universe, tuple(m for m, v in enumerate(table(op)) if v == m))

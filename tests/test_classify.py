@@ -7,6 +7,7 @@ to four elements); the n<=2 families are additionally spelled out by hand.
 
 import itertools
 import random
+import struct
 
 import pytest
 
@@ -267,6 +268,14 @@ class TestEnumeration:
         with pytest.raises(ValueError, match=f"1 to 10 symbols, got {n}"):
             default_universe(n)
 
+    def test_a_system_operand_returns_its_system(self):
+        u = default_universe(3)
+        for system in enumerate_operators(3):
+            op = FromSystem(system)
+            fixed = tuple(m for m in range(8) if evaluate(op, u.from_mask(m)).mask == m)
+            assert to_closure_system(op) is system
+            assert system.masks == fixed
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_system_round_trips(self, n):
         for system in enumerate_operators(n):
@@ -330,6 +339,62 @@ class TestAtoms:
         with pytest.raises(ValueError, match=f"on {other} symbols, but the operator is on 3"):
             is_atom(CPrime(u.of_names("a"), u.of_names("b", "c")), oracle)
 
+    @pytest.mark.parametrize(
+        "sizes,other", [((2, 3, 3, 3), 2), ((3, 3, 3, 4), 4), ((2, 2, 4, 3), 2), ((3, 4, 2, 2), 4)]
+    )
+    def test_mixed_oracle_refused_at_its_first_odd_system(self, u, sizes, other):
+        # The odd system first or last; the last two oracles pack to exactly
+        # as many bytes as four systems on three symbols.
+        oracle = [next(enumerate_operators(n)) for n in sizes]
+        message = f"^the oracle holds a system on {other} symbols, but the operator is on 3$"
+        with pytest.raises(ValueError, match=message):
+            is_atom(CPrime(u.of_names("a"), u.of_names("b", "c")), oracle)
+        with pytest.raises(ValueError, match=f"on {other} symbols, but its first system is on 3$"):
+            dense_cover_check(list(enumerate_operators(3)) + oracle)
+
+    def test_matches_the_literal_scan_on_three_symbols(self):
+        rng = random.Random(27)
+        systems = list(enumerate_operators(3))
+        oracles = [systems] + [rng.sample(systems, k) for k in (1, 5, 20, 40)]
+        identity = tuple(range(8))
+        verdicts = set()
+        for system in systems:
+            if system.table == identity:
+                continue
+            for oracle in oracles:
+                expected = not strictly_between(system.table, oracle)
+                assert is_atom(FromSystem(system), oracle) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_matches_the_literal_scan_on_four_symbols(self):
+        rng = random.Random(28)
+        systems = list(enumerate_operators(4))
+        identity = tuple(range(16))
+        seeded = rng.sample([s for s in systems if s.table != identity], 4)
+        ops = e0_family(default_universe(4)) + [FromSystem(s) for s in seeded]
+        verdicts = []
+        for oracle in (systems, rng.sample(systems, 500)):
+            for op in ops:
+                expected = not strictly_between(table(op), oracle)
+                assert is_atom(op, oracle) == expected
+                verdicts.append(expected)
+        assert verdicts[:4] == [True] * 4 and False in verdicts[4:8]
+
+
+def strictly_between(target, oracle):
+    """Whether some oracle table lies strictly between the identity and the
+    target in the pointwise order, by the literal definition."""
+    identity = tuple(range(len(target)))
+
+    def below(a, b):
+        return all(x & ~y == 0 for x, y in zip(a, b))
+
+    return any(
+        below(identity, t) and below(t, target) and t not in (identity, target)
+        for t in (system.table for system in oracle)
+    )
+
 
 class TestDenseCover:
     @pytest.mark.parametrize("n", [2, 3])
@@ -337,7 +402,8 @@ class TestDenseCover:
         assert dense_cover_check(list(enumerate_operators(n))).holds
 
     def test_vacuity_control(self, monkeypatch):
-        monkeypatch.setattr(classify, "_cosingleton_witness", lambda t: None)
+        # With no co-singleton lane selected, no axiomatic system is covered.
+        monkeypatch.setattr(classify, "_cosingleton_lanes", lambda n, count: 0)
         result = dense_cover_check(list(enumerate_operators(3)))
         assert not result.holds
         assert result.failing is not None
@@ -348,6 +414,29 @@ class TestDenseCover:
     def test_one_symbol_refused(self):
         with pytest.raises(ValueError, match="^the atom family needs at least two elements$"):
             dense_cover_check(list(enumerate_operators(1)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
+    def test_packed_scan_matches_the_per_system_scan(self, n):
+        rng = random.Random(60 + n)
+        universe = make_universe(Mode.FINITE, [f"s{i}" for i in range(n)])
+        passing, failing = cover_tables(n, rng)
+        passing = [AnyTable(universe, t) for t in passing]
+        if n <= 4:
+            passing += list(enumerate_operators(n))
+        rng.shuffle(passing)
+        failing = [AnyTable(universe, t) for t in failing]
+        middle = len(passing) // 2
+        oracles = [
+            passing,
+            failing + passing,
+            passing[:middle] + failing[:1] + passing[middle:],
+            passing + failing[::-1],
+        ]
+        for oracle in oracles:
+            expected = next((s for s in oracle if s.table[0] and _cosingleton_witness(s.table) is None), None)
+            result = dense_cover_check(oracle)
+            assert result.holds is (expected is None)
+            assert result.failing is expected
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_scan_matches_e0_domination(self, n):
@@ -362,6 +451,34 @@ class TestDenseCover:
             if values[0] == 0:
                 axiomless_answers.add(dominates)
         assert axiomless_answers == {True, False}
+
+
+class AnyTable:
+    """Stands in for a closure system with an arbitrary table; the cover
+    scan reads only ``universe`` and ``lanes``."""
+
+    def __init__(self, universe, values):
+        self.universe, self.table = universe, tuple(values)
+        self.lanes = struct.pack(f"<{len(values)}{'B' if universe.size <= 8 else 'H'}", *values)
+
+
+def cover_tables(n, rng):
+    """Tables on n symbols that pass the co-singleton scan narrowly, one per
+    co-singleton lane that alone is sent to L and one axiomless, and two
+    that fail it: C(∅) ≠ ∅ and no co-singleton sent to L.  The second
+    failing table differs from ∅ and from L only in the top bit of a lane."""
+    size = 1 << n
+    full, top = size - 1, size >> 1
+
+    def values(empty, blown, other=None):
+        t = [rng.randrange(size) for _ in range(size)]
+        t[0] = empty
+        for x in range(n):
+            t[full & ~(1 << x)] = full if x == blown else other or rng.randrange(full)
+        return t
+
+    passing = [values(rng.randrange(1, size), x) for x in range(n)] + [values(0, None)]
+    return passing, [values(rng.randrange(1, size), None), values(top, None, full ^ top)]
 
 
 class TestSampledTables:

@@ -211,6 +211,18 @@ class TestCommands:
         payload = json.loads(result.output)
         assert payload["data"]["count"] == 6
 
+    def test_theories_of_a_system_on_twenty_symbols(self, runner):
+        # A system's fixed points are its own closed sets; no 2^20-lane table is built.
+        symbols = [f"s{i}" for i in range(20)]
+        full = "{" + ",".join(symbols) + "}"
+        result = invoke(runner, ["theories", "--universe", ",".join(symbols), "system[{s0};L]", "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["data"] == {
+            "closed-sets": ["{s0}", full],
+            "count": 2,
+            "operator": f"system[{{s0}};{full}]",
+        }
+
     def test_spec_file_bindings(self, runner, tmp_path):
         spec = tmp_path / "f.ops"
         spec.write_text("universe finite a b c\nA = cxy {a} {b}\nB = cxy {a,c} {b}\n")

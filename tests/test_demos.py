@@ -1,18 +1,18 @@
 """Every named demo exits 0 and its JSON report matches the checked-in golden.
 
-The packed column primitive behind thm-3.5 (``classify._column``, the
-flags of a ≤ b and of b∘a = b for one table b against a family packed once,
-as bytes and as one int) and the escape count behind thm-4.3-lemma (three
-``bytes.translate`` gathers), and the axiom kernels behind thm-2.5,
-remark-2.2 and lemma-2.6, are checked item by item against the
+The packed order matrix behind thm-3.5 (``classify._order_flags``, the
+flags of a ≤ b and of b∘a = b for every row a and column b, each pair in its
+own slot) and the escape count behind thm-4.3-lemma (three
+``bytes.translate`` gathers per table, joined), and the axiom kernels behind
+thm-2.5, remark-2.2 and lemma-2.6, are checked item by item against the
 expression-level procedures they replace.  On all 6,150,400 ordered pairs
 of closure systems on four symbols, listed by perfbench's independent
 enumeration, packed ≤ is checked against fixed(b) ⊆ fixed(a) and packed
 b∘a = b against packed ≤, and the escape count is checked to be zero on
-every one of those systems.  The tables thm-2.5 compiles from parameter
-masks are checked against ``table`` of the nodes, and breaking one family
-must zero that family's count alone: both families pass in the golden, so
-it cannot see their slot ranges swapped.
+every one of those systems.  The lanes thm-2.5 packs from parameter masks
+are checked against ``table`` of the nodes, and breaking one family must
+zero that family's count alone: both families pass in the golden, so it
+cannot see their slot ranges swapped.
 """
 
 import itertools
@@ -26,10 +26,9 @@ from click.testing import CliRunner
 from tarski_lab import demos
 from tarski_lab.algebra import equivalent, le
 from tarski_lab.classify import (
-    _batch,
-    _column,
     _extensive_idempotent_tables,
     _lookup,
+    _order_flags,
     axiom_witnesses,
     check_axioms,
     default_universe,
@@ -38,8 +37,9 @@ from tarski_lab.classify import (
 )
 from tarski_lab.cli import main
 from tarski_lab.concurrence import monotone_union_check
-from tarski_lab.demos import DEMOS, _union_escapes, _union_pairs, run_demo
+from tarski_lab.demos import DEMOS, _parametric_lanes, _union_escapes, _union_pairs, run_demo
 from tarski_lab.operators import (
+    Compose,
     CPrime,
     Cxy,
     FromSystem,
@@ -88,10 +88,9 @@ ARBITRARY = [tuple(_rng.randrange(8) for _ in range(8)) for _ in range(20)]
 
 
 def _column_of_one(a, b):
-    """``_column`` of b against the family holding only a, as two booleans."""
-    images, packed, lanes = _batch([table(a)])
-    below, absorbs = _column(table(b), images, packed, lanes.slots)
-    return bool(below), bool(absorbs)
+    """``_order_flags`` of the one row a and the one column b, as two booleans."""
+    outside, moved, _ = _order_flags([bytes(table(a))], [bytes(table(b))])
+    return not outside, not moved
 
 
 def _order_and_composition_agree(a, b):
@@ -106,9 +105,9 @@ def _union_agrees(op, t):
     escapes = 0
     for s, u in itertools.product(masks, masks):
         escaped = not monotone_union_check(op, [op.universe.from_mask(s), op.universe.from_mask(u)])
-        assert _union_escapes(lookup, (bytes([s]), bytes([u]), bytes([s | u]))) == escaped
+        assert _union_escapes([lookup], (bytes([s]), bytes([u]), bytes([s | u]))) == escaped
         escapes += escaped
-    assert _union_escapes(lookup, _union_pairs(op.universe.size)) == escapes
+    assert _union_escapes([lookup], _union_pairs(op.universe.size)) == escapes
     return escapes
 
 
@@ -127,6 +126,26 @@ def test_order_and_composition_helpers_on_an_incomparable_pair():
     assert _column_of_one(a, b) == (False, False)
 
 
+@pytest.mark.parametrize("shape", [(13, 7), (7, 13), (5, 1), (1, 5)])
+def test_order_matrix_puts_each_pair_in_its_own_slot(shape):
+    # Rows and columns of other lengths than a power of two: a tile or a
+    # gather off by one slot pairs a column with the wrong row.
+    rng = random.Random(f"matrix {shape}")
+    ops = [FromSystem(system) for system in SYSTEMS] + [FromTable(L3, t) for t in ARBITRARY]
+    agree = {True: 0, False: 0}
+    for _ in range(5):
+        rows, columns = rng.sample(ops, shape[0]), rng.sample(ops, shape[1])
+        outside, moved, slots = _order_flags([bytes(table(a)) for a in rows], [bytes(table(b)) for b in columns])
+        count = len(rows) * len(columns)
+        below = flag_bytes(slots.starts ^ outside, slots, count)
+        absorbs = flag_bytes(slots.starts ^ moved, slots, count)
+        assert below == bytes(le(a, b).holds for b in columns for a in rows)
+        assert absorbs == bytes(equivalent(Compose(b, a), b) for b in columns for a in rows)
+        for flag in below + absorbs:
+            agree[bool(flag)] += 1
+    assert agree[True] and agree[False]
+
+
 def test_union_helper_matches_monotone_union_check():
     for system in SYSTEMS:
         assert _union_agrees(FromSystem(system), system.table) == 0
@@ -138,18 +157,19 @@ def test_union_helper_on_a_non_monotone_table():
     values[0b001] = 0b111
     op = FromTable(L3, tuple(values))
     assert _union_agrees(op, op.table) > 0
-    assert _union_escapes(_lookup(op.table), (b"\1", b"\2", b"\3")) == 1
+    assert _union_escapes([_lookup(op.table)], (b"\1", b"\2", b"\3")) == 1
 
 
 def test_packed_order_is_reverse_inclusion_of_fixed_points_on_four_symbols():
     families = oracle.moore_families(4)
-    tables = [tuple(oracle.closure_table(family, 4)) for family in families]
+    tables = [bytes(oracle.closure_table(family, 4)) for family in families]
     fixed = [sum(1 << m for m in family) for family in families]
-    images, packed, lanes = _batch(tables)
     comparable = 0
     for b, fixed_b in zip(tables, fixed):
-        below, absorbs = _column(b, images, packed, lanes.slots)
-        assert flag_bytes(below, lanes.slots, len(tables)) == bytes(fixed_b & ~fixed_a == 0 for fixed_a in fixed)
+        # One column at a time: the whole matrix would take 6,150,400 slots.
+        outside, moved, slots = _order_flags(tables, [b])
+        below, absorbs = slots.starts ^ outside, slots.starts ^ moved
+        assert flag_bytes(below, slots, len(tables)) == bytes(fixed_b & ~fixed_a == 0 for fixed_a in fixed)
         assert absorbs == below
         comparable += below.bit_count()
     assert (len(tables), comparable) == (2480, 325967)
@@ -159,7 +179,7 @@ def test_union_lemma_on_four_symbols():
     pairs = _union_pairs(4)
     tables = [oracle.closure_table(family, 4) for family in oracle.moore_families(4)]
     assert len(tables) == 2480
-    assert all(_union_escapes(_lookup(t), pairs) == 0 for t in tables)
+    assert all(_union_escapes([_lookup(t)], pairs) == 0 for t in tables)
 
 
 def test_kernel_matches_check_axioms_on_the_remark_2_2_sample():
@@ -191,12 +211,28 @@ def test_thm_2_5_tables_are_the_node_tables():
         assert table(CPrime(x, y)) == _cprime_table(x.mask, y.mask, size)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_thm_2_5_lanes_are_the_node_tables(n):
+    u = default_universe(n)
+    masks = range(1 << n)
+    for contains, family in ((False, Cxy), (True, CPrime)):
+        nodes = [family(u.from_mask(x), u.from_mask(y)) for x in masks for y in masks]
+        assert _parametric_lanes(n, contains) == b"".join(bytes(table(op)) for op in nodes)
+
+
 @pytest.mark.parametrize(
     "broken, failing, intact", [("_cxy_table", "first", "second"), ("_cprime_table", "second", "first")]
 )
 def test_thm_2_5_counts_each_family_in_its_own_slots(monkeypatch, broken, failing, intact):
-    # Sending every set to ∅ is not extensive, so every pair of the patched family fails.
-    monkeypatch.setattr(demos, broken, lambda x, y, size: (0,) * size)
+    # `broken` names the node whose family is broken.  Sending every set to ∅
+    # is not extensive, so every pair of the broken family fails.
+    packed = demos._parametric_lanes
+
+    def patched(n, contains):
+        lanes = packed(n, contains)
+        return bytes(len(lanes)) if contains == (broken == "_cprime_table") else lanes
+
+    monkeypatch.setattr(demos, "_parametric_lanes", patched)
     report = run_demo("thm-2.5")
     assert report.data[f"{failing}-family-pass"] == 0
     assert report.data[f"{intact}-family-pass"] == 64

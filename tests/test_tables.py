@@ -7,6 +7,7 @@ against a literal per-slot OR at every lane width, and the Moore-family
 search against a brute-force scan of every family bitmask."""
 
 import random
+import struct
 import sys
 from pathlib import Path
 
@@ -309,6 +310,17 @@ class TestTable:
     def test_closure_system_table_on_every_system(self, n):
         for system in enumerate_operators(n):
             assert system.table == tuple(oracle.closure_table(system.masks, n))
+            assert system.lanes == bytes(oracle.closure_table(system.masks, n))
+
+    @pytest.mark.parametrize("n,code", [(9, "H"), (17, "I")])
+    def test_closure_system_lanes_on_wider_lanes(self, n, code):
+        # Two-byte lanes from nine symbols on, four-byte lanes from seventeen.
+        rng = random.Random(n)
+        closed = intersection_closure(rng.sample(range(1 << n), 2), n)
+        system = ClosureSystem(make_universe(Mode.FINITE, [f"s{i}" for i in range(n)]), closed)
+        expected = struct.pack(f"<{1 << n}{code}", *oracle.closure_table(system.masks, n))
+        assert system.lanes == expected
+        assert system.table == struct.unpack(f"<{1 << n}{code}", expected)
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_closure_system_table_beyond_the_strategy_sizes(self, n):
@@ -447,7 +459,7 @@ class TestPackedKernel:
             witnesses = [axiom_witnesses(t) for t in tables]
             assert witnesses == [loop_axiom_witnesses(t) for t in tables]
             slots = _lane_constants(n, len(tables)).slots
-            flags = _axiom_flags(tables)
+            flags = _axiom_flags(b"".join(map(bytes, tables)), n)
             for k, axiom in enumerate(flags):
                 assert axiom & ~slots.starts == 0
                 assert flag_bytes(axiom, slots, len(tables)) == bytes(w[k] is not None for w in witnesses)
