@@ -17,38 +17,38 @@ per image (``struct.pack``), and runs a superset-AND and a subset-OR zeta
 transform on that int in O(n) masked whole-int shifts
 (``_zeta_failures``); ``lemma26_witness`` decides through it.  The lane
 encoding is defined in ``operators``: the lane width, the ``struct`` codes,
-the per-bit steps and the superset-AND that builds ``ClosureSystem.lanes``.
-The family layout and the flags are defined here.  A family of k tables on
-the same symbols packs end to end into one int, table i filling slot i
-(2ⁿ lanes); ``_slots(n, k)`` places the slots (kept for the last few
-sizes) and ``_lane_constants(n, k)`` tiles the selectors and the identity
-over them, so the same shifts run once for the whole family and no lane
-crosses a slot.  ``_fold`` turns a failure int into one flag bit per
-table, the first bit of its slot, with no loop: adding ``low`` (the bits
-of every slot but its last) to the bits below each slot's last bit
-carries into that bit exactly when one of them is set, so five whole-int
-operations fold every slot at once; callers count with ``int.bit_count``.
+the per-bit steps (kept per n only for one table on at most eight symbols,
+``_byte_lane_steps``) and the superset-AND that builds
+``ClosureSystem.lanes``.  A family of k tables on the same symbols packs
+end to end into one int, table i filling slot i (2ⁿ lanes); ``_slots(n, k)``
+places the slots (kept for the last few sizes), and ``_failures`` tiles the
+steps and the identity over them, so the same shifts run once for the
+whole family and no lane crosses a slot.  ``_fold`` turns a failure int
+into one flag bit per table, the first bit of its slot, with no loop:
+adding ``low`` (the bits of every slot but its last) to the bits below each
+slot's last bit carries into that bit exactly when one of them is set, so
+five whole-int operations fold every slot at once; callers count with
+``int.bit_count``.
 
 A family of closure systems is packed by joining their stored lanes
 (``b"".join``); no pass packs a closure table again.  ``is_atom`` tests
 the joined oracle against the tiled target in one pass and reads only the
-few systems flagged below it.  ``dense_cover_check`` is one pass too: XOR
-with L in the co-singleton lanes (``_cosingleton_lanes``), each lane's
-bits OR-ed down into its first bit, and one ``_fold`` per table.
+few systems flagged below it.  Lemma 2.6's co-singleton scan
+(``_uncovered``), which ``dense_cover_check`` and the lemma-2.6 demo share,
+is one pass too: XOR with L in the co-singleton lanes, each lane's bits
+OR-ed down into its first bit, and one ``_fold`` per table.
 ``_order_flags`` lays a k×m matrix of pairs, one slot each, for the Thm 3.5
 demo: a ≤ b where no lane of a leaves the tiled b, and b∘a = b where a
-gathered through b's 256-byte lookup (``bytes.translate``) equals it.  On
-families packed one byte per image, ``_axiom_flags`` flags the tables
-failing (i), (ii) and (iii), both Thm 2.5 families in one pass, with C∘C
-one ``bytes.translate`` per table, and ``_monotone_finitary_flags`` only
-(ii) and (iii) for Remark 2.2, whose tables are idempotent by
-construction.  The exhaustive sweep keeps its ``SentenceSet`` pair loops,
-each inclusion one test on the two sets' stored masks, until
-``check_axioms`` wraps the same kernel (ROADMAP item 3).  Remark 2.2
-checks every extensive idempotent table on three symbols, which
-``_extensive_idempotent_tables`` builds directly, one mask per level from
-L down: each image is chosen among the fixed points already decided, so no
-table is built only to be filtered out.
+gathered through b's 256-byte lookup (``bytes.translate``) equals it.
+``_axiom_flags`` flags the tables failing (i), (ii) and (iii), both Thm 2.5
+families in one pass, with C∘C one ``bytes.translate`` per table, and
+``_monotone_finitary_flags`` only (ii) and (iii), for the extensive
+idempotent tables of Remark 2.2, which ``_extensive_idempotent_tables``
+builds one mask per level from L down: each image is chosen among the
+fixed points already decided, so no table is built only to be filtered
+out.  The exhaustive sweep keeps its ``SentenceSet`` pair loops, each
+inclusion one test on the two sets' stored masks, until ``check_axioms``
+wraps the same kernel (ROADMAP item 3).
 
 Enumeration produces every closure system (intersection-closed family
 containing L) on a tiny universe, in ascending order of the family's
@@ -74,6 +74,7 @@ from .operators import (
     CPrime,
     OperatorExpr,
     _closed_form,
+    _byte_lane_steps,
     _lane_width,
     _superset_and,
     _zeta_steps,
@@ -246,24 +247,6 @@ def _slots(n: int, count: int) -> _Slots:
     return _Slots(width, slot, starts, high, high - starts)
 
 
-class _Lanes(NamedTuple):
-    """Constants for ``count`` tables on n symbols laid end to end in one int."""
-
-    slots: _Slots  # where each table sits
-    identity: int  # lane m of every table holds m
-    steps: tuple[tuple[int, int], ...]  # per bit: the selector and the shift
-
-
-def _lane_constants(n: int, count: int) -> _Lanes:
-    """The lane constants for ``count`` tables on n symbols, with the steps
-    of ``operators._zeta_steps`` kept for reuse."""
-    slots = _slots(n, count)
-    width = slots.width
-    size = 1 << n
-    identity = int.from_bytes(_lanes([range(size)], width, size) * count, "little")
-    return _Lanes(slots, identity, tuple(_zeta_steps(n, width, count)))
-
-
 def _lanes(tables: Iterable[Iterable[int]], width: int, size: int) -> bytes:
     """The tables of ``size`` images end to end, one little-endian lane of
     ``width`` bytes per image."""
@@ -288,13 +271,22 @@ def _zeta_failures(packed: int, steps: tuple[tuple[int, int], ...]) -> tuple[int
     return packed & ~_superset_and(packed, steps), up & ~packed
 
 
-def _failures(images: bytes, twice: bytes, lanes: _Lanes) -> tuple[int, int, int]:
-    """The failure ints of (i), (ii) and (iii) for the tables C packed end to
-    end in ``images``, with C∘C packed alike in ``twice``: (I & ~C) | (C∘C ^ C),
-    C & ~D and U & ~C."""
+_BYTE_IDENTITY = bytes(range(256))  # one-byte lanes, lane m holding m; prefixes serve n < 8
+
+
+def _failures(images: bytes, twice: bytes, n: int) -> tuple[int, int, int]:
+    """The failure ints of (i), (ii) and (iii) for the tables C on n symbols
+    packed end to end in ``images``, with C∘C packed alike in ``twice``:
+    (I & ~C) | (C∘C ^ C), C & ~D and U & ~C.  The identity is packed before
+    the steps are built, so its transient argument tuple never meets them."""
+    size, width = 1 << n, _lane_width(n)
+    count = len(images) // (width * size)
+    identity = _BYTE_IDENTITY[:size] if width == 1 else _lanes([range(size)], width, size)
+    identity = int.from_bytes(identity * count, "little")
+    steps = _byte_lane_steps(n) if count == width == 1 else tuple(_zeta_steps(n, width, count))
     packed = int.from_bytes(images, "little")
-    first = (lanes.identity & ~packed) | (int.from_bytes(twice, "little") ^ packed)
-    return (first, *_zeta_failures(packed, lanes.steps))
+    first = (identity & ~packed) | (int.from_bytes(twice, "little") ^ packed)
+    return (first, *_zeta_failures(packed, steps))
 
 
 def _fold(failed: int, slots: _Slots) -> int:
@@ -312,22 +304,22 @@ def _axiom_flags(images: bytes, n: int) -> tuple[int, int, int]:
     for tables on n ≤ 8 symbols packed end to end in ``images``, one byte per
     image, all checked in one pass; C∘C is one ``bytes.translate`` per table."""
     size = 1 << n
-    lanes = _lane_constants(n, len(images) >> n)
     tables = [images[i : i + size] for i in range(0, len(images), size)]
     twice = b"".join([t.translate(t.ljust(256, b"\0")) for t in tables])
-    first, second, third = _failures(images, twice, lanes)
-    slots = lanes.slots
+    first, second, third = _failures(images, twice, n)
+    slots = _slots(n, len(tables))
     return _fold(first, slots), _fold(second, slots), _fold(third, slots)
 
 
-def _monotone_finitary_flags(tables: Sequence[tuple[int, ...]]) -> tuple[int, int]:
+def _monotone_finitary_flags(images: bytes, n: int) -> tuple[int, int]:
     """The flags (see ``_fold``) of the tables that fail (ii) and of those
-    that fail (iii), in one pass that skips the C∘C gather of (i)."""
-    size = len(tables[0])
-    lanes = _lane_constants(size.bit_length() - 1, len(tables))
-    packed = int.from_bytes(_lanes(tables, lanes.slots.width, size), "little")
-    second, third = _zeta_failures(packed, lanes.steps)
-    return _fold(second, lanes.slots), _fold(third, lanes.slots)
+    that fail (iii), for tables on n symbols packed end to end in ``images``,
+    in one pass that skips the C∘C gather of (i)."""
+    count = len(images) // (_lane_width(n) << n)
+    slots = _slots(n, count)
+    steps = tuple(_zeta_steps(n, slots.width, count))
+    second, third = _zeta_failures(int.from_bytes(images, "little"), steps)
+    return _fold(second, slots), _fold(third, slots)
 
 
 def _order_flags(rows: Sequence[bytes], columns: Sequence[bytes]) -> tuple[int, int, _Slots]:
@@ -353,10 +345,6 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-# Lane constants for one table on at most eight symbols; others are built per call.
-_BYTE_LANES: dict[int, _Lanes] = {}
-
-
 def axiom_witnesses(t: tuple[int, ...]) -> tuple[tuple | None, tuple | None, tuple | None]:
     """The least witnesses against axioms (i), (ii) and (iii) on the table t.
 
@@ -367,20 +355,24 @@ def axiom_witnesses(t: tuple[int, ...]) -> tuple[tuple | None, tuple | None, tup
     then fails at the lowest nonzero lane of one int: (i) of
     (I & ~C) | (C∘C ^ C), (ii) of C & ~D, paired with the first superset r
     where C(s) ⊄ C(r), and (iii) of U & ~C, whose lowest set bit within the
-    lane is the element.
+    lane is the element.  A table whose length is not a power of two, or
+    with an image outside it, is refused.
     """
     size = len(t)
-    lanes = _BYTE_LANES.get(size)
-    if lanes is None:
-        n = size.bit_length() - 1
-        lanes = _lane_constants(n, 1)
-        if n <= 8:
-            _BYTE_LANES[size] = lanes
-    width = lanes.slots.width
+    if size < 1 or size & size - 1:
+        raise ValueError(f"table must be total: expected 2^n entries, got {size}")
+    n = size.bit_length() - 1
+    width = _lane_width(n)
     lane = 8 * width
     first = second = third = None
-    twice = [t[v] for v in t]
-    fails_i, fails_ii, fails_iii = _failures(_lanes([t], width, size), _lanes([twice], width, size), lanes)
+    try:
+        # An image of 2^n or more fails the gather, and a negative one the packing.
+        twice = _lanes([[t[v] for v in t]], width, size)
+        images = _lanes([t], width, size)
+    except (IndexError, struct.error):
+        value = next(v for v in t if not 0 <= v < size)
+        raise ValueError(f"table value {value:#x} out of range") from None
+    fails_i, fails_ii, fails_iii = _failures(images, twice, n)
     if fails_i:
         first = (_lowest_bit(fails_i) // lane,)
     if fails_ii:
@@ -591,20 +583,28 @@ class CoverResult:
 def dense_cover_check(oracle: Iterable[ClosureSystem]) -> CoverResult:
     """Every axiomatic operator in the oracle must dominate some e0 candidate.
 
-    A closure table t dominates the candidate for x exactly when
-    t[L − {x}] = L, so this is Lemma 2.6's co-singleton scan, run on the
-    joined lanes in one pass.  XOR with L in the co-singleton lanes leaves
-    such a lane zero where its image is L, and lane 0 as it is, nonzero
-    where C(∅) ≠ ∅; OR-ing each lane's bits down into its first bit flags
-    the nonzero lanes.  A system fails when its lane 0 is nonzero and none
-    of its co-singleton lanes is zero; the first one that fails is reported.
-    """
+    A closure table t dominates the candidate for x exactly when t[L − {x}] = L,
+    so this is Lemma 2.6's co-singleton scan (``_uncovered``); the first system
+    that fails it is reported."""
     systems = list(oracle)
     if not systems:
         return CoverResult(True)
-    n = systems[0].universe.size
-    if n < 2:
+    if systems[0].universe.size < 2:
         raise ValueError("the atom family needs at least two elements")
+    _, failing, slots = _uncovered(systems)
+    if failing:
+        return CoverResult(False, systems[_lowest_bit(failing) // slots.slot])
+    return CoverResult(True)
+
+
+def _uncovered(systems: Sequence[ClosureSystem]) -> tuple[int, int, _Slots]:
+    """Lemma 2.6's co-singleton scan over a nonempty family of systems on the
+    same n ≥ 2 symbols, in one pass over their joined lanes: the flags (see
+    ``_fold``) of the axiomatic systems, C(∅) ≠ ∅, and of those among them
+    that send no co-singleton L − {x} to L; and the slots.  XOR with L in the
+    co-singleton lanes leaves such a lane zero where its image is L, and lane
+    0 as it is; OR-ing each lane's bits into its first bit flags the nonzero lanes."""
+    n = systems[0].universe.size
     images = _joined_lanes(systems, n, "its first system")
     slots, cosingletons = _slots(n, len(systems)), _cosingleton_lanes(n, len(systems))
     nonzero = int.from_bytes(images, "little") ^ cosingletons * ((1 << n) - 1)
@@ -616,10 +616,7 @@ def dense_cover_check(oracle: Iterable[ClosureSystem]) -> CoverResult:
     # x ^ (x & y) is x & ~y without negating a whole int.
     open_lanes = cosingletons ^ (cosingletons & nonzero)
     axiomatic = nonzero & slots.starts
-    failing = axiomatic ^ (axiomatic & _fold(open_lanes, slots))
-    if failing:
-        return CoverResult(False, systems[_lowest_bit(failing) // slots.slot])
-    return CoverResult(True)
+    return axiomatic, axiomatic ^ (axiomatic & _fold(open_lanes, slots)), slots
 
 
 @lru_cache(maxsize=4)

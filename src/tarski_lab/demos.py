@@ -9,11 +9,12 @@ The replays over every closure system on three symbols read each system's
 packed lanes (``ClosureSystem.lanes``) and join them, so no table is packed
 twice: thm-3.5 decides all 3,721 order/composition pairs in one matrix pass
 (``classify._order_flags``), thm-4.3-lemma gathers its three index strings
-through all 61 lookups and tests them in one whole-int operation, and
-lemma-2.6 and thm-2.7 read the lanes too.  thm-2.5 packs both parametric
-families straight from the parameter masks (``_parametric_lanes``), with
-no table tuple built.  Every run recomputes its verdict; only the shared
-systems and the slot constants outlive a run.
+through all 61 lookups and tests them in one whole-int operation,
+lemma-2.6 counts the flags of ``dense_cover_check``'s one co-singleton
+scan (``classify._uncovered``), and thm-2.7 reads the lanes too.  thm-2.5
+packs both parametric families straight from the parameter masks
+(``_parametric_lanes``), with no table tuple built.  Every run recomputes
+its verdict; only the shared systems and the slot constants outlive a run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .operators import (
     Compose,
     CPrime,
     Cxy,
-    FromSystem,
     NaiveJoin,
     SExample,
     _byte_lane_steps,
@@ -43,10 +43,12 @@ from .algebra import (
 from .classify import (
     _axiom_flags,
     _extensive_idempotent_tables,
+    _lanes,
     _lookup,
     _monotone_finitary_flags,
     _order_flags,
     _slots,
+    _uncovered,
     check_axioms,
     default_universe,
     dense_cover_check,
@@ -246,23 +248,15 @@ def demo_lemma_2_6() -> Report:
     """Every axiomatic operator sends some co-singleton to the whole
     universe; scanned over all axiomatic operators on three symbols."""
     u = default_universe(3)
-    failures = 0
-    checked = 0
-    for system in enumerate_operators(3):
-        if system.lanes[0] == 0:
-            continue
-        checked += 1
-        try:
-            lemma26_witness(FromSystem(system))
-        except (ValueError, RuntimeError):
-            failures += 1
+    axiomatic, failing, _ = _uncovered(list(enumerate_operators(3)))
+    failures = failing.bit_count()
     example = SExample(u.of_names("a"), u.index_of("b"))
     witness = lemma26_witness(example)
     return Report(
         command="demo lemma-2.6",
         verdict=failures == 0,
         data={
-            "axiomatic-operators": checked,
+            "axiomatic-operators": axiomatic.bit_count(),
             "failures": failures,
             "example-operator": render_operator(example),
             "example-witness": u.name_of(witness),
@@ -276,7 +270,7 @@ def demo_remark_2_2() -> Report:
     and the monotone ones are as many as the closure systems."""
     # Each table is idempotent by construction, so only (ii) and (iii) are checked.
     found = _extensive_idempotent_tables(3)
-    second, third = _monotone_finitary_flags(found)
+    second, third = _monotone_finitary_flags(_lanes(found, 1, 8), 3)
     tables = len(found)
     agreements = tables - (second ^ third).bit_count()
     monotone = tables - second.bit_count()

@@ -101,16 +101,10 @@ def decode(alpha: Alphabet, code: int) -> Word:
     if code < 0:
         raise ValueError("codes are naturals")
     k = alpha.size
-    if k == 1:
-        # One word per length: the code is the number of shorter words.
-        length, offset = code + 1, code
-    else:
-        length, offset = 1, 0
-        while code >= offset + k**length:
-            offset += k**length
-            length += 1
+    length, offset = _length_and_offset(k, code)
     if length > MAX_WORD_LENGTH:
-        raise ValueError(f"code {code} decodes to a word of {length} symbols; the bound is {MAX_WORD_LENGTH}")
+        shown = code if code.bit_length() <= 10_000 else f"of {code.bit_length()} bits"
+        raise ValueError(f"code {shown} decodes to a word of {length} symbols; the bound is {MAX_WORD_LENGTH}")
     rem = code - offset
     digits = [0] * length
     pos = length - 1
@@ -118,6 +112,20 @@ def decode(alpha: Alphabet, code: int) -> Word:
         rem, digits[pos] = divmod(rem, k)
         pos -= 1
     return Word(alpha, tuple(digits))
+
+
+def _length_and_offset(k: int, code: int) -> tuple[int, int]:
+    """The length L of the word with this code over k symbols and the number
+    of shorter words, in closed form: there are (kᴸ⁺¹ − k)/(k − 1) words of
+    at most L symbols, so kᴸ ≤ code·(k − 1) + k < kᴸ⁺¹."""
+    if k == 1:
+        return code + 1, code  # one word per length
+    bound = code * (k - 1) + k
+    length = int(math.log(bound, k))
+    # The float logarithm may fall on either side of a power of k.
+    length += k ** (length + 1) <= bound
+    length -= k**length > bound
+    return length, (k**length - k) // (k - 1)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from tarski_lab.operators import (
     to_closure_system,
 )
 from tarski_lab.algebra import equivalent, le
-from tarski_lab import classify
+from tarski_lab import classify, demos
 from tarski_lab.classify import (
     Verdict,
     _bounded_family,
@@ -38,6 +38,7 @@ from tarski_lab.classify import (
     _cosingleton_witness,
     _extensive_idempotent_tables,
     _moore_family_masks,
+    _uncovered,
     axiom_witnesses,
     check_axioms,
     count_closure_systems,
@@ -51,7 +52,7 @@ from tarski_lab.classify import (
 )
 from tarski_lab.demos import run_demo
 
-from oracles import bounded_sweep
+from oracles import bounded_sweep, flag_bytes
 
 
 @pytest.fixture
@@ -451,6 +452,26 @@ class TestDenseCover:
             if values[0] == 0:
                 axiomless_answers.add(dominates)
         assert axiomless_answers == {True, False}
+
+    @pytest.mark.parametrize("planted", [1, 2, 3])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_every_uncovered_system_is_counted(self, monkeypatch, planted, where):
+        rng = random.Random(10 * planted + len(where))
+        universe = default_universe(3)
+        uncovered = [t for _ in range(2) for t in cover_tables(3, rng)[1]][:planted]
+        systems = list(enumerate_operators(3))
+        at = {"first": 0, "middle": len(systems) // 2, "last": len(systems)}[where]
+        family = systems[:at] + [AnyTable(universe, t) for t in uncovered] + systems[at:]
+        axiomatic, failing, slots = _uncovered(family)
+        literal = bytes(s.table[0] != 0 and _cosingleton_witness(s.table) is None for s in family)
+        assert failing.bit_count() == literal.count(1) == planted
+        assert flag_bytes(failing, slots, len(family)) == literal
+        assert axiomatic.bit_count() == sum(s.table[0] != 0 for s in family)
+        monkeypatch.setattr(demos, "enumerate_operators", lambda n: iter(family))
+        report = demos.demo_lemma_2_6()
+        assert report.data["failures"] == planted
+        assert report.data["axiomatic-operators"] == axiomatic.bit_count()
+        assert report.verdict is False
 
 
 class AnyTable:

@@ -10,7 +10,9 @@ literal definitions, round by round; a table first reached in a round keeps
 the shortest text that reaches it there.  The fixpoint has 2, 9 and 216
 tables on one, two and three symbols.  Every text parses back to its table,
 and every procedure below is compared with the reference, not with another
-path of the program.
+path of the program: the axiom reports, the packed axiom kernel on one
+table and on all of them in one pass, Lemma 2.6's witness, its
+co-singleton scan, and the order.
 """
 
 import sys
@@ -21,7 +23,15 @@ from pathlib import Path
 import pytest
 
 from tarski_lab.algebra import le
-from tarski_lab.classify import check_axioms, enumerate_operators
+from tarski_lab.classify import (
+    _axiom_flags,
+    _slots,
+    _uncovered,
+    axiom_witnesses,
+    check_axioms,
+    enumerate_operators,
+    lemma26_witness,
+)
 from tarski_lab.operators import FromTable, table, to_closure_system
 from tarski_lab.parsing import SpecContext, parse_operator
 from tarski_lab.report import axiom_report_payload
@@ -30,6 +40,9 @@ from tarski_lab.sets import Mode, make_universe
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import oracle  # noqa: E402
+from oracles import flag_bytes  # noqa: E402
+
+AXIOMS = ("axiom-i", "axiom-ii", "axiom-iii")
 
 
 def leaves(n):
@@ -127,6 +140,83 @@ def test_axiom_reports_match_the_reference(three):
     _, ops = three
     for t, op in ops.items():
         assert axiom_report_payload(check_axioms(op)) == oracle.axiom_payload(list(t), 3)
+
+
+def kernel_payload(witnesses, n):
+    """The three verdicts of ``oracle.axiom_payload`` for the mask witnesses
+    of ``axiom_witnesses``."""
+    first, second, third = witnesses
+    found = (
+        first and {"set": oracle.set_literal(first[0], n)},
+        second and {"smaller": oracle.set_literal(second[0], n), "larger": oracle.set_literal(second[1], n)},
+        third and {"set": oracle.set_literal(third[0], n), "element": third[1]},
+    )
+    verdicts = {}
+    for axiom, witness in zip(AXIOMS, found):
+        verdicts[axiom] = {"passed": witness is None, "conclusive": True}
+        if witness is not None:
+            verdicts[axiom]["witness"] = witness
+    return verdicts
+
+
+def cosingleton_witness(t):
+    """The least x with t[L − {x}] = L, or None, by the literal scan."""
+    full = len(t) - 1
+    return next((x for x in range(full.bit_length()) if t[full ^ 1 << x] == full), None)
+
+
+def test_axiom_kernel_matches_the_reference(three):
+    _, ops = three
+    tables = list(ops)
+    payloads = [oracle.axiom_payload(list(t), 3) for t in tables]
+    for t, payload in zip(tables, payloads):
+        assert kernel_payload(axiom_witnesses(t), 3) == {axiom: payload[axiom] for axiom in AXIOMS}
+    # All 216 tables in one packed pass.
+    flags = _axiom_flags(b"".join(map(bytes, tables)), 3)
+    slots = _slots(3, len(tables))
+    for axiom, flag in zip(AXIOMS, flags):
+        assert flag_bytes(flag, slots, len(tables)) == bytes(not p[axiom]["passed"] for p in payloads)
+
+
+def test_lemma_2_6_witness_matches_the_literal_scan(three):
+    _, ops = three
+    outcomes = set()
+    for t, op in ops.items():
+        payload = oracle.axiom_payload(list(t), 3)
+        if not (payload["axiom-i"]["passed"] and payload["axiom-ii"]["passed"]):
+            expected = "^the operand is not a consequence operator$"
+        elif t[0] == 0:
+            expected = "^the operand is axiomless; no witness is guaranteed$"
+        else:
+            assert lemma26_witness(op) == cosingleton_witness(t) is not None
+            outcomes.add("witness")
+            continue
+        with pytest.raises(ValueError, match=expected):
+            lemma26_witness(op)
+        outcomes.add(expected)
+    assert len(outcomes) == 3
+
+
+class Lanes:
+    """Stands in for a closure system with any table on three symbols; the
+    co-singleton scan reads only ``universe`` and ``lanes``."""
+
+    def __init__(self, universe, t):
+        self.universe, self.lanes = universe, bytes(t)
+
+
+def test_cosingleton_scan_matches_the_literal_scan(three):
+    u, ops = three
+    families = [
+        [(s.table, s) for s in enumerate_operators(3)],
+        [(t, Lanes(u, t)) for t in ops],
+    ]
+    for family in families:
+        axiomatic, failing, slots = _uncovered([system for _, system in family])
+        count = len(family)
+        assert flag_bytes(axiomatic, slots, count) == bytes(t[0] != 0 for t, _ in family)
+        expected = bytes(t[0] != 0 and cosingleton_witness(t) is None for t, _ in family)
+        assert flag_bytes(failing, slots, count) == expected
 
 
 def test_the_idempotent_tables_are_the_closure_systems(three):

@@ -40,7 +40,6 @@ from tarski_lab.classify import (
     Verdict,
     _axiom_flags,
     _fold,
-    _lane_constants,
     _monotone_finitary_flags,
     _moore_family_masks,
     _slots,
@@ -458,12 +457,28 @@ class TestPackedKernel:
         for tables in kernel_batches(n):
             witnesses = [axiom_witnesses(t) for t in tables]
             assert witnesses == [loop_axiom_witnesses(t) for t in tables]
-            slots = _lane_constants(n, len(tables)).slots
-            flags = _axiom_flags(b"".join(map(bytes, tables)), n)
+            slots = _slots(n, len(tables))
+            images = b"".join(map(bytes, tables))
+            flags = _axiom_flags(images, n)
             for k, axiom in enumerate(flags):
                 assert axiom & ~slots.starts == 0
                 assert flag_bytes(axiom, slots, len(tables)) == bytes(w[k] is not None for w in witnesses)
-            assert _monotone_finitary_flags(tables) == flags[1:]
+            assert _monotone_finitary_flags(images, n) == flags[1:]
+
+    @pytest.mark.parametrize("t", [(), (0, 0, 0), (0, 1, 2, 2, 2, 2), tuple(range(9))])
+    def test_refuses_a_length_other_than_a_power_of_two(self, t):
+        with pytest.raises(ValueError, match=f"^table must be total: expected 2\\^n entries, got {len(t)}$"):
+            axiom_witnesses(t)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 8, 9])
+    @pytest.mark.parametrize("value", ["size", "lane", "negative", "below minus size"])
+    def test_refuses_an_image_outside_the_table(self, n, value):
+        size = 1 << n
+        image = {"size": size, "lane": 0xFFFF, "negative": -1, "below minus size": -size - 1}[value]
+        t = list(range(size))
+        t[size // 2] = image
+        with pytest.raises(ValueError, match=f"^table value {image:#x} out of range$"):
+            axiom_witnesses(tuple(t))
 
     def test_top_lane_tables_fail_where_planted(self):
         first, last = top_lane_tables(4)

@@ -7,6 +7,10 @@ decomposition counts against binomial coefficients.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -18,6 +22,7 @@ from tarski_lab.words import (
     AlphabetMismatchError,
     PartialSeq,
     Word,
+    _length_and_offset,
     alphabet,
     class_of,
     count_decompositions,
@@ -42,6 +47,29 @@ def shortlex_listing(alpha: Alphabet, max_len: int) -> list[Word]:
 
 
 MATH = Alphabet(tuple(sorted(set("mathematics"))))
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def counted_length(k, code):
+    """The length of the word with this code and the number of shorter words,
+    by the literal count: add the kᴸ words of each length L until the code
+    falls among them."""
+    length, offset = 1, 0
+    while code >= offset + k**length:
+        offset += k**length
+        length += 1
+    return length, offset
+
+
+def counted_lengths(k, stop):
+    """``counted_length`` of every code below ``stop``, counted in one walk."""
+    length, offset = 1, 0
+    for code in range(stop):
+        while code >= offset + k**length:
+            offset += k**length
+            length += 1
+        yield length, offset
 
 
 class TestEncoding:
@@ -79,6 +107,49 @@ class TestEncoding:
     def test_unary_decode_over_the_bound_refused(self):
         with pytest.raises(ValueError, match=f"the bound is {MAX_WORD_LENGTH}"):
             decode(alphabet("a"), MAX_WORD_LENGTH)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_closed_form_length_matches_the_count_below_10_5(self, k):
+        stop = 10**5
+        assert [_length_and_offset(k, code) for code in range(stop)] == list(counted_lengths(k, stop))
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_closed_form_length_matches_the_count_at_every_boundary(self, k):
+        shorter = 0  # the words of fewer than L + 1 symbols
+        for length in range(1, 201):
+            shorter += k**length
+            for code in (shorter - 1, shorter):
+                assert _length_and_offset(k, code) == counted_length(k, code)
+            assert _length_and_offset(k, shorter - 1)[0] == length
+
+    def test_refused_past_the_bound_before_the_work(self):
+        # Counting the lengths one by one to a code past the bound takes minutes.
+        script = (
+            "from tarski_lab.words import MAX_WORD_LENGTH, alphabet, decode\n"
+            "for k in range(2, 6):\n"
+            "    first = (k ** (MAX_WORD_LENGTH + 1) - k) // (k - 1)  # of MAX_WORD_LENGTH + 1 symbols\n"
+            "    try:\n"
+            "        decode(alphabet('abcde'[:k]), first)\n"
+            "    except ValueError as error:\n"
+            "        print(first.bit_length(), error)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=10,
+        )
+        lines = result.stdout.splitlines()
+        assert len(lines) == 4
+        for line in lines:
+            bits, message = line.split(" ", 1)
+            assert message == (
+                f"code of {bits} bits decodes to a word of {MAX_WORD_LENGTH + 1} symbols; "
+                f"the bound is {MAX_WORD_LENGTH}"
+            )
 
     @pytest.mark.parametrize("symbols", ["a", "ab", "abc"])
     def test_encode_decode_round_trip_small_codes(self, symbols):
