@@ -8,8 +8,8 @@ Every command is registered through ``command(group, name, operands)``.
 Its body parses its arguments, computes, and returns a ``Report``; the
 decorator adds ``--json`` (and, with ``operands``, ``--spec``/``--universe``,
 handing the body the parsed ``SpecContext`` as ``sctx``), times the body,
-turns ``ValueError``/``KeyError`` into a usage error, prints the report,
-and exits 0 or 1 on its verdict.
+renders the report, turns a ``ValueError``/``KeyError`` of either step into
+a usage error, prints the report, and exits 0 or 1 on its verdict.
 
 This module imports no other module of the package at its top: each body
 imports what it uses on its first lines, so ``--help`` loads only click and
@@ -57,12 +57,13 @@ def command(group: click.Group, name: str | None = None, operands: bool = False)
                 if operands:
                     params["sctx"] = _context(params.pop("spec_path"), params.pop("universe_spec"))
                 report = body(**params)
+                report.timing_ms = (time.perf_counter() - started) * 1000.0
+                text = report.to_json() if as_json else report.to_text()
             except (ValueError, KeyError) as error:
                 # str() of a KeyError is the repr of its message; show the message.
                 message = error.args[0] if isinstance(error, KeyError) and error.args else error
                 raise click.UsageError(str(message)) from error
-            report.timing_ms = (time.perf_counter() - started) * 1000.0
-            click.echo(report.to_json() if as_json else report.to_text(), nl=False)
+            click.echo(text, nl=False)
             click.get_current_context().exit(0 if report.verdict else 1)
 
         click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")(run_body)

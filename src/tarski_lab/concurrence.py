@@ -2,9 +2,11 @@
 
 A relation is concurrent on a domain when every nonempty finite subset of
 the domain admits one common right-bound.  On a finite carrier this is
-decided exactly by sweeping all subsets (ascending index-bitmask order, so
-the reported failing subset is the least one); the sweep is capped at 20
-domain elements.  A chain ordered by ≤ is always concurrent (bounded by
+decided exactly, with the least failing subset in ascending index-bitmask
+order, by one descent: that subset takes the least possible highest
+element, then the least possible next one, and so on.  The descent reads
+each pair a bounded number of times, O(|pairs| + |D|) in all, so no domain
+size is refused.  A chain ordered by ≤ is always concurrent (bounded by
 its maximum), while strict < on any finite carrier never is: nothing lies
 strictly above the top.  That contrast is precisely the finite content the
 infinite-bound constructions rely on.
@@ -19,8 +21,6 @@ from .sets import SentenceSet, UniverseMismatchError
 
 if TYPE_CHECKING:
     from .operators import OperatorExpr
-
-DOMAIN_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -45,47 +45,39 @@ def is_concurrent(
 ) -> ConcurrenceResult:
     """Exact concurrence verdict with the least failing subset on false."""
     domain = list(domain)
-    if len(domain) > DOMAIN_CAP:
-        raise ValueError(f"domain of {len(domain)} exceeds the exhaustive cap {DOMAIN_CAP}")
     if len(set(domain)) != len(domain):
         raise ValueError("domain elements must be distinct")
     if not domain:
         return ConcurrenceResult(True)
 
     successors: dict[Hashable, set] = {x: set() for x in domain}
-    targets: list[Hashable] = []
-    seen_targets: set = set()
     for x, y in pairs:
         if x in successors:
             successors[x].add(y)
-        if y not in seen_targets:
-            seen_targets.add(y)
-            targets.append(y)
+    succ = [successors[x] for x in domain]
 
-    whole = set.intersection(*(successors[x] for x in domain))
+    # last[t], for each target t of domain[0]: the first index whose
+    # successors miss t, or |D|.  The prefix 0..k shares t iff last[t] > k.
+    last = {}
+    for t in succ[0]:
+        i = 1
+        while i < len(succ) and t in succ[i]:
+            i += 1
+        last[t] = i
+    whole = {t for t, i in last.items() if i == len(succ)}
     if whole:
         return ConcurrenceResult(True, bound=_least(whole))
 
-    # Some subset fails; find the least one by index bitmask.  A bound for a
-    # superset bounds every subset, so the full-domain test above already
-    # settled the concurrent case.
-    index_of = {y: i for i, y in enumerate(targets)}
-    succ_bits = []
-    for x in domain:
-        bits = 0
-        for y in successors[x]:
-            bits |= 1 << index_of[y]
-        succ_bits.append(bits)
-    size = len(domain)
-    every = (1 << len(targets)) - 1
-    inter = [every] * (1 << size)
-    for mask in range(1, 1 << size):
-        low = mask & -mask
-        inter[mask] = inter[mask ^ low] & succ_bits[low.bit_length() - 1]
-        if inter[mask] == 0:
-            failing = tuple(domain[i] for i in range(size) if mask >> i & 1)
-            return ConcurrenceResult(False, failing_subset=failing)
-    raise RuntimeError("sweep found no failing subset despite an unbounded domain")
+    # The least failing subset by index bitmask takes the least highest
+    # element k whose prefix 0..k shares nothing with the targets common to
+    # the elements taken so far: the largest last[t] over those targets.
+    k = max(last.values(), default=0)
+    chosen, common = [k], succ[k]
+    while common:
+        k = max(last.get(t, 0) for t in common)
+        chosen.append(k)
+        common = common & succ[k]
+    return ConcurrenceResult(False, failing_subset=tuple(domain[i] for i in reversed(chosen)))
 
 
 def monotone_union_check(op: OperatorExpr, parts: Sequence[SentenceSet]) -> bool:

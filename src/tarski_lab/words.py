@@ -90,11 +90,10 @@ def join_words(w1: Word, w2: Word) -> Word:
 def encode(w: Word) -> int:
     """Shortlex rank: all shorter words first, then lexicographic order."""
     k = w.alphabet.size
-    offset = sum(k**j for j in range(1, w.size))
     value = 0
     for digit in w.indices:
         value = value * k + digit
-    return offset + value
+    return _offset(k, w.size) + value
 
 
 def decode(alpha: Alphabet, code: int) -> Word:
@@ -114,6 +113,12 @@ def decode(alpha: Alphabet, code: int) -> Word:
     return Word(alpha, tuple(digits))
 
 
+def _offset(k: int, length: int) -> int:
+    """The number of words of fewer than ``length`` symbols over k symbols:
+    k + k² + … + kᴸ⁻¹ = (kᴸ − k)/(k − 1), or L − 1 when k = 1."""
+    return length - 1 if k == 1 else (k**length - k) // (k - 1)
+
+
 def _length_and_offset(k: int, code: int) -> tuple[int, int]:
     """The length L of the word with this code over k symbols and the number
     of shorter words, in closed form: there are (kᴸ⁺¹ − k)/(k − 1) words of
@@ -125,7 +130,7 @@ def _length_and_offset(k: int, code: int) -> tuple[int, int]:
     # The float logarithm may fall on either side of a power of k.
     length += k ** (length + 1) <= bound
     length -= k**length > bound
-    return length, (k**length - k) // (k - 1)
+    return length, _offset(k, length)
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,14 @@ class TestCommands:
         assert "5000001 symbols; the bound is 1000000" in result.output
         assert time.perf_counter() - started < 1.0
 
+    @pytest.mark.parametrize("command", ["encode", "classify"])
+    def test_words_report_too_large_to_render_exits_two(self, runner, command):
+        # A code of 9,300 symbols over three letters has more than str()'s 4,300 digits.
+        result = runner.invoke(main, ["words", "--alphabet", "abc", command, "abc" * 3100, "--json"])
+        assert result.exit_code == 2
+        assert "4300 digits" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_words_split(self, runner):
         result = invoke(
             runner, ["words", "--alphabet", "abc", "split", "abc", "--k", "1", "--json"]

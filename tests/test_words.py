@@ -8,6 +8,7 @@ decomposition counts against binomial coefficients.
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,10 @@ from tarski_lab.words import (
     seq_of_word,
     word_of_seq,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import oracle  # noqa: E402
 
 
 def shortlex_listing(alpha: Alphabet, max_len: int) -> list[Word]:
@@ -156,6 +161,35 @@ class TestEncoding:
         alpha = alphabet(symbols)
         for code in range(501):
             assert encode(decode(alpha, code)) == code
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_encode_matches_the_literal_sum_of_powers(self, k):
+        symbols = "abcde"[:k]
+        rng = random.Random(k)
+        for length in [*range(1, 61), 200, 1000]:
+            text = "".join(rng.choice(symbols) for _ in range(length))
+            assert encode(alphabet(symbols).word(text)) == oracle.word_code(text, symbols)
+
+    def test_long_word_encodes_in_time(self):
+        # An offset summed power by power is quadratic: about 47 s on this word.
+        script = (
+            "import random\n"
+            "from tarski_lab.words import alphabet, encode\n"
+            "rng = random.Random(1)\n"
+            "text = ''.join(rng.choice('abc') for _ in range(10**5))\n"
+            "print(encode(alphabet('abc').word(text)).bit_length())\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=10,
+        )
+        # Every word of 10⁵ symbols over three letters has a code of about 10⁵·log2(3) bits.
+        assert abs(int(result.stdout) - 10**5 * math.log2(3)) < 2
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
