@@ -30,10 +30,11 @@ slot's last bit carries into that bit exactly when one of them is set, so
 five whole-int operations fold every slot at once; callers count with
 ``int.bit_count``.
 
-A family of closure systems is packed by joining their stored lanes
-(``b"".join``); no pass packs a closure table again.  ``is_atom`` tests
-the joined oracle against the tiled target in one pass and reads only the
-few systems flagged below it.  Lemma 2.6's co-singleton scan
+A family of closure systems reaches a pass as one int (``_joined_lanes``):
+the store's packed int when the family is the store's systems in order,
+else the join of their stored lanes; no pass packs a closure table again.
+``is_atom`` tests that int against the tiled target in one pass and reads
+only the few systems flagged below it.  Lemma 2.6's co-singleton scan
 (``_uncovered``), which ``dense_cover_check`` and the lemma-2.6 demo share,
 is one pass too: XOR with L in the co-singleton lanes, each lane's bits
 OR-ed down into its first bit, and one ``_fold`` per table.
@@ -54,9 +55,10 @@ Enumeration produces every closure system (intersection-closed family
 containing L) on a tiny universe, in ascending order of the family's
 characteristic bitmask over P(L); these are the extensional forms of all
 consequence operators and serve as the oracle for the lattice and
-atom-structure checks.  For n ≤ ``ENUMERATION_LIMIT`` the systems of each
-size are built once per process and shared; they are immutable, and each
-packs its closure table into lanes lazily, once.
+atom-structure checks.  For n ≤ ``ENUMERATION_LIMIT`` a store
+(``_closure_systems``) keeps them once per process, unvalidated, as the
+Moore search makes them sure, with one int of every closure table end to
+end from one batched superset-AND, each system's lanes a slice of it.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from .operators import (
     OperatorExpr,
     _closed_form,
     _byte_lane_steps,
+    _closure_lanes,
     _lane_width,
     _superset_and,
     _zeta_steps,
@@ -479,14 +482,15 @@ def count_closure_systems(n: int, include_top: bool = True) -> int:
     return len(_enumerable_family_masks(n)) - (not include_top)
 
 
-def system_from_family_mask(n: int, family_mask: int) -> ClosureSystem:
-    members = tuple(m for m in range(1 << n) if family_mask >> m & 1)
-    return ClosureSystem(default_universe(n), members)
-
-
 @lru_cache(maxsize=None)
-def _closure_systems(n: int) -> tuple[ClosureSystem, ...]:
-    return tuple(system_from_family_mask(n, m) for m in _enumerable_family_masks(n))
+def _closure_systems(n: int) -> tuple[tuple[ClosureSystem, ...], int]:
+    """The store of the Moore family on n symbols: every closure system in
+    canonical order, and their closure tables end to end in one int."""
+    families = [tuple([m for m in range(1 << n) if f >> m & 1]) for f in _enumerable_family_masks(n)]
+    packed, stride, universe = _closure_lanes(families, n), _lane_width(n) << n, default_universe(n)
+    data = packed.to_bytes(stride * len(families), "little")
+    lanes = [data[start : start + stride] for start in range(0, len(data), stride)]
+    return tuple(ClosureSystem._trusted(universe, f, lane) for f, lane in zip(families, lanes)), packed
 
 
 def enumerate_operators(n: int, include_top: bool = True) -> Iterator[ClosureSystem]:
@@ -494,12 +498,12 @@ def enumerate_operators(n: int, include_top: bool = True) -> Iterator[ClosureSys
 
     ``include_top=False`` drops the single {L}-only family (the map sending
     everything to L); its family mask is the least, so it comes first.
-    Counts for n = 1..4 are 2, 7, 61, 2480.  The systems are built and
-    validated once per process and shared by every call; they are immutable,
-    and each one packs its table into lanes lazily, once.
+    Counts for n = 1..4 are 2, 7, 61, 2480.  The result iterates over the
+    store's tuple (``_closure_systems``), built once per process with every
+    lane and shared by every call; an n outside 1..4 is refused at the call.
     """
-    systems = _closure_systems(n)
-    yield from systems if include_top else systems[1:]
+    systems, _ = _closure_systems(n)
+    return iter(systems if include_top else systems[1:])
 
 
 # -- atoms and dense covers ------------------------------------------------------
@@ -541,10 +545,9 @@ def is_atom(op: OperatorExpr, oracle: Iterable[ClosureSystem]) -> bool:
     if not systems:
         return True
     n = universe.size
-    images = _joined_lanes(systems, n, "the operator")
+    packed = _joined_lanes(systems, n, "the operator")
     slots = _slots(n, len(systems))
     tile = int.from_bytes(_lanes([target], slots.width, len(target)), "little") * slots.starts
-    packed = int.from_bytes(images, "little")
     # x ^ (x & y) is x & ~y without negating a whole int, and flags sit only
     # at the starts, so XOR with the starts negates them.
     below = slots.starts ^ _fold(packed ^ (packed & tile), slots)
@@ -555,11 +558,15 @@ def is_atom(op: OperatorExpr, oracle: Iterable[ClosureSystem]) -> bool:
     return True
 
 
-def _joined_lanes(systems: Sequence[ClosureSystem], n: int, expected: str) -> bytes:
-    """The lanes of ``systems`` end to end.  A system on other than n symbols
-    is refused, the message naming ``expected`` as what is on n.  The lane
-    length fixes the number of symbols, so a total length of one n-symbol
-    table per system with none longer means every system is on n."""
+def _joined_lanes(systems: Sequence[ClosureSystem], n: int, expected: str) -> int:
+    """The lanes of ``systems`` end to end, as one int: the store's, for its
+    systems in order or systems equal to them, else joined.  A system on
+    other than n symbols is refused, naming ``expected`` as what is on n: a
+    total length of one n-symbol table per system, none longer, means all are."""
+    if 1 <= n <= ENUMERATION_LIMIT and len(systems) == len(_moore_family_masks(n)):
+        stored, packed = _closure_systems(n)
+        if tuple(systems) == stored:
+            return packed
     lanes = [system.lanes for system in systems]
     length = _lane_width(n) << n
     images = b"".join(lanes)
@@ -568,7 +575,7 @@ def _joined_lanes(systems: Sequence[ClosureSystem], n: int, expected: str) -> by
         raise ValueError(
             f"the oracle holds a system on {other.universe.size} symbols, but {expected} is on {n}"
         )
-    return images
+    return int.from_bytes(images, "little")
 
 
 @dataclass(frozen=True)
@@ -605,9 +612,9 @@ def _uncovered(systems: Sequence[ClosureSystem]) -> tuple[int, int, _Slots]:
     co-singleton lanes leaves such a lane zero where its image is L, and lane
     0 as it is; OR-ing each lane's bits into its first bit flags the nonzero lanes."""
     n = systems[0].universe.size
-    images = _joined_lanes(systems, n, "its first system")
+    packed = _joined_lanes(systems, n, "its first system")
     slots, cosingletons = _slots(n, len(systems)), _cosingleton_lanes(n, len(systems))
-    nonzero = int.from_bytes(images, "little") ^ cosingletons * ((1 << n) - 1)
+    nonzero = packed ^ cosingletons * ((1 << n) - 1)
     shift = 1
     while shift < 8 * slots.width:
         # Bit 0 of a lane gathers bits below 8·width of its own lane only.

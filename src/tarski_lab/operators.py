@@ -29,16 +29,17 @@ and stores its closure table (the least closed superset of every subset) in
 one form, packed: ``system.lanes``, built on first use and kept.
 ``system.table`` is a view of those bytes, built on each read, and ``table``
 reads it for ``FromSystem``; evaluating at one point scans the closed masks
-instead.  ``classify``'s family passes join the lanes of many systems.
+instead.  ``classify``'s family passes read the lanes of many systems.
 
 The lane encoding lives here too, below ``classify``'s axiom kernel: a table
 packs into one int, one little-endian lane of ``_lane_width(n)`` bytes per
 image (``_LANE_CODES`` names the ``struct`` code of each width), and
 ``_superset_and`` ANDs every lane with the lanes of its supersets in one
-masked shift of the whole int per bit (``_zeta_steps``).  ``system.lanes``
-is that superset-AND, seeded with c in the lane of each closed c and with L
-in every other lane; it builds one selector at a time, except on at most
-eight symbols, where ``_byte_lane_steps`` keeps them per n.
+masked shift of the whole int per bit (``_zeta_steps``).  ``_closure_lanes``
+is one such pass over the closure tables of one family, for ``system.lanes``,
+or of all, for ``classify``'s store, whose systems receive their lanes.  It
+builds one selector at a time, except on at most eight symbols for one
+table, where ``_byte_lane_steps`` keeps them per n.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import struct
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, lru_cache
 from operator import and_, or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .sets import (
     Mode,
@@ -102,6 +103,20 @@ def _superset_and(packed: int, steps: Iterable[tuple[int, int]]) -> int:
     for selector, shift in steps:
         packed &= ((packed & selector) >> shift) | selector
     return packed
+
+
+def _closure_lanes(families: Sequence[Sequence[int]], n: int) -> int:
+    """The closure tables of ``families`` (closed masks on n symbols) end to end
+    in one int, lane m of table i the AND of family i's closed supersets of m:
+    L in every lane, then c in lane c of each closed c, then ``_superset_and``."""
+    size, width, count = 1 << n, _lane_width(n), len(families)
+    lane = struct.Struct(f"<{_LANE_CODES[width]}")
+    seeded = bytearray(lane.pack(size - 1) * (size * count))
+    for base, masks in zip(range(0, size * count, size), families):
+        for c in masks:
+            lane.pack_into(seeded, (base + c) * width, c)
+    steps = _byte_lane_steps(n) if count == width == 1 else _zeta_steps(n, width, count)
+    return _superset_and(int.from_bytes(seeded, "little"), steps)
 
 
 class OperatorConstraintError(ValueError):
@@ -286,27 +301,24 @@ class ClosureSystem:
         """The closed sets as ``SentenceSet`` values, in mask order."""
         return tuple(self.universe.from_mask(m) for m in self.masks)
 
+    @classmethod
+    def _trusted(cls, universe: Universe, masks: tuple[int, ...], lanes: bytes) -> ClosureSystem:
+        """A system from sorted masks known to hold L and to be intersection-closed,
+        and its ``lanes``, unvalidated; only ``classify``'s store builds these."""
+        system = object.__new__(cls)
+        system.__dict__.update(universe=universe, masks=masks, lanes=lanes)
+        return system
+
     @cached_property
     def lanes(self) -> bytes:
         """The closure table packed one little-endian lane of ``_lane_width(n)``
         bytes per subset, in mask order: lane m holds the mask of the least
-        closed superset of m.
-
-        That is the AND of all closed supersets, L among them: seed lane c
-        with c for each closed c and every other lane with L, then AND every
-        lane with the lane of its superset across one bit at a time
-        (``_superset_and``).  Built on first use and kept; family passes join
-        these bytes.
+        closed superset of m (``_closure_lanes``): built on first use and
+        kept, or given by the store.
         """
         n = self.universe.size
         _refuse_oversized(n)
-        size, width = 1 << n, _lane_width(n)
-        lane = struct.Struct(f"<{_LANE_CODES[width]}")
-        seeded = bytearray(lane.pack(size - 1) * size)
-        for c in self.masks:
-            lane.pack_into(seeded, c * width, c)
-        steps = _byte_lane_steps(n) if width == 1 else _zeta_steps(n, width, 1)
-        return _superset_and(int.from_bytes(seeded, "little"), steps).to_bytes(size * width, "little")
+        return _closure_lanes([self.masks], n).to_bytes(_lane_width(n) << n, "little")
 
     @property
     def table(self) -> tuple[int, ...]:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cache
+from typing import Callable, Iterator
 
 
 MAX_WORD_LENGTH = 10**6  # longest word ``decode`` builds
@@ -90,10 +91,7 @@ def join_words(w1: Word, w2: Word) -> Word:
 def encode(w: Word) -> int:
     """Shortlex rank: all shorter words first, then lexicographic order."""
     k = w.alphabet.size
-    value = 0
-    for digit in w.indices:
-        value = value * k + digit
-    return _offset(k, w.size) + value
+    return _offset(k, w.size) + _value(w.indices, k, cache(lambda h: k**h))
 
 
 def decode(alpha: Alphabet, code: int) -> Word:
@@ -104,13 +102,35 @@ def decode(alpha: Alphabet, code: int) -> Word:
     if length > MAX_WORD_LENGTH:
         shown = code if code.bit_length() <= 10_000 else f"of {code.bit_length()} bits"
         raise ValueError(f"code {shown} decodes to a word of {length} symbols; the bound is {MAX_WORD_LENGTH}")
-    rem = code - offset
+    return Word(alpha, tuple(_digits(code - offset, length, k, cache(lambda h: k**h))))
+
+
+_LEAF = 64  # the codec halves a word down to this many symbols; one loop over all is quadratic
+
+
+def _value(digits: tuple[int, ...], k: int, power: Callable[[int], int]) -> int:
+    """The number with base-k ``digits``, most significant first: left · kʰ + right,
+    the right half of h digits, where ``power`` is h ↦ kʰ, memoised per call."""
+    if len(digits) > _LEAF:
+        h = len(digits) // 2
+        return _value(digits[:-h], k, power) * power(h) + _value(digits[-h:], k, power)
+    value = 0
+    for digit in digits:
+        value = value * k + digit
+    return value
+
+
+def _digits(value: int, length: int, k: int, power: Callable[[int], int]) -> list[int]:
+    """The ``length`` base-k digits of value < kᴸ, most significant first:
+    divmod by kʰ splits off the h low digits."""
+    if length > _LEAF:
+        h = length // 2
+        high, low = divmod(value, power(h))
+        return _digits(high, length - h, k, power) + _digits(low, h, k, power)
     digits = [0] * length
-    pos = length - 1
-    while rem:
-        rem, digits[pos] = divmod(rem, k)
-        pos -= 1
-    return Word(alpha, tuple(digits))
+    for pos in range(length - 1, -1, -1):
+        value, digits[pos] = divmod(value, k)
+    return digits
 
 
 def _offset(k: int, length: int) -> int:

@@ -8,6 +8,8 @@ to four elements); the n<=2 families are additionally spelled out by hand.
 import itertools
 import random
 import struct
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,11 +50,14 @@ from tarski_lab.classify import (
     enumerate_operators,
     is_atom,
     lemma26_witness,
-    system_from_family_mask,
 )
 from tarski_lab.demos import run_demo
 
 from oracles import bounded_sweep, flag_bytes
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import oracle  # noqa: E402
 
 
 @pytest.fixture
@@ -248,20 +253,23 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_count_builds_no_systems(self, n, monkeypatch):
         expected = [sum(1 for _ in enumerate_operators(n, include_top=top)) for top in (False, True)]
-        monkeypatch.setattr(ClosureSystem, "__post_init__", lambda self: pytest.fail("built a system"))
+        forbid_building_systems(monkeypatch)
         assert [count_closure_systems(n, include_top=top) for top in (False, True)] == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_systems_shared_across_calls(self, n):
         first, second = list(enumerate_operators(n)), list(enumerate_operators(n))
         assert len(first) == len(second) and all(a is b for a, b in zip(first, second))
-        fresh = [system_from_family_mask(n, m) for m in _moore_family_masks(n)]
+        fresh = [
+            ClosureSystem(default_universe(n), tuple(m for m in range(1 << n) if family >> m & 1))
+            for family in _moore_family_masks(n)
+        ]
         assert [s.masks for s in first] == [s.masks for s in fresh]
 
     @pytest.mark.parametrize("name", ["thm-2.7", "thm-3.5", "lemma-2.6", "thm-4.3-lemma"])
     def test_repeat_demo_builds_no_systems(self, name, monkeypatch):
         expected = run_demo(name)
-        monkeypatch.setattr(ClosureSystem, "__post_init__", lambda self: pytest.fail("built a system"))
+        forbid_building_systems(monkeypatch)
         assert run_demo(name) == expected
 
     @pytest.mark.parametrize("n", [0, -1, 11])
@@ -284,6 +292,79 @@ class TestEnumeration:
             report = check_axioms(op)
             assert report.all_pass
             assert to_closure_system(op) == system
+
+
+def forbid_building_systems(monkeypatch):
+    """Fail on any system built, by the validating constructor or by the
+    store's trusted one."""
+    for name in ("__post_init__", "_trusted"):
+        monkeypatch.setattr(ClosureSystem, name, lambda *args: pytest.fail("built a system"))
+
+
+class TestMooreStore:
+    """The store of the Moore family against perfbench's literal oracle, and
+    its packed int against the join of the same lanes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_packed_int_is_the_literal_closure_tables(self, n):
+        systems, packed = _closure_systems(n)
+        families = oracle.moore_families(n)
+        assert [s.masks for s in systems] == families
+        literal = b"".join(bytes(oracle.closure_table(f, n)) for f in families)
+        assert packed.to_bytes(len(literal), "little") == literal
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_each_system_is_the_validated_one(self, n):
+        for system in _closure_systems(n)[0]:
+            fresh = ClosureSystem(default_universe(n), system.masks)
+            assert system == fresh
+            assert system.lanes == fresh.lanes
+
+    def test_store_path_matches_the_join_path(self):
+        systems = list(enumerate_operators(4))
+        _, packed = _closure_systems(4)
+        assert classify._joined_lanes(systems, 4, "") is packed
+        equal = [ClosureSystem(s.universe, s.masks) for s in systems]
+        assert classify._joined_lanes(equal, 4, "") is packed
+        flipped = systems[::-1]  # joined: not the store's systems in order
+        assert classify._joined_lanes(flipped, 4, "") != packed
+        members = e0_family(default_universe(4))
+        assert [is_atom(op, systems) for op in members] == [is_atom(op, flipped) for op in members] == [True] * 4
+        rng = random.Random(2480)
+        targets = []
+        for system in rng.sample(systems[1:], len(systems) - 1):
+            if system.table != tuple(range(16)) and not is_atom(FromSystem(system), flipped):
+                targets.append(FromSystem(system))
+            if len(targets) == 20:
+                break
+        assert [is_atom(op, systems) for op in targets] == [False] * 20
+        assert dense_cover_check(systems) == dense_cover_check(flipped) == classify.CoverResult(True)
+        axiomatic, failing, _ = _uncovered(systems)
+        flipped_axiomatic, flipped_failing, _ = _uncovered(flipped)
+        literal = sum(f[0] != 0 for f in oracle.moore_families(4))  # C(∅) = ∅ exactly when ∅ is closed
+        assert (axiomatic.bit_count(), failing) == (flipped_axiomatic.bit_count(), flipped_failing) == (literal, 0)
+
+    def test_foreign_oracle_of_the_same_length_is_joined(self):
+        # A target whose only strict middle system, by family inclusion, is
+        # replaced by a duplicate of the top map, which lies above it.
+        systems = list(enumerate_operators(4))
+        families = _moore_family_masks(4)
+        everything = families[-1]  # every subset closed: the identity
+        for target, family in zip(systems, families):
+            middle = [
+                i for i, other in enumerate(families)
+                if other != family and other != everything and other & family == family
+            ]
+            if target.table != tuple(range(16)) and len(middle) == 1:
+                break
+        else:
+            pytest.fail("no target with exactly one middle system")
+        foreign = systems[:]
+        foreign[middle[0]] = systems[0]
+        assert len(foreign) == len(systems) and foreign != systems
+        assert not is_atom(FromSystem(target), systems)
+        assert is_atom(FromSystem(target), foreign)
+        assert not strictly_between(target.table, foreign)
 
 
 class TestE0Family:

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, reports, JSON stability."""
 
+import hashlib
 import json
 import time
 
@@ -103,6 +104,25 @@ class TestJsonStability:
         assert first == second
         payload = json.loads(first)
         assert payload["data"]["count"] == 7
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (
+                ["enumerate", "--n", "4", "--list-systems"],
+                "43bfbc185132a1d3d9d5dac37a1ad07076a4b08942b60a54848591c559ae6318",
+            ),
+            (
+                ["enumerate", "--n", "4", "--include-top", "--list-systems"],
+                "5ef07ac92179dc9079b07a8c2e73ca54e70ba38446bc0b4ff892cfb6d36e654f",
+            ),
+            (["atoms", "--n", "4"], "0b3d61771150f91b74087531bfe631bd7e90b70b3e6b8ecdbfed538b532d40c9"),
+        ],
+    )
+    def test_moore_family_output_is_pinned(self, runner, args, digest):
+        # The SHA-256 of each report as the validating per-system build wrote it.
+        output = invoke(runner, args + ["--json"]).output
+        assert hashlib.sha256(output.encode()).hexdigest() == digest
 
     def test_json_has_no_timing(self, runner):
         result = invoke(runner, ["check", "--universe", "a,b", "I", "--json"])

@@ -191,6 +191,36 @@ class TestEncoding:
         # Every word of 10⁵ symbols over three letters has a code of about 10⁵·log2(3) bits.
         assert abs(int(result.stdout) - 10**5 * math.log2(3)) < 2
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_halving_codec_matches_the_oracle(self, k):
+        # Lengths on both sides of each split into 64-symbol leaves.
+        symbols = "abcde"[:k]
+        rng = random.Random(100 + k)
+        for length in [*range(1, 300), 1000, 5000]:
+            text = "".join(rng.choice(symbols) for _ in range(length))
+            code = encode(alphabet(symbols).word(text))
+            assert code == oracle.word_code(text, symbols)
+            assert decode(alphabet(symbols), code).text() == oracle.word_of_code(code, symbols) == text
+
+    def test_longest_word_decodes_in_time(self):
+        # One divmod per symbol is quadratic: about 84 s on this word.
+        script = (
+            "from tarski_lab.words import MAX_WORD_LENGTH, alphabet, decode\n"
+            "word = decode(alphabet('ab'), 2 ** (MAX_WORD_LENGTH + 1) - 3)\n"
+            "print(word.size, set(word.indices))\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=10,
+        )
+        # The last word of MAX_WORD_LENGTH symbols: every symbol is b.
+        assert result.stdout.split(None, 1) == [str(MAX_WORD_LENGTH), "{1}\n"]
+
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             alphabet("ab").word("")
