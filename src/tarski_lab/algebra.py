@@ -7,11 +7,12 @@ decided exactly by case analysis on the shapes that ``operators._closed_form``
 gives the identity, the top map and the two parametric families; anything
 else raises rather than samples.
 
-On the naturals there is no bitmask order, so "least" is read per shape of
-the left operand.  A "meets" left operand (the identity and ``cxy``) fails
-first at a singleton, and the witness is {y} for the least y with
-a({y}) ⊄ b({y}).  A "contains" left operand (the top map and ``cprime``)
-has one minimal argument, its trigger set Y, and the witness is Y itself.
+On the naturals "least" is read per shape of the left operand.  A "meets"
+left operand (the identity and ``cxy``) fails first at a singleton, and
+the witness is {y} for the least y with a({y}) ⊄ b({y}).  A "contains"
+left operand (the top map and ``cprime``) has one minimal argument, its
+trigger set Y, and the witness is Y itself.  (``check`` on a composite
+reads the bitmask order of its finite model, ``operators._Quotient``.)
 """
 
 from __future__ import annotations
@@ -189,57 +190,21 @@ class ChainResult:
         return self.holds
 
 
-def _equal_same_family(kind: str, p: SentenceSet, q: SentenceSet, y: SentenceSet) -> bool:
-    """Pointwise equality of two same-family operators sharing parameter Y."""
-    diff = p.difference(q).union(q.difference(p))
-    if kind == "meets":
-        return _singleton_violation(diff, y) is None
-    return diff.is_subset(y)
-
-
-def _comparable_by_composition(a: OperatorExpr, b: OperatorExpr) -> bool:
-    """Whether a and b are comparable, decided through composition identities.
-
-    A pair of closure operators is comparable exactly when composing the
-    larger after the smaller reproduces the larger.  Finite universes check
-    this by exhaustive evaluation; the infinite universe handles operands
-    that are semantically the identity or the top map, and same-family
-    pairs sharing their second parameter, where the composite has the
-    closed form family(X1 ∪ X2, Y).
-    """
-    if a.universe.mode is Mode.FINITE:
-        return equivalent(Compose(b, a), b) or equivalent(Compose(a, b), a)
-    for one in (a, b):
-        kind, x, y = _shape(one)
-        if kind == "meets" and _singleton_violation(x, y) is None:
-            return True  # semantically the identity: other ∘ id = other
-        if kind == "contains" and y.is_empty() and x.is_full():
-            return True  # semantically the top map: top ∘ other = top
-    kind_a, x1, y1 = _shape(a)
-    kind_b, x2, y2 = _shape(b)
-    if kind_a == kind_b and y1 == y2:
-        composite_x = x1.union(x2)
-        return _equal_same_family(kind_a, composite_x, x2, y1) or _equal_same_family(
-            kind_a, composite_x, x1, y1
-        )
-    raise UndecidableComparisonError(
-        "no composition closed form for this cofinite operand pair"
-    )
-
-
 def is_chain(family: list[OperatorExpr]) -> ChainResult:
     """Whether every pair in the family is comparable.
 
-    Each pair is decided twice: through ``le`` and through the composition
-    characterisation; the two verdicts must agree (they coincide exactly
-    for consequence operators, so a disagreement means a malformed operand
-    and raises).
+    ``le`` decides each pair.  In finite mode composition decides it again
+    (for closure operators a ≤ b exactly when b∘a = b, Thm 3.5), and a
+    disagreement means a malformed operand and raises.  On the naturals
+    every operand ``le`` accepts is a closure operator (Thm 2.5), so a
+    second derivation could only add refusals.
     """
     for i, a in enumerate(family):
         for b in family[i + 1 :]:
             via_le = le(a, b).holds or le(b, a).holds
-            via_comp = _comparable_by_composition(a, b)
-            if via_le != via_comp:
+            if a.universe.mode is Mode.FINITE and via_le != (
+                equivalent(Compose(b, a), b) or equivalent(Compose(a, b), a)
+            ):
                 raise OperatorConstraintError(
                     "order and composition verdicts disagree; "
                     "an operand is not a consequence operator"

@@ -7,9 +7,9 @@ On a finite universe ``check_axioms`` sweeps the three axioms over every
 subset, exhaustively, and reports least-bitmask witnesses.  On the
 infinite universe an atomic operator gets the exact verdicts of its shape
 (``operators._closed_form``).  Every other expression is extensive and
-monotone by its structure, so (ii) passes conclusively and a bounded
-family is scanned for idempotence alone: a failure of (i) is conclusive,
-and passes of (i) and (iii) are explicitly inconclusive.
+monotone by its structure, so (ii) passes conclusively, and (i) is decided
+exactly on its finite model (``operators._Quotient``) by the axiom kernel;
+a pass of (iii) is explicitly inconclusive.
 
 ``axiom_witnesses`` finds the same least witnesses on an int table.  It
 packs the table into one int, one little-endian lane of 1, 2 or 4 bytes
@@ -75,6 +75,7 @@ from .operators import (
     ClosureSystem,
     CPrime,
     OperatorExpr,
+    _Quotient,
     _closed_form,
     _byte_lane_steps,
     _closure_lanes,
@@ -87,6 +88,7 @@ from .operators import (
 
 EXHAUSTIVE = "exhaustive"
 CLOSED_FORM = "closed-form"
+QUOTIENT = "quotient"
 
 ENUMERATION_LIMIT = 4
 
@@ -116,19 +118,17 @@ class AxiomReport:
         return self.is_consequence and self.axiom_iii.passed
 
 
-def check_axioms(op: OperatorExpr, cap: int | None = None) -> AxiomReport:
+def check_axioms(op: OperatorExpr) -> AxiomReport:
     """Full per-axiom report with least counterexample witnesses.
 
-    On the naturals, every expression the grammar builds is extensive and
-    monotone, by induction on its structure: the leaves ``Identity``,
-    ``Top``, ``Cxy`` and ``CPrime`` are both; ``Meet``, ``NaiveJoin`` and
-    ``Compose`` keep both; ``WeakJoin`` evaluates its atom
-    (``_weak_join_atom``); and ``SExample``, ``FromTable`` and
-    ``ClosureSystem``/``FromSystem`` refuse non-finite universes.  So (ii)
-    holds exactly, and a bounded (iii) failure, a finite a ⊆ s with
-    C(a) ⊄ C(s), would already be a (ii) failure.  The bounded search
-    therefore scans the family for (i) alone and stops at its first
-    failure, which is conclusive; its passes of (i) and (iii) are not.
+    On the naturals every expression is extensive and monotone by induction
+    on its structure, so (ii) holds exactly, and an atom gets the verdicts of
+    its shape.  Any other expression is exactly an operator on its finite
+    model (``operators._Quotient``), whose table, each lane that stands for
+    no set mapped to itself, goes through ``axiom_witnesses``: (i) is exact
+    both ways, and (iii) passes inconclusively.  The (i) witness is the
+    least failing mask of the model, its classes sorted by least element,
+    lifted to the naturals.
     """
     universe = op.universe
     if universe.mode is Mode.FINITE:
@@ -138,23 +138,15 @@ def check_axioms(op: OperatorExpr, cap: int | None = None) -> AxiomReport:
     shape = _closed_form(op)
     if shape is not None:
         return _check_closed_form(*shape)
-    if cap is None:
-        raise ValueError("bounded search on the infinite universe needs a cap")
-    if cap < 1:
-        raise ValueError(f"the bounded-search cap must be at least 1, got {cap}")
-    family = _bounded_family(universe, cap)
-    axiom_i = Verdict(True, False)
-    for s in family:
-        image = evaluate(op, s)
-        if not s.is_subset(image) or evaluate(op, image) != image:
-            axiom_i = Verdict(False, witness=(s,))
-            break
+    model = _Quotient(op)
+    t = model.table()
+    first, _, _ = axiom_witnesses(t)
     return AxiomReport(
-        axiom_i=axiom_i,
+        axiom_i=Verdict(True) if first is None else Verdict(False, witness=(model.lift(*first),)),
         axiom_ii=Verdict(True),
         axiom_iii=Verdict(True, False),
-        axiomless=evaluate(op, family[0]).is_empty(),
-        mode_note=f"bounded-search(cap={cap})",
+        axiomless=t[0] == 0,
+        mode_note=QUOTIENT,
     )
 
 
@@ -217,17 +209,6 @@ def _check_closed_form(kind: str, x: SentenceSet, y: SentenceSet) -> AxiomReport
         axiomless=kind == "meets" or x.is_empty() or not y.is_empty(),
         mode_note=CLOSED_FORM,
     )
-
-
-def _bounded_family(universe: Universe, cap: int) -> list[SentenceSet]:
-    sets: list[SentenceSet] = [universe.empty()]
-    sets.extend(universe.subset([i]) for i in range(cap))
-    sets.extend(universe.subset([i, j]) for i in range(cap) for j in range(i + 1, cap))
-    for size in range(3, 9):
-        sets.extend(universe.subset(range(i, i + size)) for i in range(max(0, cap - size + 1)))
-    sets.append(universe.full())
-    sets.extend(universe.cosubset(range(k)) for k in range(1, 5))
-    return sets
 
 
 class _Slots(NamedTuple):
@@ -446,32 +427,34 @@ def default_universe(n: int) -> Universe:
 
 
 @lru_cache(maxsize=None)
-def _moore_family_masks(n: int) -> tuple[int, ...]:
-    """Family bitmasks of every closure system on n symbols, ascending.
+def _moore_family_masks(n: int) -> tuple[tuple[int, ...], ...]:
+    """The closed masks of every closure system on n symbols, each family
+    ascending, the families in ascending order of their characteristic
+    bitmask over P(L).
 
     Subsets are decided from L downward, excluding before including; the
     intersection of two chosen sets is forced in.  Later subsets are
     numerically smaller, so none can force an excluded one: every leaf is a
-    closure system.
+    closure system, and its chosen masks, reversed, ascend.
     """
-    found: list[int] = []
+    found: list[tuple[int, ...]] = []
 
-    def decide(s: int, family: int, forced: int, chosen: tuple[int, ...]) -> None:
+    def decide(s: int, forced: int, chosen: tuple[int, ...]) -> None:
         if s < 0:
-            found.append(family)
+            found.append(chosen[::-1])
             return
         if not forced >> s & 1:
-            decide(s - 1, family, forced, chosen)
+            decide(s - 1, forced, chosen)
         for c in chosen:
             forced |= 1 << (c & s)
-        decide(s - 1, family | 1 << s, forced, chosen + (s,))
+        decide(s - 1, forced, chosen + (s,))
 
     full = (1 << n) - 1
-    decide(full, 0, 1 << full, ())
+    decide(full, 1 << full, ())
     return tuple(found)
 
 
-def _enumerable_family_masks(n: int) -> tuple[int, ...]:
+def _enumerable_family_masks(n: int) -> tuple[tuple[int, ...], ...]:
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"enumeration is supported for 1 <= n <= {ENUMERATION_LIMIT}")
     return _moore_family_masks(n)
@@ -486,7 +469,7 @@ def count_closure_systems(n: int, include_top: bool = True) -> int:
 def _closure_systems(n: int) -> tuple[tuple[ClosureSystem, ...], int]:
     """The store of the Moore family on n symbols: every closure system in
     canonical order, and their closure tables end to end in one int."""
-    families = [tuple([m for m in range(1 << n) if f >> m & 1]) for f in _enumerable_family_masks(n)]
+    families = _enumerable_family_masks(n)
     packed, stride, universe = _closure_lanes(families, n), _lane_width(n) << n, default_universe(n)
     data = packed.to_bytes(stride * len(families), "little")
     lanes = [data[start : start + stride] for start in range(0, len(data), stride)]

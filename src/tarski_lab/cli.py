@@ -87,16 +87,15 @@ def main() -> None:
 
 
 @command(main, operands=True)
-@click.option("--cap", type=int, default=64, show_default=True, help="Bounded-search horizon for non-closed-form operators on the infinite universe.")
 @click.argument("expression")
-def check(sctx, cap, expression) -> Report:
+def check(sctx, expression) -> Report:
     """Report the axiom verdicts of an operator expression."""
     from .classify import check_axioms
     from .parsing import parse_operator, render_operator
     from .report import Report, axiom_report_payload
 
     op = parse_operator(expression, sctx)
-    report = check_axioms(op, cap=cap)
+    report = check_axioms(op)
     return Report(
         command=f"check {expression}",
         verdict=report.is_consequence,

@@ -15,12 +15,26 @@ Nodes of different classes never compare equal, whatever their fields.
 ``SExample(M, b)`` is the finite-mode example operator: it sends A to the
 whole universe when b ∈ A and to M ∪ A otherwise (requiring nonempty M,
 b outside M, and at least two elements outside M).  The naive join of two
-closure operators need not be idempotent.  ``WeakJoin`` is computed by
-iterating the operands to a fixed point.
+closure operators need not be idempotent.
 
-On the naturals exact answers exist for the four atomic operators only;
-``_closed_form`` gives their shape, which the order and the axiom verdicts
-read, and ``WeakJoin`` refuses on construction a pair whose join is none of them.
+On the naturals ``_closed_form`` gives the shape of the four atomic
+operators, which the order and their axiom verdicts read.  Every other
+expression is exactly an operator on a finite model, its ``_Quotient``.
+Its classes are the listed elements (in some literal of a parameter),
+grouped by the parameters they lie in, and the tail of every unlisted
+natural, so each parameter is a union of classes.  By induction on the
+node, C(A) ∩ c is A ∩ c or c, and which depends only on whether each
+A ∩ c' is empty, partial or full: ``I`` keeps A ∩ c, ``U`` gives c,
+``cxy X Y`` fills X's classes when A meets a class of Y, ``cprime X Y``
+when A fills Y's classes, ``meet`` and ``join`` act per class,
+``comp(E, F)`` applies E to F(A), and ``wjoin(E, F)`` iterates the
+extensive y ↦ F(E(y)), each round that changes y filling a class, so it
+settles within (listed elements + 2) rounds; ``s``, ``table[...]`` and
+``system[...]`` refuse the naturals.  The model has one bit per
+one-element class and two, "nonempty" below "full", per other class, the
+tail included; a parameter is every bit of its classes, and on masks that
+stand for sets the nodes compute the same states.  A full bit without its
+nonempty bit stands for no set.
 
 In finite mode, ``table(op)`` is the whole map at once: ``table(op)[m]`` is
 the image mask of the subset with mask m, compiled bottom-up on ints.  A
@@ -45,7 +59,7 @@ table, where ``_byte_lane_steps`` keeps them per n.
 from __future__ import annotations
 
 import struct
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cached_property, lru_cache
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
@@ -232,18 +246,7 @@ class NaiveJoin(_Binary):
 
 
 class WeakJoin(_Binary):
-    """The least superset of A fixed by both operands.
-
-    On the naturals the pair must have a derived closed form (``_weak_join_atom``).
-    """
-
-    def __post_init__(self) -> None:
-        _check_pair(self.left, self.right)
-        if self.universe.mode is Mode.COFINITE and _weak_join_atom(self.left, self.right) is None:
-            raise ModeError(
-                "weak join on an infinite universe is supported only for operands "
-                "with a derived closed form"
-            )
+    """The least superset of A fixed by both operands."""
 
 
 @dataclass(frozen=True)
@@ -406,8 +409,16 @@ def _eval(op: OperatorExpr, x: SentenceSet) -> SentenceSet:
 def _eval_weak_join(op: WeakJoin, x: SentenceSet) -> SentenceSet:
     universe = op.universe
     if universe.mode is Mode.FINITE:
-        return _settle(lambda y: _eval(op.right, _eval(op.left, y)), x, (1 << universe.size) + 1)
-    return _eval(_weak_join_atom(op.left, op.right), x)
+        rounds = (1 << universe.size) + 1
+    else:
+        # A round that changes the value fills a class (module docstring).
+        rounds = len({e for s in _parameters(op) for e in s.members}) + 2
+    for _ in range(rounds):
+        y = _eval(op.right, _eval(op.left, x))
+        if y == x:
+            return x
+        x = y
+    raise OperatorConstraintError("weak join iteration did not reach a fixed point")
 
 
 def _closed_form(op: OperatorExpr) -> tuple[str, SentenceSet, SentenceSet] | None:
@@ -428,28 +439,69 @@ def _closed_form(op: OperatorExpr) -> tuple[str, SentenceSet, SentenceSet] | Non
     return None
 
 
-def _weak_join_atom(left: OperatorExpr, right: OperatorExpr) -> OperatorExpr | None:
-    """The atomic operator equal to ``WeakJoin(left, right)``, or None.
-
-    The identity is neutral, and two ``Cxy`` sharing Y join to Cxy(X1 ∪ X2, Y).
-    """
-    if isinstance(left, Identity) and _closed_form(right) is not None:
-        return right
-    if isinstance(right, Identity) and _closed_form(left) is not None:
-        return left
-    if isinstance(left, Cxy) and isinstance(right, Cxy) and left.y == right.y:
-        return Cxy(left.x.union(right.x), left.y)
-    return None
+def _parameters(op: OperatorExpr) -> list[SentenceSet]:
+    """The parameter sets X and Y of every ``Cxy`` and ``CPrime`` leaf of ``op``."""
+    if isinstance(op, _Parametric):
+        return [op.x, op.y]
+    if isinstance(op, (_Binary, Compose)):
+        return [s for f in fields(op) for s in _parameters(getattr(op, f.name))]
+    return []
 
 
-def _settle(step, y, rounds: int):
-    """Iterate ``step`` from ``y`` until it stops changing, within ``rounds``."""
-    for _ in range(rounds):
-        z = step(y)
-        if z == y:
-            return y
-        y = z
-    raise OperatorConstraintError("weak join iteration did not reach a fixed point")
+class _Quotient:
+    """The finite model of an expression on the naturals (module docstring):
+    ``layout`` holds (least element, members or None for the tail, first bit,
+    width) per class, by least element, and ``op`` is the expression on the
+    model.  Over ``MAX_SWEEP_SIZE`` points it refuses before building anything."""
+
+    def __init__(self, op: OperatorExpr) -> None:
+        params = _parameters(op)
+        self.listed = sorted({e for s in params for e in s.members})
+        groups: dict[tuple[bool, ...], list[int]] = {}
+        for e in self.listed:
+            groups.setdefault(tuple(e in s for s in params), []).append(e)
+        self.tail = min(set(range(len(self.listed) + 1)).difference(self.listed))
+        self.naturals, self.layout, bit = op.universe, [], 0
+        for members in sorted([*groups.values(), None], key=lambda c: c[0] if c else self.tail):
+            width = 1 if members and len(members) == 1 else 2
+            self.layout.append((members[0] if members else self.tail, members, bit, width))
+            bit += width
+        if bit > MAX_SWEEP_SIZE:
+            raise ValueError(f"the finite model has {bit} points; exact checks stop at {MAX_SWEEP_SIZE}")
+        self.universe = Universe(Mode.FINITE, tuple(map(str, range(bit))))
+        self.op = self._on_model(op)
+
+    def _on_model(self, op: OperatorExpr) -> OperatorExpr:
+        if isinstance(op, _Parametric):
+            return type(op)(self._set(op.x), self._set(op.y))
+        if isinstance(op, (_Binary, Compose)):
+            return type(op)(*(self._on_model(getattr(op, f.name)) for f in fields(op)))
+        return type(op)(self.universe)
+
+    def _set(self, s: SentenceSet) -> SentenceSet:
+        """A parameter, a union of classes, as every bit of its classes."""
+        bits = sum((1 << width) - 1 << bit for least, _, bit, width in self.layout if least in s)
+        return self.universe.from_mask(bits)
+
+    def table(self) -> tuple[int, ...]:
+        """The model's table, each lane that stands for no set mapped to itself."""
+        stray = sum(1 << bit for _, _, bit, width in self.layout if width == 2)
+        return tuple([m if m >> 1 & ~m & stray else v for m, v in enumerate(table(self.op))])
+
+    def lift(self, mask: int) -> SentenceSet:
+        """A set on the naturals in the states of ``mask``: a partial class
+        holds its least element, and a full tail makes the set cofinite."""
+        kept, cofinite = [], False
+        for least, members, bit, width in self.layout:
+            full = (1 << width) - 1
+            state = mask >> bit & full
+            if state == full and members is None:
+                cofinite = True
+            elif state:
+                kept.extend(members if state == full else [least])
+        if cofinite:
+            return self.naturals.cosubset(sorted(set(self.listed).difference(kept)))
+        return self.naturals.subset(kept)
 
 
 def compose(outer: OperatorExpr, inner: OperatorExpr) -> OperatorExpr:

@@ -14,6 +14,21 @@ def flag_bytes(flags, slots, count):
     return flags.to_bytes(count * step, "little")[::step]
 
 
+def bounded_family(universe, cap):
+    """The reference family of sets on the naturals below a horizon ``cap``:
+    the empty set, every singleton and pair below cap, the runs of 3 to 8
+    consecutive elements that end below cap, L, and co{0..k-1} for k = 1..4.
+    Scanning it is a sample, so a pass on it decides nothing."""
+    sets = [universe.empty()]
+    sets.extend(universe.subset([i]) for i in range(cap))
+    sets.extend(universe.subset([i, j]) for i in range(cap) for j in range(i + 1, cap))
+    for size in range(3, 9):
+        sets.extend(universe.subset(range(i, i + size)) for i in range(max(0, cap - size + 1)))
+    sets.append(universe.full())
+    sets.extend(universe.cosubset(range(k)) for k in range(1, 5))
+    return sets
+
+
 def bounded_sweep(evaluate, family):
     """The three axioms as pair loops over ``family``, whose first member is
     the empty set, reading C through ``evaluate``.  Returns the witnesses, each

@@ -35,7 +35,6 @@ from tarski_lab.algebra import equivalent, le
 from tarski_lab import classify, demos
 from tarski_lab.classify import (
     Verdict,
-    _bounded_family,
     _closure_systems,
     _cosingleton_witness,
     _extensive_idempotent_tables,
@@ -52,8 +51,9 @@ from tarski_lab.classify import (
     lemma26_witness,
 )
 from tarski_lab.demos import run_demo
+from tarski_lab.parsing import SpecContext, parse_operator
 
-from oracles import bounded_sweep, flag_bytes
+from oracles import bounded_family, bounded_sweep, flag_bytes
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -116,24 +116,54 @@ class TestCheckAxioms:
         assert evaluate(composite, u.of_names("a")) == u.of_names("a", "b")
         assert evaluate(composite, u.of_names("a", "b")) == u.full()
 
-    def test_missing_cap_rejected(self, nat):
-        # Composite expressions without a closed form need a cap.
-        with pytest.raises(ValueError):
-            check_axioms(NaiveJoin(Identity(nat), Identity(nat)))
+    def test_check_axioms_takes_no_cap(self, nat):
+        # Every expression on ℕ is decided on its finite model; no horizon is asked for.
+        with pytest.raises(TypeError):
+            check_axioms(NaiveJoin(Identity(nat), Identity(nat)), cap=16)
 
     def test_bounded_search_is_inconclusive_on_pass(self, nat):
-        report = check_axioms(NaiveJoin(Identity(nat), Identity(nat)), cap=16)
-        assert report.axiom_i.passed and not report.axiom_i.conclusive
-        assert report.mode_note == "bounded-search(cap=16)"
+        # The bounded family passes this composite, which fails (i) at
+        # co{1,2,3}; the quotient decides both ways.
+        op = parse_operator(
+            "join(comp(cxy {1,3} {0,2,3}, I), join(cxy {3} {0,3}, cprime {0,2,3} co{2,3}))",
+            SpecContext(nat),
+        )
+        first, _, _ = bounded_sweep(lambda s: evaluate(op, s), bounded_family(nat, 10))
+        assert first is None
+        assert check_axioms(op).axiom_i == Verdict(False, witness=(nat.cosubset([1, 2, 3]),))
+        report = check_axioms(NaiveJoin(Identity(nat), Identity(nat)))
+        assert report.axiom_i == report.axiom_ii == Verdict(True)
+        assert report.axiom_iii == Verdict(True, False)
+        assert report.mode_note == "quotient"
 
     def test_bounded_search_failure_is_conclusive(self, nat):
         # The naive join of two closure operators that each add an element
-        # under different triggers is not idempotent.
+        # under different triggers is not idempotent; the bounded family
+        # finds it, and the quotient decides it with the least witness.
         joined = NaiveJoin(
             CPrime(nat.subset([1]), nat.subset([0])), CPrime(nat.subset([2]), nat.subset([1]))
         )
-        report = check_axioms(joined, cap=8)
-        assert not report.axiom_i.passed and report.axiom_i.conclusive
+        first, _, _ = bounded_sweep(lambda s: evaluate(joined, s), bounded_family(nat, 8))
+        report = check_axioms(joined)
+        assert first is not None
+        assert report.axiom_i == Verdict(False, witness=(nat.subset([0]),))
+
+    def test_partial_tail_witness_is_the_least_unlisted_element(self, nat):
+        # Classes by least element: {0}, the tail from 1, {5}.  The tail
+        # partially filled, lifted to {1}, triggers cxy, whose 0 then
+        # triggers cprime.
+        joined = NaiveJoin(
+            Cxy(nat.subset([0]), nat.cosubset([0])), CPrime(nat.subset([5]), nat.subset([0]))
+        )
+        assert check_axioms(joined).axiom_i == Verdict(False, witness=(nat.subset([1]),))
+
+    def test_partial_class_witness_is_its_least_element(self, nat):
+        # 2 and 3 lie in the same parameters, so they form one class whose
+        # partial state lifts to {2}; {0}, the tail and {9} pass.
+        joined = NaiveJoin(
+            Cxy(nat.subset([9]), nat.subset([2, 3])), CPrime(nat.subset([0]), nat.subset([9]))
+        )
+        assert check_axioms(joined).axiom_i == Verdict(False, witness=(nat.subset([2]),))
 
     def test_monotone_failure_detected(self, u):
         # {a} closes to {a,c} but the larger {a,b} stays put.
@@ -261,8 +291,7 @@ class TestEnumeration:
         first, second = list(enumerate_operators(n)), list(enumerate_operators(n))
         assert len(first) == len(second) and all(a is b for a, b in zip(first, second))
         fresh = [
-            ClosureSystem(default_universe(n), tuple(m for m in range(1 << n) if family >> m & 1))
-            for family in _moore_family_masks(n)
+            ClosureSystem(default_universe(n), masks) for masks in _moore_family_masks(n)
         ]
         assert [s.masks for s in first] == [s.masks for s in fresh]
 
@@ -348,7 +377,7 @@ class TestMooreStore:
         # A target whose only strict middle system, by family inclusion, is
         # replaced by a duplicate of the top map, which lies above it.
         systems = list(enumerate_operators(4))
-        families = _moore_family_masks(4)
+        families = [sum(1 << m for m in masks) for masks in _moore_family_masks(4)]
         everything = families[-1]  # every subset closed: the identity
         for target, family in zip(systems, families):
             middle = [
@@ -646,66 +675,62 @@ def random_composite(rng, nat, depth):
 
 
 class TestBoundedSearchSoundness:
-    """Every conclusive bounded-search failure is re-checked by evaluation on ℕ.
+    """The bounded family of ``oracles``, a sample of small sets, against the
+    quotient, whose kernel scan decides idempotence on ℕ exactly.
 
     Every expression on ℕ is extensive and monotone (its leaves are, and
-    meet, join, composition and the weak join keep it), so the bounded search
-    scans idempotence only and reports (ii) as a conclusive pass.  The
-    three-loop sweep ``oracles.bounded_sweep`` is the reference for that scan,
-    and a stand-in map shows that its (ii) and (iii) loops can fail.
+    meet, join, composition and the weak join keep it), so the three-loop
+    sweep ``oracles.bounded_sweep`` fails only (i) on the grammar, and the
+    scan of the model fails each expression that it fails; a stand-in map
+    shows that the sweep's (ii) and (iii) loops can fail.
     """
 
     def test_the_scan_matches_the_three_loop_sweep(self, nat):
         rng = random.Random(1)
         failures = 0
         for cap in range(1, 13):
-            family = _bounded_family(nat, cap)
+            family = bounded_family(nat, cap)
             for _ in range(8):
                 op = random_composite(rng, nat, rng.randint(1, 3))
-                report = check_axioms(op, cap=cap)
+                report = check_axioms(op)
                 first, second, third = bounded_sweep(lambda s: evaluate(op, s), family)
                 assert second is None and third is None
-                assert report.axiom_i == (Verdict(True, False) if first is None else Verdict(False, witness=first))
+                assert report.axiom_i.conclusive
+                assert first is None or not report.axiom_i.passed
                 assert report.axiom_ii == Verdict(True)
                 assert report.axiom_iii == Verdict(True, False)
                 assert report.axiomless == evaluate(op, nat.empty()).is_empty()
                 failures += first is not None
         assert failures  # the seeds reach idempotence failures
 
-    @pytest.mark.parametrize("cap", [1, 3, 6])
-    def test_failures_are_real(self, nat, cap):
-        rng = random.Random(cap)
+    @pytest.mark.parametrize("seed", [1, 3, 6])
+    def test_failures_are_real(self, nat, seed):
+        rng = random.Random(seed)
         failures = 0
         for _ in range(150):
             op = random_composite(rng, nat, rng.randint(1, 2))
-            report = check_axioms(op, cap=cap)
-            assert report.mode_note == f"bounded-search(cap={cap})"
+            report = check_axioms(op)
+            assert report.mode_note == "quotient"
             assert report.finitary_from_monotone is None
-            for verdict in (report.axiom_i, report.axiom_iii):
-                assert verdict.conclusive != verdict.passed
+            assert report.axiom_i.conclusive
             assert report.axiom_ii == Verdict(True)
+            assert report.axiom_iii == Verdict(True, False)
             if not report.axiom_i.passed:
                 (s,) = report.axiom_i.witness
                 image = evaluate(op, s)
-                assert not s.is_subset(image) or evaluate(op, image) != image
-            if not report.axiom_iii.passed:
-                s, element = report.axiom_iii.witness
-                assert element not in evaluate(op, s)
-                assert any(
-                    a.is_finite() and a.is_subset(s) and element in evaluate(op, a)
-                    for a in _bounded_family(nat, cap)
-                )
+                assert s.is_subset(image) and evaluate(op, image) != image
             failures += not report.all_pass
         assert failures  # the seeds reach failing composites
 
-    @pytest.mark.parametrize("cap", [1, 3, 6])
-    def test_self_meet_of_an_atomic_operator_agrees_with_its_closed_form(self, nat, cap):
-        rng = random.Random(cap)
+    @pytest.mark.parametrize("seed", [1, 3, 6])
+    def test_self_meet_of_an_atomic_operator_agrees_with_its_closed_form(self, nat, seed):
+        rng = random.Random(seed)
         for _ in range(50):
             atomic = random_atomic(rng, nat)
             closed_form = check_axioms(atomic)
-            report = check_axioms(Meet(atomic, atomic), cap=cap)
-            assert report.axiom_i.passed and report.axiom_ii.passed
+            report = check_axioms(Meet(atomic, atomic))
+            assert report.axiom_i == report.axiom_ii == Verdict(True)
+            assert report.axiomless == closed_form.axiomless
             assert report.axiom_iii.passed or not closed_form.axiom_iii.passed
 
     def test_a_non_monotone_map_fails_ii_and_iii(self, nat):
@@ -714,7 +739,7 @@ class TestBoundedSearchSoundness:
         def stand_in(s):
             return s if 0 in s else s.union(nat.subset([1]))
 
-        first, second, third = bounded_sweep(stand_in, _bounded_family(nat, 3))
+        first, second, third = bounded_sweep(stand_in, bounded_family(nat, 3))
         assert first is None
         assert second == (nat.empty(), nat.subset([0]))
         assert third == (nat.subset([0]), 1)

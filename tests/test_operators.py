@@ -172,17 +172,29 @@ class TestWeakJoinCofinite:
         probe = nat.subset([2, 3])
         assert evaluate(WeakJoin(Identity(nat), other), probe) == evaluate(other, probe)
 
-    def test_unsupported_pair_rejected(self, nat):
-        with pytest.raises(ModeError):
-            WeakJoin(
-                CPrime(nat.subset([1]), nat.subset([2])), Cxy(nat.subset([3]), nat.subset([4]))
-            )
+    def test_mixed_pair_settles(self, nat):
+        joined = WeakJoin(
+            CPrime(nat.subset([1]), nat.subset([2])), Cxy(nat.subset([3]), nat.subset([4]))
+        )
+        assert evaluate(joined, nat.subset([2])) == nat.subset([1, 2])
+        assert evaluate(joined, nat.subset([2, 4])) == nat.subset([1, 2, 3, 4])
+        assert evaluate(joined, nat.cosubset([1])) == nat.full()
 
-    def test_different_triggers_rejected(self, nat):
-        with pytest.raises(ModeError):
-            WeakJoin(
-                Cxy(nat.subset([1]), nat.subset([0])), Cxy(nat.subset([2]), nat.subset([5]))
-            )
+    def test_different_triggers_settle(self, nat):
+        joined = WeakJoin(
+            Cxy(nat.subset([1]), nat.subset([0])), Cxy(nat.subset([2]), nat.subset([1, 5]))
+        )
+        assert evaluate(joined, nat.subset([0])) == nat.subset([0, 1, 2])
+        assert evaluate(joined, nat.subset([5])) == nat.subset([2, 5])
+        assert evaluate(joined, nat.subset([7])) == nat.subset([7])
+
+    def test_each_changing_round_fills_a_class(self, nat):
+        # Two rounds change the value and a third sees it settle, within the
+        # bound of listed elements + 2 that the evaluation allows.
+        step = NaiveJoin(Cxy(nat.subset([1]), nat.subset([0])), Cxy(nat.subset([3]), nat.subset([2])))
+        joined = WeakJoin(step, WeakJoin(Cxy(nat.subset([2]), nat.subset([1])), Identity(nat)))
+        assert evaluate(joined, nat.subset([0])) == nat.subset([0, 1, 2, 3])
+        assert evaluate(joined, nat.cosubset([0])) == nat.cosubset([0])
 
 
 class TestCompose:

@@ -530,15 +530,21 @@ def is_closure_system(n, fam):
     return bool(fam >> ((1 << n) - 1) & 1) and closed
 
 
+def family_bitmasks(n):
+    """The characteristic bitmask over P(L) of each family the Moore search lists."""
+    return [sum(1 << m for m in masks) for masks in _moore_family_masks(n)]
+
+
 class TestMooreSearch:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_stream_equals_brute_force_scan(self, n):
         scan = [fam for fam in range(1 << (1 << n)) if is_closure_system(n, fam)]
-        assert list(_moore_family_masks(n)) == scan
+        assert family_bitmasks(n) == scan
 
     @pytest.mark.parametrize("n,count", [(1, 2), (2, 7), (3, 61), (4, 2480)])
     def test_published_counts(self, n, count):
-        families = _moore_family_masks(n)
+        assert all(list(masks) == sorted(masks) for masks in _moore_family_masks(n))
+        families = family_bitmasks(n)
         assert len(families) == count
         assert list(families) == sorted(set(families))
         assert all(is_closure_system(n, fam) for fam in families)
