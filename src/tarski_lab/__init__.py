@@ -19,8 +19,8 @@ _EXPORTS = {
             " OperatorConstraintError OperatorExpr SExample Top WeakJoin evaluate to_closure_system"
         ),
         "algebra": (
-            "ChainResult Comparison ComplementResult SublatticeReport UndecidableComparisonError"
-            " descending_chain equivalent is_chain le relative_complement sublattice_report"
+            "ChainResult Comparison ComplementResult SublatticeReport descending_chain"
+            " equivalent is_chain le relative_complement sublattice_report"
         ),
         "classify": (
             "AxiomReport CoverResult Verdict check_axioms default_universe dense_cover_check"

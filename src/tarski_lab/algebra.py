@@ -1,18 +1,24 @@
 """The partial order and lattice algebra on consequence operators.
 
-``le(a, b)`` holds when a(X) ⊆ b(X) for every subset X.  Finite universes
-are decided on both tables in ascending bitmask order (so witnesses are
-the least counterexample).  On the infinite universe the comparison is
-decided exactly by case analysis on the shapes that ``operators._closed_form``
-gives the identity, the top map and the two parametric families; anything
-else raises rather than samples.
+``le(a, b)`` holds when a(X) ⊆ b(X) for every subset X.  One procedure
+decides it: a loop over the two operands' tables in ascending bitmask
+order, whose first failing mask is the least counterexample.  Finite
+universes read ``table`` directly.  On the naturals both operands go into
+one finite model, ``operators._Quotient(a, b)``, built from the parameters
+of both, so each is a union of its classes; the loop runs on the model's
+two tables, where a lane that stands for no set maps to itself in both,
+and the failing mask is lifted back.  ``equivalent`` compares the two
+tables.  A model over ``MAX_SWEEP_SIZE`` points is refused.
 
-On the naturals "least" is read per shape of the left operand.  A "meets"
-left operand (the identity and ``cxy``) fails first at a singleton, and
-the witness is {y} for the least y with a({y}) ⊄ b({y}).  A "contains"
-left operand (the top map and ``cprime``) has one minimal argument, its
-trigger set Y, and the witness is Y itself.  (``check`` on a composite
-reads the bitmask order of its finite model, ``operators._Quotient``.)
+On the atoms (the identity, the top map, ``cxy`` and ``cprime``) the
+lifted witness is the one a minimal-argument analysis names.  A "meets"
+left operand (the identity and ``cxy X Y``) fails at A only where it
+fires, at some y ∈ A ∩ Y, and then {y} fails too, as b is monotone; so the
+least failing mask is one bit, the "nonempty" bit of the first failing
+class, and the witness is {y} for the least y with a({y}) ⊄ b({y}).  A
+"contains" left operand (the top map and ``cprime X Y``) fails only at
+supersets of Y, and then Y fails too; Y is a union of classes, its mask
+lies below the mask of every superset, and it lifts to Y itself.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .operators import (
     OperatorConstraintError,
     OperatorExpr,
     Top,
-    _closed_form,
+    _Quotient,
     evaluate,
     table,
     weak_join_table,
@@ -40,10 +46,6 @@ from .operators import (
 
 if TYPE_CHECKING:
     from .classify import AxiomReport
-
-
-class UndecidableComparisonError(ValueError):
-    """No exact decision procedure exists for this cofinite operand pair."""
 
 
 @dataclass(frozen=True)
@@ -56,15 +58,18 @@ class Comparison:
 
 
 def le(a: OperatorExpr, b: OperatorExpr) -> Comparison:
-    """Pointwise order; on failure carries a witness X with a(X) ⊄ b(X)."""
+    """Pointwise order; on failure carries the least witness X with a(X) ⊄ b(X)."""
     if a.universe != b.universe:
         raise UniverseMismatchError("operands from different universes")
     if a.universe.mode is Mode.FINITE:
-        for m, (p, q) in enumerate(zip(table(a), table(b))):
-            if p & ~q:
-                return Comparison(False, a.universe.from_mask(m))
-        return Comparison(True)
-    return _le_cofinite(a, b)
+        tables, lift = (table(a), table(b)), a.universe.from_mask
+    else:
+        model = _Quotient(a, b)
+        tables, lift = (model.table(0), model.table(1)), model.lift
+    for m, (p, q) in enumerate(zip(*tables)):
+        if p & ~q:
+            return Comparison(False, lift(m))
+    return Comparison(True)
 
 
 def equivalent(a: OperatorExpr, b: OperatorExpr) -> bool:
@@ -73,62 +78,8 @@ def equivalent(a: OperatorExpr, b: OperatorExpr) -> bool:
         raise UniverseMismatchError("operands from different universes")
     if a.universe.mode is Mode.FINITE:
         return table(a) == table(b)
-    return le(a, b).holds and le(b, a).holds
-
-
-# -- cofinite closed forms ----------------------------------------------------
-#
-# The order is decided on the shapes of ``operators._closed_form`` by
-# minimal-argument analysis: for a "meets" left operand the binding
-# constraints come from singletons {y} with y ∈ Y, and for a "contains"
-# left operand from the single minimal argument Y itself.
-
-
-def _shape(op: OperatorExpr) -> tuple[str, SentenceSet, SentenceSet]:
-    shape = _closed_form(op)
-    if shape is None:
-        raise UndecidableComparisonError(
-            f"no exact comparison for {type(op).__name__} on an infinite universe"
-        )
-    return shape
-
-
-def _singleton_violation(x: SentenceSet, over: SentenceSet) -> int | None:
-    """Least y in ``over`` with x ⊄ {y}, or None when every y satisfies it."""
-    if x.is_empty() or over.is_empty():
-        return None
-    if x.cardinality() == 1:
-        rest = over.difference(x)
-        return None if rest.is_empty() else rest.least()
-    return over.least()
-
-
-def _le_cofinite(a: OperatorExpr, b: OperatorExpr) -> Comparison:
-    kind_a, x1, y1 = _shape(a)
-    kind_b, x2, y2 = _shape(b)
-    if kind_a == "meets":
-        # Binding arguments are the singletons {y}, y ∈ Y1; b adds X2 at the y in fires.
-        if kind_b == "meets" or y2.cardinality() == 1:
-            fires = y1.intersect(y2)
-        elif y2.is_empty():
-            fires = y1
-        else:
-            fires = a.universe.empty()
-        v1 = _singleton_violation(x1, y1.difference(fires))
-        v2 = _singleton_violation(x1.difference(x2), fires)
-        hits = [v for v in (v1, v2) if v is not None]
-        if not hits:
-            return Comparison(True)
-        return Comparison(False, a.universe.subset([min(hits)]))
-    # "contains" left operand: the single binding argument is Y1 itself.
-    if kind_b == "meets":
-        relaxed = not y1.intersect(y2).is_empty()
-    else:
-        relaxed = y2.is_subset(y1)
-    needed = x1.difference(x2) if relaxed else x1
-    if needed.is_subset(y1):
-        return Comparison(True)
-    return Comparison(False, y1)
+    model = _Quotient(a, b)
+    return model.table(0) == model.table(1)
 
 
 # -- relative complements ------------------------------------------------------
@@ -196,8 +147,7 @@ def is_chain(family: list[OperatorExpr]) -> ChainResult:
     ``le`` decides each pair.  In finite mode composition decides it again
     (for closure operators a ≤ b exactly when b∘a = b, Thm 3.5), and a
     disagreement means a malformed operand and raises.  On the naturals
-    every operand ``le`` accepts is a closure operator (Thm 2.5), so a
-    second derivation could only add refusals.
+    ``le`` alone decides each pair, exactly, on the pair's joint quotient.
     """
     for i, a in enumerate(family):
         for b in family[i + 1 :]:

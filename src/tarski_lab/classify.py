@@ -139,7 +139,7 @@ def check_axioms(op: OperatorExpr) -> AxiomReport:
     if shape is not None:
         return _check_closed_form(*shape)
     model = _Quotient(op)
-    t = model.table()
+    t = model.table(0)
     first, _, _ = axiom_witnesses(t)
     return AxiomReport(
         axiom_i=Verdict(True) if first is None else Verdict(False, witness=(model.lift(*first),)),

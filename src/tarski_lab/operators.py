@@ -18,11 +18,13 @@ b outside M, and at least two elements outside M).  The naive join of two
 closure operators need not be idempotent.
 
 On the naturals ``_closed_form`` gives the shape of the four atomic
-operators, which the order and their axiom verdicts read.  Every other
-expression is exactly an operator on a finite model, its ``_Quotient``.
-Its classes are the listed elements (in some literal of a parameter),
-grouped by the parameters they lie in, and the tail of every unlisted
-natural, so each parameter is a union of classes.  By induction on the
+operators, which only their axiom verdicts read.  Every expression is
+exactly an operator on a finite model, a ``_Quotient``, which one or more
+expressions share: ``check`` on a composite reads the model of one, and
+``algebra.le`` the joint model of both operands.  Its classes are the
+listed elements (in some literal of a parameter of any of them), grouped
+by the parameters they lie in, and the tail of every unlisted natural, so
+each parameter is a union of classes.  By induction on the
 node, C(A) ∩ c is A ∩ c or c, and which depends only on whether each
 A ∩ c' is empty, partial or full: ``I`` keeps A ∩ c, ``U`` gives c,
 ``cxy X Y`` fills X's classes when A meets a class of Y, ``cprime X Y``
@@ -449,27 +451,32 @@ def _parameters(op: OperatorExpr) -> list[SentenceSet]:
 
 
 class _Quotient:
-    """The finite model of an expression on the naturals (module docstring):
-    ``layout`` holds (least element, members or None for the tail, first bit,
-    width) per class, by least element, and ``op`` is the expression on the
-    model.  Over ``MAX_SWEEP_SIZE`` points it refuses before building anything."""
+    """The finite model of one or more expressions on the naturals, from all
+    of their parameters (module docstring): ``layout`` holds (least element,
+    members or None for the tail, first bit, width) per class, by least
+    element, and ``ops`` holds the expressions on the model.  Over
+    ``MAX_SWEEP_SIZE`` points it refuses before building anything."""
 
-    def __init__(self, op: OperatorExpr) -> None:
-        params = _parameters(op)
-        self.listed = sorted({e for s in params for e in s.members})
-        groups: dict[tuple[bool, ...], list[int]] = {}
-        for e in self.listed:
-            groups.setdefault(tuple(e in s for s in params), []).append(e)
-        self.tail = min(set(range(len(self.listed) + 1)).difference(self.listed))
-        self.naturals, self.layout, bit = op.universe, [], 0
-        for members in sorted([*groups.values(), None], key=lambda c: c[0] if c else self.tail):
+    def __init__(self, *ops: OperatorExpr) -> None:
+        params = [s for op in ops for s in _parameters(op)]
+        listed = set().union(*(s.members for s in params))
+        # Refine the partition by one parameter at a time, each pass linear in the listed elements.
+        groups = [listed] if listed else []
+        for s in params:
+            members = set(s.members)
+            groups = [part for g in groups for part in (g & members, g - members) if part]
+        self.listed = sorted(listed)
+        self.tail = min(set(range(len(listed) + 1)).difference(listed))
+        self.naturals, self.layout, bit = ops[0].universe, [], 0
+        classes = [sorted(g) for g in groups]
+        for members in sorted([*classes, None], key=lambda c: c[0] if c else self.tail):
             width = 1 if members and len(members) == 1 else 2
             self.layout.append((members[0] if members else self.tail, members, bit, width))
             bit += width
         if bit > MAX_SWEEP_SIZE:
             raise ValueError(f"the finite model has {bit} points; exact checks stop at {MAX_SWEEP_SIZE}")
         self.universe = Universe(Mode.FINITE, tuple(map(str, range(bit))))
-        self.op = self._on_model(op)
+        self.ops = [self._on_model(op) for op in ops]
 
     def _on_model(self, op: OperatorExpr) -> OperatorExpr:
         if isinstance(op, _Parametric):
@@ -480,13 +487,18 @@ class _Quotient:
 
     def _set(self, s: SentenceSet) -> SentenceSet:
         """A parameter, a union of classes, as every bit of its classes."""
-        bits = sum((1 << width) - 1 << bit for least, _, bit, width in self.layout if least in s)
+        members, finite = set(s.members), s.is_finite()
+        bits = sum(
+            (1 << width) - 1 << bit
+            for least, _, bit, width in self.layout
+            if (least in members) == finite
+        )
         return self.universe.from_mask(bits)
 
-    def table(self) -> tuple[int, ...]:
-        """The model's table, each lane that stands for no set mapped to itself."""
+    def table(self, i: int) -> tuple[int, ...]:
+        """Operand i's table, each lane that stands for no set mapped to itself."""
         stray = sum(1 << bit for _, _, bit, width in self.layout if width == 2)
-        return tuple([m if m >> 1 & ~m & stray else v for m, v in enumerate(table(self.op))])
+        return tuple([m if m >> 1 & ~m & stray else v for m, v in enumerate(table(self.ops[i]))])
 
     def lift(self, mask: int) -> SentenceSet:
         """A set on the naturals in the states of ``mask``: a partial class

@@ -91,3 +91,41 @@ def loop_axiom_witnesses(t):
         extra = up[s] & ~t[s]
         third = (s, (extra & -extra).bit_length() - 1)
     return first, second, third
+
+
+def closed_form_le(a, b):
+    """The order of two atoms on the naturals by minimal-argument analysis,
+    each given as its shape ``(kind, X, Y)``: ``"meets"`` is A ↦ A ∪ X when
+    A meets Y, and ``"contains"`` is A ↦ A ∪ X when Y ⊆ A.  Returns (holds,
+    witness): for a "meets" left operand the binding arguments are the
+    singletons {y}, y ∈ Y, and the witness is the least failing one; for a
+    "contains" left operand the single binding argument, and the witness, is
+    Y itself."""
+    (kind_a, x1, y1), (kind_b, x2, y2) = a, b
+    if kind_a == "meets":
+        # b adds X2 at the y in ``fires``.
+        if kind_b == "meets" or y2.cardinality() == 1:
+            fires = y1.intersect(y2)
+        elif y2.is_empty():
+            fires = y1
+        else:
+            fires = y1.universe.empty()
+        hits = [
+            v
+            for v in (_singleton_violation(x1, y1.difference(fires)), _singleton_violation(x1.difference(x2), fires))
+            if v is not None
+        ]
+        return (False, y1.universe.subset([min(hits)])) if hits else (True, None)
+    relaxed = not y1.intersect(y2).is_empty() if kind_b == "meets" else y2.is_subset(y1)
+    needed = x1.difference(x2) if relaxed else x1
+    return (True, None) if needed.is_subset(y1) else (False, y1)
+
+
+def _singleton_violation(x, over):
+    """Least y in ``over`` with x ⊄ {y}, or None when every y satisfies it."""
+    if x.is_empty() or over.is_empty():
+        return None
+    if x.cardinality() == 1:
+        rest = over.difference(x)
+        return None if rest.is_empty() else rest.least()
+    return over.least()

@@ -34,7 +34,6 @@ from tarski_lab import operators
 from tarski_lab.algebra import (
     ChainResult,
     Comparison,
-    UndecidableComparisonError,
     _distributive,
     descending_chain,
     equivalent,
@@ -116,10 +115,11 @@ class TestLe:
         miss = le(prime, Cxy(nat.subset([4]), nat.subset([9])))
         assert not miss.holds and miss.witness == nat.subset([1, 2])
 
-    def test_cofinite_undecidable_pair(self, nat):
+    def test_cofinite_composite_pair_is_decided(self, nat):
         blend = Meet(Identity(nat), Identity(nat))
-        with pytest.raises(UndecidableComparisonError):
-            le(blend, Identity(nat))
+        assert le(blend, Identity(nat)) == Comparison(True)
+        assert le(Identity(nat), blend) == Comparison(True)
+        assert equivalent(blend, Identity(nat))
 
     def test_cofinite_le_agrees_with_finite_analogue(self, nat):
         # Spot-check the case analysis against brute-force evaluation over

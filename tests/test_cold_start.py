@@ -21,7 +21,7 @@ PUBLIC = [
     "ComplementResult", "Compose", "ConcurrenceResult", "CoverResult", "Cxy",
     "FromSystem", "FromTable", "Identity", "Meet", "Mode", "ModeError", "NaiveJoin",
     "OperatorConstraintError", "OperatorExpr", "Polarity", "SExample", "SentenceSet",
-    "SublatticeReport", "Top", "UndecidableComparisonError", "Universe",
+    "SublatticeReport", "Top", "Universe",
     "UniverseMismatchError", "Verdict", "WeakJoin", "algebra", "check_axioms",
     "classify", "concurrence", "default_universe", "dense_cover_check",
     "descending_chain", "e0_family", "enumerate_operators", "equivalent", "evaluate",

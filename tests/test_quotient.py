@@ -1,27 +1,35 @@
-"""Exact verdicts on the naturals through the finite quotient of an expression.
+"""Exact verdicts on the naturals through the finite quotient of expressions.
 
 ``check_axioms`` decides idempotence of a composite on ℕ on its merged model
-(``operators._Quotient``), and the weak join settles on ℕ.  Four seeded
-differentials of 3,000 expressions each, ``wjoin`` included, hold them to
-references that share none of that code:
+(``operators._Quotient``), ``le`` and ``equivalent`` decide the order on the
+joint model of both operands, and the weak join settles on ℕ.  Seeded
+differentials, ``wjoin`` included, hold them to references that share none
+of that code:
 
 - every lifted witness fails (i) when re-evaluated on ℕ;
 - every failure that the bounded family of ``oracles`` finds is a quotient
   failure;
 - the merged model agrees with perfbench's unmerged model of K + 2 points,
   K one past the largest listed element, whose tail is two points;
-- ``wjoin … --at S`` on ℕ equals the unmerged model's weak join, lifted.
+- ``wjoin … --at S`` on ℕ equals the unmerged model's weak join, lifted;
+- on 20,000 atom pairs ``le`` gives the verdict and the witness of the
+  closed-form case analysis of ``oracles``;
+- on 3,000 pairs of composites ``le`` and ``equivalent`` agree with the
+  unmerged model, and each lifted witness fails on ℕ.
 """
 
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from tarski_lab import classify, operators
+from tarski_lab import algebra, classify, operators
+from tarski_lab.algebra import Comparison, equivalent, le
 from tarski_lab.cli import main
 from tarski_lab.classify import Verdict, check_axioms
 from tarski_lab.operators import (
@@ -33,13 +41,14 @@ from tarski_lab.operators import (
     NaiveJoin,
     Top,
     WeakJoin,
+    _closed_form,
     _Quotient,
     evaluate,
 )
 from tarski_lab.parsing import SpecContext, parse_operator, render_operator
 from tarski_lab.sets import Mode, make_universe
 
-from oracles import bounded_family
+from oracles import bounded_family, closed_form_le
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -47,6 +56,8 @@ import oracle  # noqa: E402
 
 NAT = make_universe(Mode.COFINITE)
 COUNT = 3000
+ATOM_PAIRS = 20000
+SRC = Path(__file__).resolve().parents[1] / "src"
 # Not idempotent at co{1,2,3}; the bounded family passes it.
 EXAMPLE = "join(comp(cxy {1,3} {0,2,3}, I), join(cxy {3} {0,3}, cprime {0,2,3} co{2,3}))"
 
@@ -231,7 +242,7 @@ def test_the_model_table_is_the_operator_on_states(sample):
     stray_lanes = 0
     for op, _ in sample[:100]:
         model = _Quotient(op)
-        t = model.table()
+        t = model.table(0)
         stray = sum(1 << bit for _, _, bit, width in model.layout if width == 2)
         for m in range(len(t)):
             if m >> 1 & ~m & stray:
@@ -284,3 +295,149 @@ def test_the_tail_sorts_among_the_listed_classes():
     ]
     assert model.lift(0b11101) == NAT.cosubset([2])
     assert model.lift(0b00101) == NAT.subset([0, 1])
+
+
+def test_linear_class_grouping_takes_a_hundred_thousand_listed_elements():
+    # The classes are refined by set operations per parameter; a membership
+    # scan per listed element would take minutes here.
+    code = (
+        "from tarski_lab.classify import check_axioms\n"
+        "from tarski_lab.operators import Cxy, Identity, Meet\n"
+        "from tarski_lab.sets import Mode, make_universe\n"
+        "nat = make_universe(Mode.COFINITE)\n"
+        "op = Meet(Cxy(nat.cosubset(range(1, 100_001)), nat.subset([0])), Identity(nat))\n"
+        "print(check_axioms(op).axiom_i.passed)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=10,
+        check=True,
+    )
+    assert result.stdout.split() == ["True"]
+
+
+# -- the order on the naturals ------------------------------------------------------
+
+
+def random_atom(rng):
+    """I, U, or cxy/cprime over finite and cofinite sets of elements 0..6."""
+    kind = rng.randrange(6)
+    if kind < 2:
+        return (Identity, Top)[kind](NAT)
+
+    def parameter():
+        members = rng.sample(range(7), rng.randint(0, 4))
+        return NAT.cosubset(members) if rng.random() < 0.5 else NAT.subset(members)
+
+    return (Cxy if kind < 4 else CPrime)(parameter(), parameter())
+
+
+def test_atom_order_matches_the_closed_form_reference():
+    rng = random.Random(3)
+    failures = 0
+    for _ in range(ATOM_PAIRS):
+        a, b = random_atom(rng), random_atom(rng)
+        holds, witness = closed_form_le(_closed_form(a), _closed_form(b))
+        assert le(a, b) == Comparison(holds, witness), (a, b)
+        failures += not holds
+    assert 1000 < failures < ATOM_PAIRS - 1000
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    """3,000 seeded operand pairs, atoms and composites, and the unmerged
+    model's tables of both.  Every third right operand is the meet or the
+    naive join of the left one with another expression, so that many pairs
+    are equivalent."""
+    rng = random.Random(4)
+    out = []
+    for i in range(COUNT):
+        a = random_expression(rng, rng.randint(0, 2))
+        other = random_expression(rng, rng.randint(0, 1))
+        if i % 3 == 0:
+            b = rng.choice([Meet, NaiveJoin])(a, other)
+        else:
+            b = other
+        model = oracle.CofiniteModel(*(pair(s) for s in leaf_sets(a) + leaf_sets(b)))
+        tables = [oracle.table(as_oracle(op, model), model.k + 2) for op in (a, b)]
+        out.append((a, b, *tables))
+    return out
+
+
+def test_composite_order_agrees_with_the_unmerged_model(pairs):
+    holds = 0
+    for a, b, ta, tb in pairs:
+        result = le(a, b)
+        assert result.holds == (oracle.le_witness(ta, tb) is None), (a, b)
+        if result.holds:
+            holds += 1
+        else:
+            w = result.witness
+            assert not evaluate(a, w).is_subset(evaluate(b, w)), (a, b)
+    assert 500 < holds < COUNT - 500
+
+
+def test_composite_equivalence_is_table_equality_on_the_unmerged_model(pairs):
+    same = 0
+    for a, b, ta, tb in pairs:
+        assert equivalent(a, b) == (ta == tb), (a, b)
+        same += ta == tb
+    assert 100 < same < COUNT - 100
+
+
+def test_the_order_witness_is_the_least_failing_mask(pairs):
+    # Below the witness, every mask of the joint model that stands for a set
+    # lifts to a set at which the left operand lies below the right one.
+    failing = [(a, b) for a, b, ta, tb in pairs if oracle.le_witness(ta, tb) is not None]
+    for a, b in failing[:30]:
+        model = _Quotient(a, b)
+        stray = sum(1 << bit for _, _, bit, width in model.layout if width == 2)
+        for m in range(states(model, le(a, b).witness)):
+            if not m >> 1 & ~m & stray:
+                s = model.lift(m)
+                assert evaluate(a, s).is_subset(evaluate(b, s)), (a, b, m)
+
+
+def test_order_and_chain_through_the_cli(pairs):
+    runner = CliRunner()
+    args = ["order", "--universe", "cofinite", "join(cxy {0} {1}, cprime {2} {3})", "cxy {0} {1}", "--json"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    data = json.loads(result.output)["data"]
+    assert (data["witness"], data["left-value"], data["right-value"]) == ("{3}", "{2,3}", "{3}")
+    args = ["chain", "--universe", "cofinite", "wjoin(cxy {0} {1}, cxy {1} {0})", "cxy {0,1} {0,1}", "--json"]
+    assert runner.invoke(main, args).exit_code == 0
+    for a, b, ta, tb in pairs[::100]:
+        left, right = render_operator(a), render_operator(b)
+        result = runner.invoke(main, ["order", "--universe", "cofinite", left, right, "--json"])
+        comparison = le(a, b)
+        assert result.exit_code == (0 if comparison.holds else 1), result.output
+        if not comparison.holds:
+            assert json.loads(result.output)["data"]["witness"] == comparison.witness.literal()
+        result = runner.invoke(main, ["chain", "--universe", "cofinite", left, right, "--json"])
+        comparable = comparison.holds or le(b, a).holds
+        assert result.exit_code == (0 if comparable else 1), result.output
+
+
+def test_an_over_bound_joint_model_is_refused_before_anything_is_built(monkeypatch):
+    # Twelve one-element classes per operand and the tail: 26 points.
+    def joined(indices):
+        text = f"cxy {{{indices[0]}}} {{{indices[0]}}}"
+        for i in indices[1:]:
+            text = f"join({text}, cxy {{{i}}} {{{i}}})"
+        return text
+
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(operators, "table", refuse)
+    monkeypatch.setattr(operators, "_table", refuse)
+    monkeypatch.setattr(algebra, "table", refuse)
+    args = ["order", "--universe", "cofinite", joined(range(12)), joined(range(12, 24)), "--json"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert "has 26 points; exact checks stop at 24" in result.output.splitlines()[-1]
