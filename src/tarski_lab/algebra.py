@@ -1,31 +1,30 @@
 """The partial order and lattice algebra on consequence operators.
 
-``le(a, b)`` holds when a(X) ⊆ b(X) for every subset X.  One procedure
-decides it: a loop over the two operands' tables in ascending bitmask
-order, whose first failing mask is the least counterexample.  Finite
-universes read ``table`` directly.  On the naturals both operands go into
-one finite model, ``operators._Quotient(a, b)``, built from the parameters
-of both, so each is a union of its classes; the loop runs on the model's
-two tables, where a lane that stands for no set maps to itself in both,
-and the failing mask is lifted back.  ``equivalent`` compares the two
-tables.  A model over ``MAX_SWEEP_SIZE`` points is refused.
-
-On the atoms (the identity, the top map, ``cxy`` and ``cprime``) the
-lifted witness is the one a minimal-argument analysis names.  A "meets"
-left operand (the identity and ``cxy X Y``) fails at A only where it
-fires, at some y ∈ A ∩ Y, and then {y} fails too, as b is monotone; so the
-least failing mask is one bit, the "nonempty" bit of the first failing
-class, and the witness is {y} for the least y with a({y}) ⊄ b({y}).  A
-"contains" left operand (the top map and ``cprime X Y``) fails only at
-supersets of Y, and then Y fails too; Y is a union of classes, its mask
-lies below the mask of every superset, and it lifts to Y itself.
+``le(a, b)`` holds when a(X) ⊆ b(X) for every subset X; a failure names
+the least counterexample.  Finite universes loop over both tables in
+ascending bitmask order.  On the naturals every expression is extensive
+and monotone, so an atomic left operand (``operators._closed_form``) fails
+first at a minimal argument, where ``le`` evaluates the right operand,
+whatever it is.  A "meets" operand (the identity, ``cxy X Y``) fails at A
+only at some y ∈ A ∩ Y, and then at {y}: the witness is {y} for the least
+y ∈ Y with X ⊄ b({y}), one y per class of the pair's joint model
+(``operators._classes``).  A "contains" operand (the top map,
+``cprime X Y``) fails only at supersets of Y, and then at Y, the witness.
+Any other left operand goes with the right one into one finite model,
+``operators._Quotient(a, b)``, in which each parameter is a union of
+classes; the loop runs on its two tables, a lane that stands for no set
+mapped to itself, and lifts the first failing mask (a model over
+``MAX_SWEEP_SIZE`` points is refused).  There the atomic witnesses are the
+least failing masks too: the "nonempty" bit of the first failing class,
+and Y's mask, below that of every superset.  ``equivalent`` on the
+naturals is ``le`` both ways.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .sets import Mode, ModeError, SentenceSet, Universe, UniverseMismatchError
 from .operators import (
@@ -38,6 +37,8 @@ from .operators import (
     OperatorConstraintError,
     OperatorExpr,
     Top,
+    _classes,
+    _closed_form,
     _Quotient,
     evaluate,
     table,
@@ -62,14 +63,8 @@ def le(a: OperatorExpr, b: OperatorExpr) -> Comparison:
     if a.universe != b.universe:
         raise UniverseMismatchError("operands from different universes")
     if a.universe.mode is Mode.FINITE:
-        tables, lift = (table(a), table(b)), a.universe.from_mask
-    else:
-        model = _Quotient(a, b)
-        tables, lift = (model.table(0), model.table(1)), model.lift
-    for m, (p, q) in enumerate(zip(*tables)):
-        if p & ~q:
-            return Comparison(False, lift(m))
-    return Comparison(True)
+        return _first_failure(table(a), table(b), a.universe.from_mask)
+    return next(_orders(a, b))
 
 
 def equivalent(a: OperatorExpr, b: OperatorExpr) -> bool:
@@ -78,8 +73,53 @@ def equivalent(a: OperatorExpr, b: OperatorExpr) -> bool:
         raise UniverseMismatchError("operands from different universes")
     if a.universe.mode is Mode.FINITE:
         return table(a) == table(b)
-    model = _Quotient(a, b)
-    return model.table(0) == model.table(1)
+    return all(c.holds for c in _orders(a, b))
+
+
+def _first_failure(left: tuple[int, ...], right: tuple[int, ...], lift) -> Comparison:
+    """The order on two tables: the first mask whose left image is not below
+    its right one, lifted to a set by ``lift``."""
+    for m, (p, q) in enumerate(zip(left, right)):
+        if p & ~q:
+            return Comparison(False, lift(m))
+    return Comparison(True)
+
+
+def _orders(a: OperatorExpr, b: OperatorExpr) -> Iterator[Comparison]:
+    """``le(a, b)`` and then ``le(b, a)`` on the naturals, each decided when it
+    is asked for: an atomic left operand at its minimal arguments, any other
+    on the tables of the pair's joint model.  Each direction reads the
+    pair's classes or model, built once for both."""
+    leasts = tables = None
+    for i, (left, right) in enumerate(((a, b), (b, a))):
+        shape = _closed_form(left)
+        if shape is not None:
+            if leasts is None:
+                leasts = [least for least, _ in _classes(a, b)[1]]
+            yield _le_atomic(*shape, leasts, right)
+            continue
+        if tables is None:
+            model = _Quotient(a, b)
+            tables = (model.table(0), model.table(1))
+        yield _first_failure(tables[i], tables[1 - i], model.lift)
+
+
+def _le_atomic(
+    kind: str, x: SentenceSet, y: SentenceSet, leasts: list[int], b: OperatorExpr
+) -> Comparison:
+    """a ≤ b for the atom a of shape (kind, X, Y) on the naturals, read at its
+    minimal arguments (module docstring); ``leasts`` are the least elements
+    of the pair's classes, ascending."""
+    if kind == "contains":
+        return Comparison(True) if x.is_subset(evaluate(b, y)) else Comparison(False, y)
+    members, finite = set(y.members), y.is_finite()
+    for least in leasts:
+        # Y is a union of classes: the class lies in Y when its least element does.
+        if (least in members) == finite:
+            single = y.universe.subset([least])
+            if not x.is_subset(evaluate(b, single)):
+                return Comparison(False, single)
+    return Comparison(True)
 
 
 # -- relative complements ------------------------------------------------------
@@ -147,18 +187,20 @@ def is_chain(family: list[OperatorExpr]) -> ChainResult:
     ``le`` decides each pair.  In finite mode composition decides it again
     (for closure operators a ≤ b exactly when b∘a = b, Thm 3.5), and a
     disagreement means a malformed operand and raises.  On the naturals
-    ``le`` alone decides each pair, exactly, on the pair's joint quotient.
+    ``le`` alone decides each pair, exactly, both ways from the pair's
+    classes or model, built once.
     """
     for i, a in enumerate(family):
         for b in family[i + 1 :]:
-            via_le = le(a, b).holds or le(b, a).holds
-            if a.universe.mode is Mode.FINITE and via_le != (
-                equivalent(Compose(b, a), b) or equivalent(Compose(a, b), a)
-            ):
-                raise OperatorConstraintError(
-                    "order and composition verdicts disagree; "
-                    "an operand is not a consequence operator"
-                )
+            if a.universe.mode is not Mode.FINITE:
+                via_le = any(c.holds for c in _orders(a, b))
+            else:
+                via_le = le(a, b).holds or le(b, a).holds
+                if via_le != (equivalent(Compose(b, a), b) or equivalent(Compose(a, b), a)):
+                    raise OperatorConstraintError(
+                        "order and composition verdicts disagree; "
+                        "an operand is not a consequence operator"
+                    )
             if not via_le:
                 return ChainResult(False, (a, b))
     return ChainResult(True)
@@ -299,6 +341,7 @@ def descending_chain(universe: Universe, n: int) -> list[OperatorExpr]:
         if evaluate(op, probe) == probe:
             raise OperatorConstraintError(f"member {k + 1} degenerated to the identity")
     for upper, lower in zip(chain, chain[1:]):
-        if not le(lower, upper).holds or le(upper, lower).holds:
+        below, above = _orders(lower, upper)
+        if not below.holds or above.holds:
             raise OperatorConstraintError("chain is not strictly decreasing")
     return chain

@@ -18,13 +18,14 @@ b outside M, and at least two elements outside M).  The naive join of two
 closure operators need not be idempotent.
 
 On the naturals ``_closed_form`` gives the shape of the four atomic
-operators, which only their axiom verdicts read.  Every expression is
-exactly an operator on a finite model, a ``_Quotient``, which one or more
-expressions share: ``check`` on a composite reads the model of one, and
-``algebra.le`` the joint model of both operands.  Its classes are the
-listed elements (in some literal of a parameter of any of them), grouped
-by the parameters they lie in, and the tail of every unlisted natural, so
-each parameter is a union of classes.  By induction on the
+operators, which their axiom verdicts read, and ``algebra.le`` when one is
+the left operand.  Every expression is exactly an operator on a finite
+model, a ``_Quotient``, which one or more expressions share: ``check`` on a
+composite reads the model of one, and ``algebra.le`` with a composite left
+operand the joint model of both operands.  Its classes (``_classes``) are
+the listed elements (in some literal of a parameter of any of them),
+grouped by the parameters they lie in, and the tail of every unlisted
+natural, so each parameter is a union of classes.  By induction on the
 node, C(A) ∩ c is A ∩ c or c, and which depends only on whether each
 A ∩ c' is empty, partial or full: ``I`` keeps A ∩ c, ``U`` gives c,
 ``cxy X Y`` fills X's classes when A meets a class of Y, ``cprime X Y``
@@ -450,6 +451,22 @@ def _parameters(op: OperatorExpr) -> list[SentenceSet]:
     return []
 
 
+def _classes(*ops: OperatorExpr) -> tuple[list[int], list[tuple[int, list[int] | None]]]:
+    """The listed elements of ``ops``, sorted, and the classes of their joint
+    finite model (module docstring) as (least element, members or None for
+    the tail), by least element."""
+    params = [s for op in ops for s in _parameters(op)]
+    listed = set().union(*(s.members for s in params))
+    # Refine the partition by one parameter at a time, each pass linear in the listed elements.
+    groups = [listed] if listed else []
+    for s in params:
+        members = set(s.members)
+        groups = [part for g in groups for part in (g & members, g - members) if part]
+    tail = min(set(range(len(listed) + 1)).difference(listed))
+    classes = [(members[0], members) for members in map(sorted, groups)] + [(tail, None)]
+    return sorted(listed), sorted(classes, key=lambda c: c[0])
+
+
 class _Quotient:
     """The finite model of one or more expressions on the naturals, from all
     of their parameters (module docstring): ``layout`` holds (least element,
@@ -458,20 +475,11 @@ class _Quotient:
     ``MAX_SWEEP_SIZE`` points it refuses before building anything."""
 
     def __init__(self, *ops: OperatorExpr) -> None:
-        params = [s for op in ops for s in _parameters(op)]
-        listed = set().union(*(s.members for s in params))
-        # Refine the partition by one parameter at a time, each pass linear in the listed elements.
-        groups = [listed] if listed else []
-        for s in params:
-            members = set(s.members)
-            groups = [part for g in groups for part in (g & members, g - members) if part]
-        self.listed = sorted(listed)
-        self.tail = min(set(range(len(listed) + 1)).difference(listed))
+        self.listed, classes = _classes(*ops)
         self.naturals, self.layout, bit = ops[0].universe, [], 0
-        classes = [sorted(g) for g in groups]
-        for members in sorted([*classes, None], key=lambda c: c[0] if c else self.tail):
+        for least, members in classes:
             width = 1 if members and len(members) == 1 else 2
-            self.layout.append((members[0] if members else self.tail, members, bit, width))
+            self.layout.append((least, members, bit, width))
             bit += width
         if bit > MAX_SWEEP_SIZE:
             raise ValueError(f"the finite model has {bit} points; exact checks stop at {MAX_SWEEP_SIZE}")

@@ -1,8 +1,9 @@
 """Exact verdicts on the naturals through the finite quotient of expressions.
 
 ``check_axioms`` decides idempotence of a composite on ℕ on its merged model
-(``operators._Quotient``), ``le`` and ``equivalent`` decide the order on the
-joint model of both operands, and the weak join settles on ℕ.  Seeded
+(``operators._Quotient``), ``le`` and ``equivalent`` decide the order at an
+atomic left operand's minimal arguments or on the joint model of both
+operands, and the weak join settles on ℕ.  Seeded
 differentials, ``wjoin`` included, hold them to references that share none
 of that code:
 
@@ -12,8 +13,9 @@ of that code:
 - the merged model agrees with perfbench's unmerged model of K + 2 points,
   K one past the largest listed element, whose tail is two points;
 - ``wjoin … --at S`` on ℕ equals the unmerged model's weak join, lifted;
-- on 20,000 atom pairs ``le`` gives the verdict and the witness of the
-  closed-form case analysis of ``oracles``;
+- on 20,000 small and 2,000 large atom pairs ``le`` gives the verdict and
+  the witness of the closed-form case analysis of ``oracles``;
+- an atomic left operand gives the joint model's least failing mask;
 - on 3,000 pairs of composites ``le`` and ``equivalent`` agree with the
   unmerged model, and each lifted witness fails on ℕ.
 """
@@ -347,6 +349,41 @@ def test_atom_order_matches_the_closed_form_reference():
     assert 1000 < failures < ATOM_PAIRS - 1000
 
 
+def test_large_atom_pairs_match_the_closed_form_reference():
+    # Literals over 0..59 give joint models far past 24 points; an atomic left
+    # operand is read at its minimal arguments, so no model is refused.
+    rng = random.Random(5)
+
+    def parameter():
+        members = rng.sample(range(60), rng.randint(0, 30))
+        return NAT.cosubset(members) if rng.random() < 0.5 else NAT.subset(members)
+
+    failures = 0
+    for i in range(2000):
+        a, b = ((Cxy if rng.random() < 0.5 else CPrime)(parameter(), parameter()) for _ in "ab")
+        if i % 3 == 0:
+            # Same shape and trigger, more added: a ≤ b, and often not b ≤ a.
+            b = type(a)(a.x.union(parameter()), a.y)
+        holds, witness = closed_form_le(_closed_form(a), _closed_form(b))
+        assert le(a, b) == Comparison(holds, witness), (a, b)
+        assert equivalent(a, b) == (holds and closed_form_le(_closed_form(b), _closed_form(a))[0])
+        failures += not holds
+    assert 200 < failures < 1800
+
+
+def test_an_atom_pair_of_twenty_six_points_is_answered():
+    # Twelve two-element classes and the tail: the joint model has 26 points.
+    x1, y1 = "{2,3,6,7,10,11,14,15,18,19,22,23}", "{4,5,6,7,12,13,14,15,20,21,22,23}"
+    x2, y2 = "{8,9,10,11,12,13,14,15,24,25}", "{16,17,18,19,20,21,22,23,24,25}"
+    with pytest.raises(ValueError, match="has 26 points"):
+        _Quotient(parse_operator(f"cxy {x1} {y1}", SpecContext(NAT)), parse_operator(f"cxy {x2} {y2}", SpecContext(NAT)))
+    result = CliRunner().invoke(main, ["order", "--universe", "cofinite", f"cxy {x1} {y1}", f"cxy {x2} {y2}", "--json"])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["data"]["witness"] == "{4}"
+    result = CliRunner().invoke(main, ["chain", "--universe", "cofinite", f"cxy {x1} {y1}", f"cxy {x2} {y2}", "--json"])
+    assert result.exit_code == 1
+
+
 @pytest.fixture(scope="module")
 def pairs():
     """3,000 seeded operand pairs, atoms and composites, and the unmerged
@@ -400,6 +437,23 @@ def test_the_order_witness_is_the_least_failing_mask(pairs):
             if not m >> 1 & ~m & stray:
                 s = model.lift(m)
                 assert evaluate(a, s).is_subset(evaluate(b, s)), (a, b, m)
+
+
+def test_an_atomic_left_operand_gives_the_joint_models_witness(pairs):
+    # The minimal arguments of an atom name the joint model's least failing
+    # mask, whatever the right operand is.
+    atomic = 0
+    for a, b, _, _ in pairs:
+        for left, right, i in ((a, b, 0), (b, a, 1)):
+            if _closed_form(left) is None:
+                continue
+            model = _Quotient(a, b)
+            t, u = model.table(i), model.table(1 - i)
+            m = next((m for m in range(len(t)) if t[m] & ~u[m]), None)
+            expected = Comparison(True) if m is None else Comparison(False, model.lift(m))
+            assert le(left, right) == expected, (left, right)
+            atomic += 1
+    assert atomic > 1000
 
 
 def test_order_and_chain_through_the_cli(pairs):
