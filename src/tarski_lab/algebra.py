@@ -11,13 +11,12 @@ y ∈ Y with X ⊄ b({y}), one y per class of the pair's joint model
 (``operators._classes``).  A "contains" operand (the top map,
 ``cprime X Y``) fails only at supersets of Y, and then at Y, the witness.
 Any other left operand goes with the right one into one finite model,
-``operators._Quotient(a, b)``, in which each parameter is a union of
-classes; the loop runs on its two tables, a lane that stands for no set
-mapped to itself, and lifts the first failing mask (a model over
-``MAX_SWEEP_SIZE`` points is refused).  There the atomic witnesses are the
-least failing masks too: the "nonempty" bit of the first failing class,
-and Y's mask, below that of every superset.  ``equivalent`` on the
-naturals is ``le`` both ways.
+``operators._Quotient(a, b)``; the loop runs on its two tables and lifts
+the first failing mask (a model over ``MAX_SWEEP_SIZE`` points is refused).
+Least is in the set order of ``operators``, in which the atomic witnesses
+are the least failing sets, and so the model's least failing masks: the
+point at the least element of the first failing class, and Y's points.
+``equivalent`` on the naturals is ``le`` both ways.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def _orders(a: OperatorExpr, b: OperatorExpr) -> Iterator[Comparison]:
             continue
         if tables is None:
             model = _Quotient(a, b)
-            tables = (model.table(0), model.table(1))
+            tables = [table(op) for op in model.ops]
         yield _first_failure(tables[i], tables[1 - i], model.lift)
 
 

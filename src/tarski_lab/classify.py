@@ -7,9 +7,9 @@ On a finite universe ``check_axioms`` sweeps the three axioms over every
 subset, exhaustively, and reports least-bitmask witnesses.  On the
 infinite universe an atomic operator gets the exact verdicts of its shape
 (``operators._closed_form``).  Every other expression is extensive and
-monotone by its structure, so (ii) passes conclusively, and (i) is decided
-exactly on its finite model (``operators._Quotient``) by the axiom kernel;
-a pass of (iii) is explicitly inconclusive.
+monotone by its structure, so (ii) passes, and (i) and (iii) are decided on
+its finite model (``operators._Quotient``), least witnesses in the set order
+(S < T when the greatest element of S △ T lies in T; finite below cofinite).
 
 ``axiom_witnesses`` finds the same least witnesses on an int table.  It
 packs the table into one int, one little-endian lane of 1, 2 or 4 bytes
@@ -96,7 +96,6 @@ ENUMERATION_LIMIT = 4
 @dataclass(frozen=True)
 class Verdict:
     passed: bool
-    conclusive: bool = True
     witness: tuple | None = None
 
 
@@ -122,13 +121,11 @@ def check_axioms(op: OperatorExpr) -> AxiomReport:
     """Full per-axiom report with least counterexample witnesses.
 
     On the naturals every expression is extensive and monotone by induction
-    on its structure, so (ii) holds exactly, and an atom gets the verdicts of
-    its shape.  Any other expression is exactly an operator on its finite
-    model (``operators._Quotient``), whose table, each lane that stands for
-    no set mapped to itself, goes through ``axiom_witnesses``: (i) is exact
-    both ways, and (iii) passes inconclusively.  The (i) witness is the
-    least failing mask of the model, its classes sorted by least element,
-    lifted to the naturals.
+    on its structure, so (ii) holds, and an atom gets the verdicts of its
+    shape.  Any other expression is exactly an operator on its finite model
+    (``operators._Quotient``), whose table goes through ``axiom_witnesses``
+    for (i) and ``_finitarity`` for (iii); each witness is the least failing
+    mask, lifted to the least failing set on the naturals.
     """
     universe = op.universe
     if universe.mode is Mode.FINITE:
@@ -139,22 +136,33 @@ def check_axioms(op: OperatorExpr) -> AxiomReport:
     if shape is not None:
         return _check_closed_form(*shape)
     model = _Quotient(op)
-    t = model.table(0)
+    t = table(model.ops[0])
     first, _, _ = axiom_witnesses(t)
     return AxiomReport(
         axiom_i=Verdict(True) if first is None else Verdict(False, witness=(model.lift(*first),)),
         axiom_ii=Verdict(True),
-        axiom_iii=Verdict(True, False),
+        axiom_iii=_finitarity(model, t),
         axiomless=t[0] == 0,
         mode_note=QUOTIENT,
     )
 
 
+def _finitarity(model: _Quotient, t: tuple[int, ...]) -> Verdict:
+    """(iii) on the naturals on the table t of ``model`` (``operators``): the
+    least mask m holding both tail points with t[m] ⊄ t[m ^ top] ∪ m fails."""
+    top = len(t) >> 1
+    least = 1 << model.points.index(model.tail[0])
+    for m in range(top | least, len(t)):
+        if m & least and t[m] & ~(t[m ^ top] | m):
+            missing = model.lift(t[m]).difference(model.lift(t[m ^ top] | m))
+            return Verdict(False, witness=(model.lift(m), missing.least()))
+    return Verdict(True)
+
+
 def _sweep(family: list[SentenceSet], images: list[SentenceSet]) -> AxiomReport:
     """The three axioms over ``family``, every subset of a finite universe in
-    ascending bitmask order, where ``images`` holds C(s) for each subset s.
-    Every verdict is conclusive, and each witness is the least.
-    """
+    ascending bitmask order, where ``images`` holds C(s) for each subset s;
+    each witness is the least."""
     axiom_i = Verdict(True)
     for s, image in zip(family, images):
         if not s.is_subset(image) or images[image.mask] != image:

@@ -33,11 +33,22 @@ when A fills Y's classes, ``meet`` and ``join`` act per class,
 ``comp(E, F)`` applies E to F(A), and ``wjoin(E, F)`` iterates the
 extensive y ↦ F(E(y)), each round that changes y filling a class, so it
 settles within (listed elements + 2) rounds; ``s``, ``table[...]`` and
-``system[...]`` refuse the naturals.  The model has one bit per
-one-element class and two, "nonempty" below "full", per other class, the
-tail included; a parameter is every bit of its classes, and on masks that
-stand for sets the nodes compute the same states.  A full bit without its
-nonempty bit stands for no set.
+``system[...]`` refuse the naturals.  The model is the operator restricted
+to its points, naturals: the element of a one-element class, the least and
+greatest of any other, and the tail's two least; a parameter is the points
+in it.  A set A of points lifts to A with each class whose points it holds
+brought in whole (a held tail: cofinite), which meets each class as A does,
+so the model's C(A) is C(lift A) ∩ points and lifts to C(lift A): every
+mask is a set.  Points rank by value, but the second tail point above all;
+so on the masks that hold no class's greatest point without its least, the
+least sets of their states, mask order is the set order on ℕ (S < T when
+the greatest element of S △ T lies in T; finite sets lie below cofinite
+ones), and any other mask has the states of a smaller one: the least
+failing mask lifts to the least failing set, whatever the model's
+parameters.  X↓, X with its part of the tail cut to one element, is a
+finite part with X's states but a held tail, only met, and no finite part
+has more; C is monotone, so (iii) fails at X exactly when C(X) ⊄ C(X↓) ∪ X:
+on the model, at a mask holding both tail points, X↓ that mask less the top.
 
 In finite mode, ``table(op)`` is the whole map at once: ``table(op)[m]`` is
 the image mask of the subset with mask m, compiled bottom-up on ints.  A
@@ -468,22 +479,21 @@ def _classes(*ops: OperatorExpr) -> tuple[list[int], list[tuple[int, list[int] |
 
 
 class _Quotient:
-    """The finite model of one or more expressions on the naturals, from all
-    of their parameters (module docstring): ``layout`` holds (least element,
-    members or None for the tail, first bit, width) per class, by least
-    element, and ``ops`` holds the expressions on the model.  Over
+    """The finite model of one or more expressions on the naturals (module
+    docstring): bit i stands for ``points[i]``, ``tail`` holds the tail's two
+    points, and ``ops`` the expressions on the points.  Over
     ``MAX_SWEEP_SIZE`` points it refuses before building anything."""
 
     def __init__(self, *ops: OperatorExpr) -> None:
         self.listed, classes = _classes(*ops)
-        self.naturals, self.layout, bit = ops[0].universe, [], 0
-        for least, members in classes:
-            width = 1 if members and len(members) == 1 else 2
-            self.layout.append((least, members, bit, width))
-            bit += width
-        if bit > MAX_SWEEP_SIZE:
-            raise ValueError(f"the finite model has {bit} points; exact checks stop at {MAX_SWEEP_SIZE}")
-        self.universe = Universe(Mode.FINITE, tuple(map(str, range(bit))))
+        self.classes = [members for _, members in classes if members]
+        self.tail = sorted(set(range(len(self.listed) + 2)).difference(self.listed))[:2]
+        ends = {e for members in self.classes for e in (members[0], members[-1])}
+        self.points = sorted(ends.union(self.tail[:1])) + self.tail[1:]
+        if len(self.points) > MAX_SWEEP_SIZE:
+            raise ValueError(f"the finite model has {len(self.points)} points; exact checks stop at {MAX_SWEEP_SIZE}")
+        self.naturals = ops[0].universe
+        self.universe = Universe(Mode.FINITE, tuple(map(str, self.points)))
         self.ops = [self._on_model(op) for op in ops]
 
     def _on_model(self, op: OperatorExpr) -> OperatorExpr:
@@ -494,32 +504,15 @@ class _Quotient:
         return type(op)(self.universe)
 
     def _set(self, s: SentenceSet) -> SentenceSet:
-        """A parameter, a union of classes, as every bit of its classes."""
-        members, finite = set(s.members), s.is_finite()
-        bits = sum(
-            (1 << width) - 1 << bit
-            for least, _, bit, width in self.layout
-            if (least in members) == finite
-        )
-        return self.universe.from_mask(bits)
-
-    def table(self, i: int) -> tuple[int, ...]:
-        """Operand i's table, each lane that stands for no set mapped to itself."""
-        stray = sum(1 << bit for _, _, bit, width in self.layout if width == 2)
-        return tuple([m if m >> 1 & ~m & stray else v for m, v in enumerate(table(self.ops[i]))])
+        """The points that lie in s."""
+        return self.universe.from_mask(sum(1 << i for i, p in enumerate(self.points) if p in s))
 
     def lift(self, mask: int) -> SentenceSet:
-        """A set on the naturals in the states of ``mask``: a partial class
-        holds its least element, and a full tail makes the set cofinite."""
-        kept, cofinite = [], False
-        for least, members, bit, width in self.layout:
-            full = (1 << width) - 1
-            state = mask >> bit & full
-            if state == full and members is None:
-                cofinite = True
-            elif state:
-                kept.extend(members if state == full else [least])
-        if cofinite:
+        """The points in ``mask`` on the naturals, with each class whose points
+        are all held brought in whole, a held tail making the set cofinite."""
+        held = {p for i, p in enumerate(self.points) if mask >> i & 1}
+        kept = held.union(*(c for c in self.classes if c[0] in held and c[-1] in held))
+        if held.issuperset(self.tail):
             return self.naturals.cosubset(sorted(set(self.listed).difference(kept)))
         return self.naturals.subset(kept)
 
