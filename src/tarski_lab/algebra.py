@@ -21,11 +21,10 @@ point at the least element of the first failing class, and Y's points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, Iterator
 
-from .sets import Mode, ModeError, SentenceSet, Universe, UniverseMismatchError
+from .sets import Mode, ModeError, SentenceSet, Universe, UniverseMismatchError, _Frozen, _setattr
 from .operators import (
     Compose,
     Cxy,
@@ -48,10 +47,12 @@ if TYPE_CHECKING:
     from .classify import AxiomReport
 
 
-@dataclass(frozen=True)
-class Comparison:
-    holds: bool
-    witness: SentenceSet | None = None
+class Comparison(_Frozen):
+    __slots__ = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: SentenceSet | None = None) -> None:
+        _setattr(self, "holds", holds)
+        _setattr(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -124,11 +125,13 @@ def _le_atomic(
 # -- relative complements ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplementResult:
-    candidate: FromTable
-    report: AxiomReport
-    lattice_ok: bool
+class ComplementResult(_Frozen):
+    __slots__ = ("candidate", "report", "lattice_ok")
+
+    def __init__(self, candidate: FromTable, report: AxiomReport, lattice_ok: bool) -> None:
+        _setattr(self, "candidate", candidate)
+        _setattr(self, "report", report)
+        _setattr(self, "lattice_ok", lattice_ok)
 
 
 def relative_complement(
@@ -171,10 +174,12 @@ def relative_complement(
 # -- chains --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainResult:
-    holds: bool
-    violating_pair: tuple[OperatorExpr, OperatorExpr] | None = None
+class ChainResult(_Frozen):
+    __slots__ = ("holds", "violating_pair")
+
+    def __init__(self, holds: bool, violating_pair: tuple[OperatorExpr, OperatorExpr] | None = None) -> None:
+        _setattr(self, "holds", holds)
+        _setattr(self, "violating_pair", violating_pair)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -208,14 +213,19 @@ def is_chain(family: list[OperatorExpr]) -> ChainResult:
 # -- the generated sublattice ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SublatticeReport:
-    generators: tuple[SentenceSet, ...]
-    inf_closed_form: bool
-    sup_closed_form: bool
-    joins_agree: bool
-    distributive: bool
-    non_chain_witness: tuple[SentenceSet, SentenceSet, SentenceSet] | None
+class SublatticeReport(_Frozen):
+    __slots__ = ("generators", "inf_closed_form", "sup_closed_form", "joins_agree", "distributive", "non_chain_witness")
+
+    def __init__(
+        self, generators: tuple[SentenceSet, ...], inf_closed_form: bool, sup_closed_form: bool, joins_agree: bool,
+        distributive: bool, non_chain_witness: tuple[SentenceSet, SentenceSet, SentenceSet] | None,
+    ) -> None:
+        _setattr(self, "generators", generators)
+        _setattr(self, "inf_closed_form", inf_closed_form)
+        _setattr(self, "sup_closed_form", sup_closed_form)
+        _setattr(self, "joins_agree", joins_agree)
+        _setattr(self, "distributive", distributive)
+        _setattr(self, "non_chain_witness", non_chain_witness)
 
     @property
     def ok(self) -> bool:

@@ -64,12 +64,11 @@ end from one batched superset-AND, each system's lanes a slice of it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import starmap
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .sets import Mode, ModeError, SentenceSet, Universe, make_universe
+from .sets import Mode, ModeError, SentenceSet, Universe, _Frozen, _setattr, make_universe
 from .operators import (
     _LANE_CODES,
     ClosureSystem,
@@ -93,20 +92,27 @@ QUOTIENT = "quotient"
 ENUMERATION_LIMIT = 4
 
 
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    witness: tuple | None = None
+class Verdict(_Frozen):
+    __slots__ = ("passed", "witness")
+
+    def __init__(self, passed: bool, witness: tuple | None = None) -> None:
+        _setattr(self, "passed", passed)
+        _setattr(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    axiom_i: Verdict
-    axiom_ii: Verdict
-    axiom_iii: Verdict
-    axiomless: bool
-    mode_note: str
-    finitary_from_monotone: bool | None = None
+class AxiomReport(_Frozen):
+    __slots__ = ("axiom_i", "axiom_ii", "axiom_iii", "axiomless", "mode_note", "finitary_from_monotone")
+
+    def __init__(
+        self, axiom_i: Verdict, axiom_ii: Verdict, axiom_iii: Verdict, axiomless: bool, mode_note: str,
+        finitary_from_monotone: bool | None = None,
+    ) -> None:
+        _setattr(self, "axiom_i", axiom_i)
+        _setattr(self, "axiom_ii", axiom_ii)
+        _setattr(self, "axiom_iii", axiom_iii)
+        _setattr(self, "axiomless", axiomless)
+        _setattr(self, "mode_note", mode_note)
+        _setattr(self, "finitary_from_monotone", finitary_from_monotone)
 
     @property
     def is_consequence(self) -> bool:
@@ -569,10 +575,12 @@ def _joined_lanes(systems: Sequence[ClosureSystem], n: int, expected: str) -> in
     return int.from_bytes(images, "little")
 
 
-@dataclass(frozen=True)
-class CoverResult:
-    holds: bool
-    failing: ClosureSystem | None = None
+class CoverResult(_Frozen):
+    __slots__ = ("holds", "failing")
+
+    def __init__(self, holds: bool, failing: ClosureSystem | None = None) -> None:
+        _setattr(self, "holds", holds)
+        _setattr(self, "failing", failing)
 
     def __bool__(self) -> bool:
         return self.holds

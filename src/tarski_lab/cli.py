@@ -391,12 +391,24 @@ def words_decode(alpha, code) -> Report:
 @click.pass_obj
 def words_split(alpha, arity, text) -> Report:
     """All arity-k decompositions of a word, in cut-mask order."""
-    from .words import decode, decompositions
+    from .words import MAX_SPLIT_SYMBOLS, count_decompositions, decode, decompositions
     from .report import Report
 
+    word = alpha.word(text)
+    # Each split prints the word and k commas.  For g gaps C(g, k) = C(g, j) ≥ 2ʲ
+    # with j = min(k, g − k), so a j of the bound's bit length is over the bound
+    # without math.comb, which takes seconds for a large j.
+    j = min(arity, word.size - 1 - arity)
+    if j >= MAX_SPLIT_SYMBOLS.bit_length() or (
+        count_decompositions(word, arity) * (word.size + arity) > MAX_SPLIT_SYMBOLS
+    ):
+        raise ValueError(
+            f"the splits of a {word.size}-symbol word at --k {arity}"
+            f" exceed the output bound of {MAX_SPLIT_SYMBOLS} symbols"
+        )
     splits = [
         ",".join(decode(alpha, code).text() for code in reversed(seq.codes))
-        for seq in decompositions(alpha.word(text), arity)
+        for seq in decompositions(word, arity)
     ]
     return Report(
         command=f"words split {text} --k {arity}",

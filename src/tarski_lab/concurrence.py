@@ -14,20 +14,23 @@ infinite-bound constructions rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Sequence
 
-from .sets import SentenceSet, UniverseMismatchError
+from .sets import SentenceSet, UniverseMismatchError, _Frozen, _setattr
 
 if TYPE_CHECKING:
     from .operators import OperatorExpr
 
 
-@dataclass(frozen=True)
-class ConcurrenceResult:
-    concurrent: bool
-    bound: Hashable | None = None
-    failing_subset: tuple | None = None
+class ConcurrenceResult(_Frozen):
+    __slots__ = ("concurrent", "bound", "failing_subset")
+
+    def __init__(
+        self, concurrent: bool, bound: Hashable | None = None, failing_subset: tuple | None = None
+    ) -> None:
+        _setattr(self, "concurrent", concurrent)
+        _setattr(self, "bound", bound)
+        _setattr(self, "failing_subset", failing_subset)
 
     def __bool__(self) -> bool:
         return self.concurrent

@@ -6,8 +6,8 @@ and keeps no state between calls.
 
 Each node class is its own constructor (``Meet(a, b)``, ``FromSystem(s)``),
 and each class docstring states its value on an argument A.  Nodes of one
-shape share a frozen dataclass base that holds their fields, checks that
-they come from one universe, and reports it: ``Identity``, ``Top`` and
+shape share a base (on ``sets._Frozen``) that holds their fields, checks
+that they come from one universe, and reports it: ``Identity``, ``Top`` and
 ``FromTable`` hold a universe; ``Cxy`` and ``CPrime`` hold two parameter
 sets X and Y; ``Meet``, ``NaiveJoin`` and ``WeakJoin`` hold two operands.
 Nodes of different classes never compare equal, whatever their fields.
@@ -73,8 +73,7 @@ table, where ``_byte_lane_steps`` keeps them per n.
 from __future__ import annotations
 
 import struct
-from dataclasses import FrozenInstanceError, dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -84,6 +83,8 @@ from .sets import (
     SentenceSet,
     Universe,
     UniverseMismatchError,
+    _Frozen,
+    _setattr,
 )
 
 # Tables and exhaustive sweeps have 2^n entries; beyond this size they are hopeless.
@@ -151,25 +152,23 @@ class OperatorConstraintError(ValueError):
     """An expression violates one of its construction constraints."""
 
 
-class OperatorExpr:
+class OperatorExpr(_Frozen):
     """Base class for the expression variants below; every node is immutable."""
+
+    __slots__ = ()
 
     @property
     def universe(self) -> Universe:
         raise NotImplementedError
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-@dataclass(frozen=True)
 class _OnUniverse(OperatorExpr):
     """A node that holds its universe."""
 
-    _universe: Universe
+    __slots__ = ("_universe",)
+
+    def __init__(self, _universe: Universe) -> None:
+        _setattr(self, "_universe", _universe)
 
     @property
     def universe(self) -> Universe:
@@ -179,21 +178,25 @@ class _OnUniverse(OperatorExpr):
 class Identity(_OnUniverse):
     """Maps every subset to itself."""
 
+    __slots__ = ()
+
 
 class Top(_OnUniverse):
     """Maps every subset to the whole universe."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class _Parametric(OperatorExpr):
     """A node with two parameter sets X and Y from one universe."""
 
-    x: SentenceSet
-    y: SentenceSet
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if self.x.universe != self.y.universe:
+    def __init__(self, x: SentenceSet, y: SentenceSet) -> None:
+        if x.universe != y.universe:
             raise UniverseMismatchError("parameters from different universes")
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
 
     @property
     def universe(self) -> Universe:
@@ -203,28 +206,32 @@ class _Parametric(OperatorExpr):
 class Cxy(_Parametric):
     """A ∪ X when A meets Y, otherwise A."""
 
+    __slots__ = ()
+
 
 class CPrime(_Parametric):
     """A ∪ X when Y ⊆ A, otherwise A."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class SExample(OperatorExpr):
-    m: SentenceSet
-    b: int
+    __slots__ = ("m", "b")
 
-    def __post_init__(self) -> None:
-        u = self.m.universe
+    def __init__(self, m: SentenceSet, b: int) -> None:
+        u = m.universe
         if u.mode is not Mode.FINITE:
             raise ModeError("this operator is defined for finite universes only")
-        if not 0 <= self.b < u.size:
-            raise OperatorConstraintError(f"trigger element {self.b} out of range")
-        if self.m.is_empty():
+        if not 0 <= b < u.size:
+            raise OperatorConstraintError(f"trigger element {b} out of range")
+        if m.is_empty():
             raise OperatorConstraintError("the base set must be nonempty")
-        if self.b in self.m:
+        if b in m:
             raise OperatorConstraintError("the trigger element must lie outside the base set")
-        if u.size - len(self.m.members) < 2:
+        if u.size - len(m.members) < 2:
             raise OperatorConstraintError("at least two elements must lie outside the base set")
+        _setattr(self, "m", m)
+        _setattr(self, "b", b)
 
     @property
     def universe(self) -> Universe:
@@ -236,15 +243,15 @@ def _check_pair(left: OperatorExpr, right: OperatorExpr) -> None:
         raise UniverseMismatchError("operands from different universes")
 
 
-@dataclass(frozen=True)
 class _Binary(OperatorExpr):
     """A node with two operands from one universe."""
 
-    left: OperatorExpr
-    right: OperatorExpr
+    __slots__ = ("left", "right")
 
-    def __post_init__(self) -> None:
-        _check_pair(self.left, self.right)
+    def __init__(self, left: OperatorExpr, right: OperatorExpr) -> None:
+        _check_pair(left, right)
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
     @property
     def universe(self) -> Universe:
@@ -254,32 +261,37 @@ class _Binary(OperatorExpr):
 class Meet(_Binary):
     """left(A) ∩ right(A)."""
 
+    __slots__ = ()
+
 
 class NaiveJoin(_Binary):
     """left(A) ∪ right(A); need not be idempotent."""
+
+    __slots__ = ()
 
 
 class WeakJoin(_Binary):
     """The least superset of A fixed by both operands."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Compose(OperatorExpr):
     """outer(inner(A))."""
 
-    outer: OperatorExpr
-    inner: OperatorExpr
+    __slots__ = ("outer", "inner")
 
-    def __post_init__(self) -> None:
-        _check_pair(self.outer, self.inner)
+    def __init__(self, outer: OperatorExpr, inner: OperatorExpr) -> None:
+        _check_pair(outer, inner)
+        _setattr(self, "outer", outer)
+        _setattr(self, "inner", inner)
 
     @property
     def universe(self) -> Universe:
         return self.outer.universe
 
 
-@dataclass(frozen=True)
-class ClosureSystem:
+class ClosureSystem(_Frozen):
     """A family of closed sets: contains L and is intersection-closed.
 
     ``masks`` are the closed sets' bitmasks, sorted ascending on construction;
@@ -288,15 +300,13 @@ class ClosureSystem:
     materialised.
     """
 
-    universe: Universe
-    masks: tuple[int, ...]
+    __slots__ = ("universe", "masks", "_lanes", "_closed")
 
-    def __post_init__(self) -> None:
-        if self.universe.mode is not Mode.FINITE:
+    def __init__(self, universe: Universe, masks: tuple[int, ...]) -> None:
+        if universe.mode is not Mode.FINITE:
             raise ModeError("closure systems are materialised in finite mode only")
-        masks = tuple(sorted(self.masks))
-        object.__setattr__(self, "masks", masks)
-        full = (1 << self.universe.size) - 1
+        masks = tuple(sorted(masks))
+        full = (1 << universe.size) - 1
         for m in masks:
             if not 0 <= m <= full:
                 raise OperatorConstraintError(f"closed mask {m:#x} out of range")
@@ -308,34 +318,46 @@ class ClosureSystem:
         for i, a in enumerate(masks):
             for b in masks[i + 1 :]:
                 if a & b not in present:
-                    first, second = (self.universe.from_mask(m).literal() for m in (a, b))
+                    first, second = (universe.from_mask(m).literal() for m in (a, b))
                     raise OperatorConstraintError(
                         f"family is not intersection-closed: {first} ∩ {second} missing"
                     )
+        self._fill(universe, masks, None)
 
-    @cached_property
+    def _fill(self, universe: Universe, masks: tuple[int, ...], lanes: bytes | None) -> None:
+        _setattr(self, "universe", universe)
+        _setattr(self, "masks", masks)
+        _setattr(self, "_lanes", lanes)
+        _setattr(self, "_closed", None)
+
+    @property
     def closed(self) -> tuple[SentenceSet, ...]:
-        """The closed sets as ``SentenceSet`` values, in mask order."""
-        return tuple(self.universe.from_mask(m) for m in self.masks)
+        """The closed sets as ``SentenceSet`` values, in mask order: built on
+        first use and kept."""
+        if self._closed is None:
+            _setattr(self, "_closed", tuple(self.universe.from_mask(m) for m in self.masks))
+        return self._closed
 
     @classmethod
     def _trusted(cls, universe: Universe, masks: tuple[int, ...], lanes: bytes) -> ClosureSystem:
         """A system from sorted masks known to hold L and to be intersection-closed,
         and its ``lanes``, unvalidated; only ``classify``'s store builds these."""
         system = object.__new__(cls)
-        system.__dict__.update(universe=universe, masks=masks, lanes=lanes)
+        system._fill(universe, masks, lanes)
         return system
 
-    @cached_property
+    @property
     def lanes(self) -> bytes:
         """The closure table packed one little-endian lane of ``_lane_width(n)``
         bytes per subset, in mask order: lane m holds the mask of the least
         closed superset of m (``_closure_lanes``): built on first use and
         kept, or given by the store.
         """
-        n = self.universe.size
-        _refuse_oversized(n)
-        return _closure_lanes([self.masks], n).to_bytes(_lane_width(n) << n, "little")
+        if self._lanes is None:
+            n = self.universe.size
+            _refuse_oversized(n)
+            _setattr(self, "_lanes", _closure_lanes([self.masks], n).to_bytes(_lane_width(n) << n, "little"))
+        return self._lanes
 
     @property
     def table(self) -> tuple[int, ...]:
@@ -348,18 +370,19 @@ class ClosureSystem:
         return struct.unpack(f"<{1 << n}{_LANE_CODES[_lane_width(n)]}", lanes)
 
 
-@dataclass(frozen=True)
 class FromSystem(OperatorExpr):
     """Closure via least closed superset in an explicit family."""
 
-    system: ClosureSystem
+    __slots__ = ("system",)
+
+    def __init__(self, system: ClosureSystem) -> None:
+        _setattr(self, "system", system)
 
     @property
     def universe(self) -> Universe:
         return self.system.universe
 
 
-@dataclass(frozen=True)
 class FromTable(_OnUniverse):
     """An arbitrary total map given by its value on every subset.
 
@@ -367,20 +390,22 @@ class FromTable(_OnUniverse):
     table must cover all 2^n subsets.  Finite mode only.
     """
 
-    table: tuple[int, ...]
+    __slots__ = ("table",)
 
-    def __post_init__(self) -> None:
-        if self._universe.mode is not Mode.FINITE:
+    def __init__(self, _universe: Universe, table: tuple[int, ...]) -> None:
+        if _universe.mode is not Mode.FINITE:
             raise ModeError("tables are defined for finite universes only")
-        n = self._universe.size
-        if len(self.table) != 1 << n:
+        n = _universe.size
+        if len(table) != 1 << n:
             raise OperatorConstraintError(
-                f"table must be total: expected {1 << n} entries, got {len(self.table)}"
+                f"table must be total: expected {1 << n} entries, got {len(table)}"
             )
         limit = 1 << n
-        for value in self.table:
+        for value in table:
             if not 0 <= value < limit:
                 raise OperatorConstraintError(f"table value {value:#x} out of range")
+        _setattr(self, "_universe", _universe)
+        _setattr(self, "table", table)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -458,7 +483,7 @@ def _parameters(op: OperatorExpr) -> list[SentenceSet]:
     if isinstance(op, _Parametric):
         return [op.x, op.y]
     if isinstance(op, (_Binary, Compose)):
-        return [s for f in fields(op) for s in _parameters(getattr(op, f.name))]
+        return [s for child in op._values() for s in _parameters(child)]
     return []
 
 
@@ -500,7 +525,7 @@ class _Quotient:
         if isinstance(op, _Parametric):
             return type(op)(self._set(op.x), self._set(op.y))
         if isinstance(op, (_Binary, Compose)):
-            return type(op)(*(self._on_model(getattr(op, f.name)) for f in fields(op)))
+            return type(op)(*map(self._on_model, op._values()))
         return type(op)(self.universe)
 
     def _set(self, s: SentenceSet) -> SentenceSet:

@@ -17,9 +17,8 @@ line-oriented: a ``universe`` declaration first, then ``name = <expr>`` or
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from .sets import Mode, SentenceSet, Universe, make_universe
+from .sets import Mode, SentenceSet, Universe, _Record, make_universe
 from .operators import (
     ClosureSystem,
     Compose,
@@ -47,16 +46,16 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*|[{}()\[\],;=]|\S")
 
 
-@dataclass
 class _Tokens:
-    text: str
-    line: int = 1
-    pos: int = 0
-    items: list[tuple[str, int]] = field(default_factory=list)
+    """A cursor over the tokens of one line of text, with their columns."""
 
-    def __post_init__(self) -> None:
-        for match in _TOKEN.finditer(self.text):
-            self.items.append((match.group(), match.start() + 1))
+    __slots__ = ("text", "line", "pos", "items")
+
+    def __init__(self, text: str, line: int = 1) -> None:
+        self.text = text
+        self.line = line
+        self.pos = 0
+        self.items = [(match.group(), match.start() + 1) for match in _TOKEN.finditer(text)]
 
     def peek(self) -> str | None:
         return self.items[self.pos][0] if self.pos < len(self.items) else None
@@ -85,13 +84,17 @@ class _Tokens:
         return ParseError(message, self.line, column)
 
 
-@dataclass
-class SpecContext:
+class SpecContext(_Record):
     """A universe plus named operator and set bindings."""
 
-    universe: Universe
-    operators: dict[str, OperatorExpr] = field(default_factory=dict)
-    sets: dict[str, SentenceSet] = field(default_factory=dict)
+    __slots__ = ("universe", "operators", "sets")
+
+    def __init__(
+        self, universe: Universe, operators: dict[str, OperatorExpr] | None = None, sets: dict[str, SentenceSet] | None = None
+    ) -> None:
+        self.universe = universe
+        self.operators = {} if operators is None else operators
+        self.sets = {} if sets is None else sets
 
     def bind(self, name: str, value: OperatorExpr | SentenceSet, line: int = 1) -> None:
         if name in self.operators or name in self.sets:

@@ -10,22 +10,25 @@ neither ``algebra`` nor ``classify``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .sets import SentenceSet
+from .sets import SentenceSet, _Record
 
 if TYPE_CHECKING:
     from .algebra import SublatticeReport
     from .classify import AxiomReport, Verdict
 
 
-@dataclass
-class Report:
-    command: str
-    verdict: bool | None = None
-    data: dict = field(default_factory=dict)
-    timing_ms: float = 0.0
+class Report(_Record):
+    __slots__ = ("command", "verdict", "data", "timing_ms")
+
+    def __init__(
+        self, command: str, verdict: bool | None = None, data: dict | None = None, timing_ms: float = 0.0
+    ) -> None:
+        self.command = command
+        self.verdict = verdict
+        self.data = {} if data is None else data
+        self.timing_ms = timing_ms
 
     def to_json(self) -> str:
         payload = {"command": self.command, "verdict": self.verdict, "data": self.data}

@@ -6,19 +6,76 @@ exactly the finite and the cofinite ones.  Every operation here is exact;
 nothing is sampled or approximated.
 
 A finite-mode set is its sorted member ids plus its bitmask (bit i set
-when symbol i is a member), computed once on construction and kept as a
-plain attribute beside the dataclass fields: equality, hashing and repr
-read only the fields, and a pickled or copied set keeps its mask.
+when symbol i is a member), computed once on construction and kept in a
+slot beside the fields: equality, hashing and repr read only the fields,
+and a pickled or copied set is built again, mask and all.
 Inclusion of two finite-mode sets is one test on their masks; the other
 operations build their results from members, which costs about as much
 as building them from masks.
+
+The package's value classes are plain classes with ``__slots__`` on the
+two bases here, which cost next to nothing to create at import:
+``_Frozen`` for immutable values, ``_Record`` for the few that callers
+fill in.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
+
+# Frozen classes set their slots in ``__init__`` through this.
+_setattr = object.__setattr__
+
+
+class _Record:
+    """A plain class whose fields are its ``__init__``'s parameters, in order,
+    each stored in a slot of the same name.  Two records are equal when they
+    are of one class with equal fields; repr shows the fields, and pickling
+    and copying go through the constructor.  A record is mutable and
+    unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            code = init.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class _Frozen(_Record):
+    """An immutable ``_Record``: it hashes its fields and refuses assignment
+    and deletion, so its ``__init__`` sets the slots with ``_setattr``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Mode(enum.Enum):
@@ -43,21 +100,29 @@ class ModeError(ValueError):
     """The operation is not available in this universe mode."""
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(_Frozen):
     """The sentence carrier: a finite symbol table or the naturals."""
 
-    mode: Mode
-    symbols: tuple[str, ...] = ()
+    __slots__ = ("mode", "symbols")
 
-    def __post_init__(self) -> None:
-        if self.mode is Mode.FINITE:
-            if not self.symbols:
+    def __init__(self, mode: Mode, symbols: tuple[str, ...] = ()) -> None:
+        if mode is Mode.FINITE:
+            if not symbols:
                 raise ValueError("a finite universe needs at least one symbol")
-            if len(set(self.symbols)) != len(self.symbols):
-                raise DuplicateSymbolError(f"duplicate symbols in {self.symbols!r}")
-        elif self.symbols:
+            if len(set(symbols)) != len(symbols):
+                raise DuplicateSymbolError(f"duplicate symbols in {symbols!r}")
+        elif symbols:
             raise ValueError("a cofinite universe has no symbol table")
+        _setattr(self, "mode", mode)
+        _setattr(self, "symbols", symbols)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mode is other.mode and self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash((self.mode, self.symbols))
 
     @property
     def size(self) -> int:
@@ -108,8 +173,7 @@ def make_universe(mode: Mode, symbols: Sequence[str] | None = None) -> Universe:
     return Universe(mode, tuple(symbols) if symbols else ())
 
 
-@dataclass(frozen=True)
-class SentenceSet:
+class SentenceSet(_Frozen):
     """A subset of a universe, kept in canonical form.
 
     Finite mode stores the member ids directly (polarity is always
@@ -118,28 +182,38 @@ class SentenceSet:
     (negative); negative with no members denotes the full universe.
     """
 
-    universe: Universe
-    polarity: Polarity
-    members: tuple[int, ...]
+    __slots__ = ("universe", "polarity", "members", "_mask")
 
-    def __post_init__(self) -> None:
-        canon = tuple(sorted(set(self.members)))
-        if canon != self.members:
-            object.__setattr__(self, "members", canon)
+    def __init__(self, universe: Universe, polarity: Polarity, members: tuple[int, ...]) -> None:
+        canon = tuple(sorted(set(members)))
         mask = None
-        if self.universe.mode is Mode.FINITE:
-            if self.polarity is not Polarity.POSITIVE:
+        if universe.mode is Mode.FINITE:
+            if polarity is not Polarity.POSITIVE:
                 raise ValueError("finite-mode sets are stored positively")
-            if canon and (canon[0] < 0 or canon[-1] >= self.universe.size):
+            if canon and (canon[0] < 0 or canon[-1] >= len(universe.symbols)):
                 raise ValueError(f"member out of range: {canon}")
             mask = 0
             for i in canon:
                 mask |= 1 << i
-        else:
-            if canon and canon[0] < 0:
-                raise ValueError("cofinite-mode members are naturals")
-        # A plain attribute, not a field: equality, hashing and repr ignore it.
-        object.__setattr__(self, "_mask", mask)
+        elif canon and canon[0] < 0:
+            raise ValueError("cofinite-mode members are naturals")
+        _setattr(self, "universe", universe)
+        _setattr(self, "polarity", polarity)
+        _setattr(self, "members", canon)
+        # Not a field: equality, hashing and repr ignore it.
+        _setattr(self, "_mask", mask)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.members == other.members
+            and self.polarity is other.polarity
+            and (self.universe is other.universe or self.universe == other.universe)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.polarity, self.members))
 
     # -- predicates ---------------------------------------------------------
 

@@ -17,27 +17,29 @@ beyond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterator
 
+from .sets import _Frozen, _setattr
+
 
 MAX_WORD_LENGTH = 10**6  # longest word ``decode`` builds
+MAX_SPLIT_SYMBOLS = 10**6  # most symbols, commas included, a listing of splits may hold
 
 
 class AlphabetMismatchError(ValueError):
     """Two values over different alphabets were combined."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    symbols: tuple[str, ...]
+class Alphabet(_Frozen):
+    __slots__ = ("symbols",)
 
-    def __post_init__(self) -> None:
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...]) -> None:
+        if not symbols:
             raise ValueError("an alphabet needs at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
+        _setattr(self, "symbols", symbols)
 
     @property
     def size(self) -> int:
@@ -60,16 +62,16 @@ def alphabet(symbols: str) -> Alphabet:
     return Alphabet(tuple(symbols))
 
 
-@dataclass(frozen=True)
-class Word:
-    alphabet: Alphabet
-    indices: tuple[int, ...]
+class Word(_Frozen):
+    __slots__ = ("alphabet", "indices")
 
-    def __post_init__(self) -> None:
-        if not self.indices:
+    def __init__(self, alphabet: Alphabet, indices: tuple[int, ...]) -> None:
+        if not indices:
             raise ValueError("there is no empty word")
-        if any(not 0 <= i < self.alphabet.size for i in self.indices):
+        if any(not 0 <= i < alphabet.size for i in indices):
             raise ValueError("symbol index out of range")
+        _setattr(self, "alphabet", alphabet)
+        _setattr(self, "indices", indices)
 
     @property
     def size(self) -> int:
@@ -153,22 +155,22 @@ def _length_and_offset(k: int, code: int) -> tuple[int, int]:
     return length, _offset(k, length)
 
 
-@dataclass(frozen=True)
-class PartialSeq:
+class PartialSeq(_Frozen):
     """A total assignment of word codes to positions 0..arity.
 
     The denoted word reads the positions from the top down:
     decode(f(n)) · decode(f(n−1)) · … · decode(f(0)).
     """
 
-    alphabet: Alphabet
-    codes: tuple[int, ...]
+    __slots__ = ("alphabet", "codes")
 
-    def __post_init__(self) -> None:
-        if not self.codes:
+    def __init__(self, alphabet: Alphabet, codes: tuple[int, ...]) -> None:
+        if not codes:
             raise ValueError("a partial sequence has at least position 0")
-        if any(c < 0 for c in self.codes):
+        if any(c < 0 for c in codes):
             raise ValueError("codes are naturals")
+        _setattr(self, "alphabet", alphabet)
+        _setattr(self, "codes", codes)
 
     @property
     def arity(self) -> int:
@@ -204,10 +206,12 @@ def equivalent_seqs(f: PartialSeq, g: PartialSeq) -> bool:
     return word_of_seq(f) == word_of_seq(g)
 
 
-@dataclass(frozen=True)
-class WordClass:
-    canonical: Word
-    size: int
+class WordClass(_Frozen):
+    __slots__ = ("canonical", "size")
+
+    def __init__(self, canonical: Word, size: int) -> None:
+        _setattr(self, "canonical", canonical)
+        _setattr(self, "size", size)
 
 
 def class_of(f: PartialSeq) -> WordClass:

@@ -325,7 +325,7 @@ class TestEnumeration:
 def forbid_building_systems(monkeypatch):
     """Fail on any system built, by the validating constructor or by the
     store's trusted one."""
-    for name in ("__post_init__", "_trusted"):
+    for name in ("__init__", "_trusted"):
         monkeypatch.setattr(ClosureSystem, name, lambda *args: pytest.fail("built a system"))
 
 

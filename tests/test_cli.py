@@ -281,6 +281,24 @@ class TestCommands:
         payload = json.loads(result.output)
         assert payload["data"]["splits"] == ["a,bc", "ab,c"]
 
+    @pytest.mark.parametrize("word, k", [("ab" * 300, 2), ("ab" * 6000, 3), ("ab" * 6000, 6000), ("a" * 1002, 1)])
+    def test_words_split_over_the_output_bound_exits_two_before_enumerating(self, runner, monkeypatch, word, k):
+        import tarski_lab.words
+
+        monkeypatch.setattr(tarski_lab.words, "decompositions", lambda *args: pytest.fail("enumerated"))
+        started = time.perf_counter()
+        result = runner.invoke(main, ["words", "--alphabet", "ab", "split", "--k", str(k), word])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1] == (
+            f"Error: the splits of a {len(word)}-symbol word at --k {k} exceed the output bound of 1000000 symbols"
+        )
+        assert time.perf_counter() - started < 1.0
+
+    def test_words_split_at_the_output_bound_is_listed(self, runner):
+        # 998 one-cut splits of 1,000 symbols each: 998,000 symbols, within the bound.
+        result = invoke(runner, ["words", "--alphabet", "a", "split", "--k", "1", "a" * 999, "--json"])
+        assert result.exit_code == 0 and json.loads(result.output)["data"]["count"] == 998
+
     def test_words_classify(self, runner):
         result = invoke(
             runner,

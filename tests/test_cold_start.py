@@ -1,8 +1,9 @@
 """What a fresh interpreter loads: the lazy package surface and the per-command CLI.
 
-``import tarski_lab`` loads no submodule, and each CLI command loads only
-the package modules it runs.  Every case runs in its own interpreter,
-since this test process has long loaded them all.
+``import tarski_lab`` loads no submodule, each CLI command loads only
+the package modules it runs, and none loads ``dataclasses`` unless click
+does.  Every case runs in its own interpreter, since this test process has
+long loaded them all.
 """
 
 import json
@@ -80,6 +81,24 @@ COMMAND_LOADS = [
 @pytest.mark.parametrize("argv, loaded", COMMAND_LOADS, ids=[" ".join(argv) for argv, _ in COMMAND_LOADS])
 def test_a_command_loads_only_what_it_runs(argv, loaded):
     assert cli_loads(argv, stdin="0 1\n") == loaded
+
+
+@pytest.fixture(scope="module")
+def click_loads_dataclasses() -> bool:
+    return fresh("import click\nprint(json.dumps('dataclasses' in sys.modules))")
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in COMMAND_LOADS] + [["enumerate", "--n", "4"]], ids=" ".join
+)
+def test_a_command_loads_dataclasses_only_through_click(argv, click_loads_dataclasses):
+    code, loaded = fresh(
+        f"import tarski_lab.cli\ncode = tarski_lab.cli.run({argv!r})\n"
+        "print(json.dumps([code, 'dataclasses' in sys.modules]))",
+        stdin="0 1\n",
+    )
+    assert code == 0
+    assert click_loads_dataclasses or not loaded
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """Operator expressions: construction constraints, evaluation, closed-set
 families, and the weak-join fixed point."""
 
-import dataclasses
+import inspect
 import itertools
 
 import pytest
@@ -109,9 +109,16 @@ class TestNodeShapes:
     @pytest.mark.parametrize("cls", ON_UNIVERSE + PARAMETRIC + BINARY + (FromTable,))
     def test_assignment_is_refused(self, u, cls):
         node = cls(*_args(cls, u))
-        for name in [f.name for f in dataclasses.fields(node)] + ["extra"]:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+        for name in list(inspect.signature(cls).parameters) + ["extra"]:
+            with pytest.raises(AttributeError) as refused:
                 setattr(node, name, None)
+            assert type(refused.value) is AttributeError
+            assert str(refused.value) == f"cannot assign to field {name!r}"
+            with pytest.raises(AttributeError) as refused:
+                delattr(node, name)
+            assert type(refused.value) is AttributeError
+            assert str(refused.value) == f"cannot delete field {name!r}"
+        assert node == cls(*_args(cls, u))
 
 
 class TestEvaluation:
