@@ -2,8 +2,8 @@
 
 ``tests/golden/cli-commands.json`` lists argv (with stdin where a command
 reads it), the exit code and the exact stdout; text-mode reports carry
-``time-ms: <masked>``.  Usage errors (exit 2) pin the ``Error:`` line,
-since stdout is then empty.  ``tests/golden/cli-help.json`` pins the
+``time-ms: <masked>``.  Usage errors (exit 2) pin the ``Error:`` line
+and an empty stdout.  ``tests/golden/cli-help.json`` pins the
 ``--help`` text of the group and of every command, rendered 80 columns wide
 under the console script's name.
 """
@@ -28,6 +28,7 @@ def test_command_matches_golden(case):
     result = CliRunner().invoke(main, case["argv"], input=case.get("stdin"))
     assert result.exit_code == case["exit_code"]
     if case["exit_code"] == 2:
+        assert result.stdout == ""
         assert case["error"] in result.output.splitlines()
     else:
         assert TIMING.sub("time-ms: <masked>", result.output) == case["stdout"]
