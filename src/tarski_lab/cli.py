@@ -4,32 +4,437 @@ Exit codes: 0 for a true verdict (or plain success), 1 for a false verdict
 (the report carries the witness), 2 for usage or spec errors.  All
 commands accept --json for byte-stable machine-readable reports.
 
-Every command is registered through ``command(group, name, operands)``.
-Its body parses its arguments, computes, and returns a ``Report``; the
-decorator adds ``--json`` (and, with ``operands``, ``--spec``/``--universe``,
+Every command is registered through ``command(group, name, *params,
+operands=False)``, which declares its options and arguments once (see
+``option`` and ``argument``).  Its body computes and returns a ``Report``;
+the front end adds ``--json`` (and, with ``operands``, ``--spec``/``--universe``,
 handing the body the parsed ``SpecContext`` as ``sctx``), times the body,
 renders the report, turns a ``ValueError``/``KeyError`` of either step into
-a usage error, prints the report, and exits 0 or 1 on its verdict.
+a usage error, prints the report, and exits 0 or 1 on its verdict.  A group
+(``words``) takes its own options before its subcommand; what its body
+returns is passed on to the subcommand's body.
+
+The front end uses only the standard library and keeps click's conventions:
+options may come before, between or after the arguments, ``--opt=value``
+works, ``--`` ends the options, an option name is never abbreviated, there
+is no ``-h``, and ``--help`` is rendered in click's layout, 80 columns wide.
+A usage error prints the command's usage line, a ``Try ... --help`` hint and
+``Error: <message>`` on stderr, with click's wording, and exits 2.
 
 This module imports no other module of the package at its top: each body
-imports what it uses on its first lines, so ``--help`` loads only click and
-this module, and a command loads only the modules it runs.  The timing of
-a text report therefore includes loading them.
+imports what it uses on its first lines, so ``--help`` loads only this
+module, and a command loads only the modules it runs.  The timing of a text
+report therefore includes loading them.
 """
 
 from __future__ import annotations
 
-import functools
+import os
+import stat
+import sys
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
 
 if TYPE_CHECKING:
     from .parsing import SpecContext
     from .report import Report
     from .words import Alphabet, PartialSeq
+
+WIDTH = 80
+# What an option of each kind shows after its name in --help.
+METAVARS = {"text": "TEXT", "int": "INTEGER", "file": "FILE", "input": "FILE"}
+
+
+class UsageError(Exception):
+    """Exit 2 with ``Error: <message>`` on stderr.
+
+    ``usage`` is the text printed before that line: the usage line and the
+    help hint of the command that was being run.  The dispatcher fills it in
+    when it is None; the parser passes "" where click prints no usage (an
+    option without its value, a flag given one).
+    """
+
+    def __init__(self, message: str, usage: str | None = None) -> None:
+        super().__init__(message)
+        self.usage = usage
+
+
+class Param:
+    """An option (``name`` starts with ``--``) or an argument of a command.
+
+    ``kind`` is "flag", "text", "int", "file" (an existing file) or "input"
+    (an existing file, or ``-`` for stdin); ``dest`` names the body's
+    parameter, and ``many`` makes an argument take every remaining value.
+    """
+
+    __slots__ = ("name", "dest", "kind", "help", "required", "many")
+
+    def __init__(self, name: str, dest: str, kind: str, help: str, required: bool, many: bool) -> None:
+        self.name = name
+        self.dest = dest
+        self.kind = kind
+        self.help = help
+        self.required = required
+        self.many = many
+
+    @property
+    def is_option(self) -> bool:
+        return self.name.startswith("--")
+
+    def metavar(self) -> str:
+        """How a usage line shows an argument: CODE, [NAME], EXPRESSIONS..."""
+        var = self.name if self.required else f"[{self.name}]"
+        return f"{var}..." if self.many else var
+
+    def hint(self) -> str:
+        """How an error names the parameter: '--n', 'CODE', 'EXPRESSIONS...'."""
+        return f"'{self.name if self.is_option else self.metavar()}'"
+
+
+def option(name: str, dest: str, kind: str = "text", help: str = "", required: bool = False) -> Param:
+    return Param(name, dest, kind, help, required, False)
+
+
+def argument(dest: str, kind: str = "text", required: bool = True, many: bool = False) -> Param:
+    return Param(dest.upper(), dest, kind, "", required, many)
+
+
+HELP = option("--help", "help", "flag", "Show this message and exit.")
+JSON = option("--json", "as_json", "flag", "Machine-readable report.")
+OPERANDS = (
+    option("--spec", "spec_path", "file", "Spec file with universe and named bindings."),
+    option("--universe", "universe_spec", help="Inline universe: comma-separated symbols, or 'cofinite'."),
+)
+
+
+class Command:
+    """A command, or a group when ``commands`` maps its subcommands' names to them."""
+
+    __slots__ = ("name", "help", "params", "body", "commands", "operands")
+
+    def __init__(self, name, help, params, body, commands=None, operands=False) -> None:
+        self.name = name
+        self.help = help
+        self.params = params
+        self.body = body
+        self.commands = commands
+        self.operands = operands
+
+
+ROOT = Command(
+    None,
+    """Laboratory for consequence (closure) operators.
+
+    Set literals: {a,c} over finite symbols, {1,5} or co{1,5} over the
+    naturals, {} empty, L the full universe.  Operator grammar: I, U,
+    cxy {X} {Y}, cprime {X} {Y}, s {M} b, meet(e,e), join(e,e),
+    wjoin(e,e), comp(e,e), system[{..};{..}].
+    """,
+    (),
+    None,
+    {},
+)
+
+
+def command(parent: Command, name: str, *params: Param, operands: bool = False):
+    """Register ``body`` as a command of ``parent`` that reports on stdout."""
+
+    def register(body) -> Command:
+        declared = (*(OPERANDS if operands else ()), JSON, *params)
+        parent.commands[name] = Command(name, body.__doc__ or "", declared, body, operands=operands)
+        return parent.commands[name]
+
+    return register
+
+
+def group(parent: Command, name: str, *params: Param):
+    """Register ``body`` as a group of ``parent``; what it returns goes to each subcommand's body."""
+
+    def register(body) -> Command:
+        parent.commands[name] = Command(name, body.__doc__ or "", params, body, {})
+        return parent.commands[name]
+
+    return register
+
+
+# -- the front end -------------------------------------------------------------
+
+
+def run(argv: list[str] | None = None, prog_name: str | None = None) -> int:
+    """Run the CLI on ``argv`` (default ``sys.argv[1:]``) and return its exit code.
+
+    ``prog_name`` heads the usage lines; by default it is the name the
+    program was started under, ``python -m tarski_lab.cli`` for a module run.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    try:
+        return _dispatch(ROOT, prog_name or _program_name(), args, {})
+    except UsageError as error:
+        _echo(sys.stderr, f"{error.usage}Error: {error}\n")
+        return 2
+    except (EOFError, KeyboardInterrupt):
+        _echo(sys.stderr, "\n")
+        return 130
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered nowhere, so the
+        # interpreter's exit does not fail on it.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def main() -> None:
+    """Console-script entry point."""
+    sys.exit(run())
+
+
+def _program_name() -> str:
+    """The script's file name, or ``python -m <module>`` for a module run."""
+    path = sys.argv[0]
+    package = getattr(sys.modules["__main__"], "__package__", None)
+    if not package:
+        return os.path.basename(path)
+    name = os.path.splitext(os.path.basename(path))[0]
+    module = package if name == "__main__" else f"{package}.{name}"
+    return f"python -m {module.lstrip('.')}"
+
+
+def _echo(stream, text: str) -> None:
+    stream.write(text)
+    stream.flush()
+
+
+def _dispatch(cmd: Command, path: str, args: list[str], passed: dict) -> int:
+    """Parse ``args`` for ``cmd`` (named ``path`` in usage lines) and run it."""
+    try:
+        if cmd.commands is not None and not args:
+            _echo(sys.stderr, _help(cmd, path))
+            return 2
+        parsed = _parse(cmd, args)
+        if parsed is None:
+            _echo(sys.stdout, _help(cmd, path))
+            return 0
+        values, rest = parsed
+        if cmd.commands is None:
+            return _invoke(cmd, {**passed, **values})
+        if not rest:
+            raise UsageError("Missing command.")
+        sub = cmd.commands.get(rest[0])
+        if sub is None:
+            # Like click, read a name that starts like an option as the
+            # group's own options once more, so `-- --help` still helps.
+            if rest[0][:1] and not rest[0][:1].isalnum() and _parse(cmd, rest) is None:
+                _echo(sys.stdout, _help(cmd, path))
+                return 0
+            raise UsageError(f"No such command {rest[0]!r}.{_suggestion(rest[0], cmd.commands)}")
+        if cmd.body is not None:
+            try:
+                passed = {**passed, **cmd.body(**values)}
+            except (ValueError, KeyError) as error:
+                raise _usage_error(error) from error
+        return _dispatch(sub, f"{path} {sub.name}", rest[1:], passed)
+    except UsageError as error:
+        if error.usage is None:
+            error.usage = f"{_usage(cmd, path)}\nTry '{path} --help' for help.\n\n"
+        raise
+
+
+def _parse(cmd: Command, args: list[str]) -> tuple[dict, list[str]] | None:
+    """Read ``args`` against ``cmd``'s parameters; None if --help is among them.
+
+    Returns the body's values and what is left over: the subcommand and its
+    arguments for a group, which stops at its first non-option.  Values are
+    checked in click's order: the options given, in the order they first
+    appear, then the arguments, then the options not given.
+    """
+    options = {p.name: p for p in (*cmd.params, HELP) if p.is_option}
+    given: dict = {}
+    seen: list[Param] = []
+    positional: list[str] = []
+    i = 0
+    while i < len(args):
+        token = args[i]
+        i += 1
+        if token == "--":
+            positional += args[i:]
+            break
+        if token[:1] != "-" or token == "-":
+            if cmd.commands is not None:
+                positional += args[i - 1 :]
+                break
+            positional.append(token)
+            continue
+        if token[:2] != "--":
+            raise UsageError(f"No such option {token[:2]!r}.")
+        name, has_value, value = token.partition("=")
+        param = options.get(name)
+        if param is None:
+            raise UsageError(f"No such option {name!r}.{_suggestion(name, options)}")
+        if param.kind == "flag":
+            if has_value:
+                raise UsageError(f"Option {name!r} does not take a value.", usage="")
+            value = True
+        elif not has_value:
+            if i == len(args):
+                raise UsageError(f"Option {name!r} requires an argument.", usage="")
+            value = args[i]
+            i += 1
+        given[param.dest] = value
+        if param not in seen:
+            seen.append(param)
+    if given.pop("help", False):
+        return None
+
+    arguments = [p for p in cmd.params if not p.is_option]
+    for param in arguments:
+        if param.many:
+            given[param.dest], positional = tuple(positional), []
+        elif positional:
+            given[param.dest] = positional.pop(0)
+    values = {}
+    for param in seen + arguments + [p for p in cmd.params if p.is_option and p not in seen]:
+        value = given.get(param.dest)
+        if value is None or value == ():
+            if param.required:
+                kind = "option" if param.is_option else "argument"
+                raise UsageError(f"Missing {kind} {param.hint()}.")
+            if param.kind == "flag":
+                value = False
+        else:
+            value = _convert(param, value)
+        values[param.dest] = value
+    if positional and cmd.commands is None:
+        s = "s" if len(positional) > 1 else ""
+        raise UsageError(f"Got unexpected extra argument{s} ({' '.join(positional)})")
+    return values, positional
+
+
+def _convert(param: Param, value: str):
+    if param.kind == "int":
+        try:
+            return int(value)
+        except ValueError:
+            raise UsageError(f"Invalid value for {param.hint()}: {value!r} is not a valid integer.") from None
+    if param.kind == "file" or (param.kind == "input" and value != "-"):
+        try:
+            mode = os.stat(value).st_mode
+        except OSError:
+            problem = "does not exist"
+        else:
+            if stat.S_ISDIR(mode):
+                problem = "is a directory"
+            elif not os.access(value, os.R_OK):
+                problem = "is not readable"
+            else:
+                return value
+        shown = value.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
+        raise UsageError(f"Invalid value for {param.hint()}: File {shown!r} {problem}.")
+    return value
+
+
+def _suggestion(name: str, names) -> str:
+    from difflib import get_close_matches
+
+    matches = sorted(get_close_matches(name, names))
+    listed = ", ".join(map(repr, matches))
+    if len(matches) == 1:
+        return f" Did you mean {listed}?"
+    return f" (Did you mean one of: {listed}?)" if matches else ""
+
+
+def _usage_error(error: ValueError | KeyError) -> UsageError:
+    # str() of a KeyError is the repr of its message; show the message.
+    message = error.args[0] if isinstance(error, KeyError) and error.args else error
+    return UsageError(str(message))
+
+
+def _invoke(cmd: Command, values: dict) -> int:
+    started = time.perf_counter()
+    as_json = values.pop("as_json")
+    try:
+        if cmd.operands:
+            values["sctx"] = _context(values.pop("spec_path"), values.pop("universe_spec"))
+        report = cmd.body(**values)
+        report.timing_ms = (time.perf_counter() - started) * 1000.0
+        text = report.to_json() if as_json else report.to_text()
+    except (ValueError, KeyError) as error:
+        raise _usage_error(error) from error
+    _echo(sys.stdout, text)
+    return 0 if report.verdict else 1
+
+
+# -- help ----------------------------------------------------------------------
+
+
+def _usage(cmd: Command, path: str) -> str:
+    pieces = ["[OPTIONS]"] + [p.metavar() for p in cmd.params if not p.is_option]
+    if cmd.commands is not None:
+        pieces.append("COMMAND [ARGS]...")
+    prefix = f"Usage: {path} "
+    if WIDTH >= len(prefix) + 20:
+        return _wrap(" ".join(pieces), WIDTH, prefix, " " * len(prefix))
+    return prefix + "\n" + _wrap(" ".join(pieces), WIDTH, " " * 11, " " * 11)
+
+
+def _help(cmd: Command, path: str) -> str:
+    """The --help text of ``cmd``, as click lays it out."""
+    text = [_usage(cmd, path)]
+    if cmd.help:
+        paragraphs = [" ".join(line.strip() for line in part.splitlines()) for part in cmd.help.strip().split("\n\n")]
+        text += ["", "\n\n".join(_wrap(p, WIDTH, "  ", "  ") for p in paragraphs)]
+    rows = []
+    for param in (*cmd.params, HELP):
+        if param.is_option:
+            term = param.name if param.kind == "flag" else f"{param.name} {METAVARS[param.kind]}"
+            rows.append((term, f"{param.help}  [required]" if param.required else param.help))
+    text += ["", "Options:", _definitions(rows)]
+    if cmd.commands:
+        limit = WIDTH - 6 - max(map(len, cmd.commands))
+        rows = [(name, _short_help(cmd.commands[name].help, limit)) for name in sorted(cmd.commands)]
+        text += ["", "Commands:", _definitions(rows)]
+    return "\n".join(text) + "\n"
+
+
+def _definitions(rows: list[tuple[str, str]]) -> str:
+    """Two columns, indented by 2: the terms, then their texts wrapped beside them."""
+    column = min(max(len(term) for term, _ in rows), 30) + 2
+    lines = []
+    for term, text in rows:
+        pad = " " * (column - len(term)) if len(term) <= column - 2 else "\n" + " " * (column + 2)
+        wrapped = _wrap(text, max(WIDTH - column - 2, 10), "", "").split("\n")
+        lines.append(f"  {term}{pad}" + ("\n" + " " * (column + 2)).join(wrapped))
+    return "\n".join(lines)
+
+
+def _short_help(help: str, limit: int) -> str:
+    """The first sentence of ``help`` within ``limit`` columns, else its first words and "..."."""
+    words = help.split("\n\n")[0].split()
+    total = 0
+    for i, word in enumerate(words):
+        total += len(word) + (i > 0)
+        if total > limit:
+            break
+        if word.endswith("."):
+            return " ".join(words[: i + 1])
+        if total == limit and i != len(words) - 1:
+            break
+    else:
+        return " ".join(words)
+    total += 3
+    while i > 0:
+        total -= len(words[i]) + 1
+        if total <= limit:
+            break
+        i -= 1
+    return " ".join(words[:i]) + "..."
+
+
+def _wrap(text: str, width: int, first: str, rest: str) -> str:
+    import textwrap
+
+    return textwrap.TextWrapper(width, initial_indent=first, subsequent_indent=rest, replace_whitespace=False).fill(text)
+
+
+# -- the commands --------------------------------------------------------------
 
 
 def _context(spec_path: str | None, universe_spec: str | None) -> SpecContext:
@@ -37,57 +442,17 @@ def _context(spec_path: str | None, universe_spec: str | None) -> SpecContext:
     from .parsing import SpecContext, parse_spec
 
     if spec_path is not None:
-        return parse_spec(Path(spec_path).read_text())
+        with open(spec_path) as handle:
+            return parse_spec(handle.read())
     if universe_spec is None:
-        raise click.UsageError("provide --spec FILE or --universe SYMBOLS|cofinite")
+        raise UsageError("provide --spec FILE or --universe SYMBOLS|cofinite")
     if universe_spec.strip() == "cofinite":
         return SpecContext(make_universe(Mode.COFINITE))
     symbols = [s.strip() for s in universe_spec.split(",") if s.strip()]
     return SpecContext(make_universe(Mode.FINITE, symbols))
 
 
-def command(group: click.Group, name: str | None = None, operands: bool = False):
-    """Register ``body`` as a command of ``group`` that reports on stdout."""
-
-    def register(body):
-        @functools.wraps(body)
-        def run_body(as_json: bool, **params) -> None:
-            started = time.perf_counter()
-            try:
-                if operands:
-                    params["sctx"] = _context(params.pop("spec_path"), params.pop("universe_spec"))
-                report = body(**params)
-                report.timing_ms = (time.perf_counter() - started) * 1000.0
-                text = report.to_json() if as_json else report.to_text()
-            except (ValueError, KeyError) as error:
-                # str() of a KeyError is the repr of its message; show the message.
-                message = error.args[0] if isinstance(error, KeyError) and error.args else error
-                raise click.UsageError(str(message)) from error
-            click.echo(text, nl=False)
-            click.get_current_context().exit(0 if report.verdict else 1)
-
-        click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")(run_body)
-        if operands:
-            click.option("--universe", "universe_spec", help="Inline universe: comma-separated symbols, or 'cofinite'.")(run_body)
-            click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), help="Spec file with universe and named bindings.")(run_body)
-        return group.command(name=name)(run_body)
-
-    return register
-
-
-@click.group()
-def main() -> None:
-    """Laboratory for consequence (closure) operators.
-
-    Set literals: {a,c} over finite symbols, {1,5} or co{1,5} over the
-    naturals, {} empty, L the full universe.  Operator grammar: I, U,
-    cxy {X} {Y}, cprime {X} {Y}, s {M} b, meet(e,e), join(e,e),
-    wjoin(e,e), comp(e,e), system[{..};{..}].
-    """
-
-
-@command(main, operands=True)
-@click.argument("expression")
+@command(ROOT, "check", argument("expression"), operands=True)
 def check(sctx, expression) -> Report:
     """Report the axiom verdicts of an operator expression."""
     from .classify import check_axioms
@@ -103,9 +468,7 @@ def check(sctx, expression) -> Report:
     )
 
 
-@command(main, operands=True)
-@click.argument("left")
-@click.argument("right")
+@command(ROOT, "order", argument("left"), argument("right"), operands=True)
 def order(sctx, left, right) -> Report:
     """Decide left <= right pointwise; a false verdict carries a witness."""
     from .operators import evaluate
@@ -139,17 +502,14 @@ def _combine(name, builder, sctx, at_set, left, right) -> Report:
     elif sctx.universe.mode is Mode.FINITE:
         data["closed-sets"] = [s.literal() for s in to_closure_system(combined).closed]
     else:
-        raise click.UsageError("--at SET is required on the infinite universe")
+        raise UsageError("--at SET is required on the infinite universe")
     return Report(command=f"{name} {left} {right}", verdict=True, data=data)
 
 
-at_option = click.option("--at", "at_set", help="Evaluate the result at this set literal.")
+AT = option("--at", "at_set", help="Evaluate the result at this set literal.")
 
 
-@command(main, operands=True)
-@at_option
-@click.argument("left")
-@click.argument("right")
+@command(ROOT, "meet", AT, argument("left"), argument("right"), operands=True)
 def meet(sctx, at_set, left, right) -> Report:
     """Pointwise-intersection meet of two operators."""
     from .operators import Meet
@@ -157,10 +517,7 @@ def meet(sctx, at_set, left, right) -> Report:
     return _combine("meet", Meet, sctx, at_set, left, right)
 
 
-@command(main, operands=True)
-@at_option
-@click.argument("left")
-@click.argument("right")
+@command(ROOT, "wjoin", AT, argument("left"), argument("right"), operands=True)
 def wjoin(sctx, at_set, left, right) -> Report:
     """Least upper bound (common-closure join) of two operators."""
     from .operators import WeakJoin
@@ -168,10 +525,14 @@ def wjoin(sctx, at_set, left, right) -> Report:
     return _combine("wjoin", WeakJoin, sctx, at_set, left, right)
 
 
-@command(main, operands=True)
-@click.option("--include-top", is_flag=True, help="Allow the top map as the complement target.")
-@click.argument("lower")
-@click.argument("upper")
+@command(
+    ROOT,
+    "complement",
+    option("--include-top", "include_top", "flag", "Allow the top map as the complement target."),
+    argument("lower"),
+    argument("upper"),
+    operands=True,
+)
 def complement(sctx, include_top, lower, upper) -> Report:
     """Relative complement of LOWER inside UPPER, with axiom verdicts."""
     from .algebra import relative_complement
@@ -192,8 +553,7 @@ def complement(sctx, include_top, lower, upper) -> Report:
     )
 
 
-@command(main, operands=True)
-@click.argument("expressions", nargs=-1, required=True)
+@command(ROOT, "chain", argument("expressions", many=True), operands=True)
 def chain(sctx, expressions) -> Report:
     """Whether the given operators are pairwise comparable."""
     from .algebra import is_chain
@@ -208,10 +568,14 @@ def chain(sctx, expressions) -> Report:
     return Report(command="chain " + " ".join(expressions), verdict=result.holds, data=data)
 
 
-@command(main, operands=True)
-@click.option("--b", "b_literal", required=True, help="The fixed trigger set.")
-@click.option("--all-generators", is_flag=True, help="Use every subset as a generator.")
-@click.argument("generators", nargs=-1)
+@command(
+    ROOT,
+    "sublattice",
+    option("--b", "b_literal", help="The fixed trigger set.", required=True),
+    option("--all-generators", "all_generators", "flag", "Use every subset as a generator."),
+    argument("generators", required=False, many=True),
+    operands=True,
+)
 def sublattice(sctx, b_literal, all_generators, generators) -> Report:
     """Verify the lattice structure of the fixed-trigger family."""
     from .sets import Mode, ModeError
@@ -239,8 +603,7 @@ def sublattice(sctx, b_literal, all_generators, generators) -> Report:
     )
 
 
-@command(main)
-@click.argument("count", type=int)
+@command(ROOT, "descend", argument("count", "int"))
 def descend(count) -> Report:
     """A strictly descending chain of COUNT operators on the naturals."""
     from .sets import Mode, make_universe
@@ -253,10 +616,13 @@ def descend(count) -> Report:
     return Report(command=f"descend {count}", verdict=True, data=data)
 
 
-@command(main, name="enumerate")
-@click.option("--n", "size", type=int, required=True, help="Universe size (1..4).")
-@click.option("--include-top", is_flag=True, help="Include the map sending everything to L.")
-@click.option("--list-systems", is_flag=True, help="List every closed-set family.")
+@command(
+    ROOT,
+    "enumerate",
+    option("--n", "size", "int", "Universe size (1..4).", required=True),
+    option("--include-top", "include_top", "flag", "Include the map sending everything to L."),
+    option("--list-systems", "list_systems", "flag", "List every closed-set family."),
+)
 def enumerate_systems(size, include_top, list_systems) -> Report:
     """Count (and optionally list) all closure systems on a tiny universe."""
     from .classify import count_closure_systems, enumerate_operators
@@ -274,8 +640,7 @@ def enumerate_systems(size, include_top, list_systems) -> Report:
     return Report(command=f"enumerate --n {size}", verdict=True, data=data)
 
 
-@command(main)
-@click.option("--n", "size", type=int, required=True, help="Universe size (2..4).")
+@command(ROOT, "atoms", option("--n", "size", "int", "Universe size (2..4).", required=True))
 def atoms(size) -> Report:
     """Check that the single-element candidates are atoms and densely cover."""
     from .classify import (
@@ -303,8 +668,7 @@ def atoms(size) -> Report:
     )
 
 
-@command(main, operands=True)
-@click.argument("expression")
+@command(ROOT, "lemma26", argument("expression"), operands=True)
 def lemma26(sctx, expression) -> Report:
     """Least element whose co-singleton closes to the whole universe."""
     from .classify import lemma26_witness
@@ -320,8 +684,7 @@ def lemma26(sctx, expression) -> Report:
     )
 
 
-@command(main, operands=True)
-@click.argument("expression")
+@command(ROOT, "theories", argument("expression"), operands=True)
 def theories(sctx, expression) -> Report:
     """List the deductive systems (fixed points) of an operator."""
     from .operators import to_closure_system
@@ -341,17 +704,14 @@ def theories(sctx, expression) -> Report:
     )
 
 
-@main.group()
-@click.option("--alphabet", "alphabet_text", required=True, help="Alphabet symbols in encoding order, e.g. 'abc'.")
-@click.pass_context
-def words(ctx, alphabet_text) -> None:
+@group(
+    ROOT, "words", option("--alphabet", "alphabet_text", help="Alphabet symbols in encoding order, e.g. 'abc'.", required=True)
+)
+def words(alphabet_text) -> dict:
     """Word encoding, decomposition, and equivalence utilities."""
     from .words import alphabet
 
-    try:
-        ctx.obj = alphabet(alphabet_text)
-    except ValueError as error:
-        raise click.UsageError(str(error)) from error
+    return {"alpha": alphabet(alphabet_text)}
 
 
 def _parse_pieces(alpha: Alphabet, text: str) -> PartialSeq:
@@ -361,9 +721,7 @@ def _parse_pieces(alpha: Alphabet, text: str) -> PartialSeq:
     return seq_of_pieces(pieces)
 
 
-@command(words, name="encode")
-@click.argument("text")
-@click.pass_obj
+@command(words, "encode", argument("text"))
 def words_encode(alpha, text) -> Report:
     """Shortlex code of a word."""
     from .words import encode
@@ -373,9 +731,7 @@ def words_encode(alpha, text) -> Report:
     return Report(command=f"words encode {text}", verdict=True, data={"word": text, "code": code})
 
 
-@command(words, name="decode")
-@click.argument("code", type=int)
-@click.pass_obj
+@command(words, "decode", argument("code", "int"))
 def words_decode(alpha, code) -> Report:
     """Word addressed by a shortlex code."""
     from .words import decode
@@ -385,10 +741,7 @@ def words_decode(alpha, code) -> Report:
     return Report(command=f"words decode {code}", verdict=True, data={"code": code, "word": word.text()})
 
 
-@command(words, name="split")
-@click.option("--k", "arity", type=int, required=True, help="Number of cut points.")
-@click.argument("text")
-@click.pass_obj
+@command(words, "split", option("--k", "arity", "int", "Number of cut points.", required=True), argument("text"))
 def words_split(alpha, arity, text) -> Report:
     """All arity-k decompositions of a word, in cut-mask order."""
     from .words import MAX_SPLIT_SYMBOLS, count_decompositions, decode, decompositions
@@ -417,9 +770,7 @@ def words_split(alpha, arity, text) -> Report:
     )
 
 
-@command(words, name="classify")
-@click.argument("text")
-@click.pass_obj
+@command(words, "classify", argument("text"))
 def words_classify(alpha, text) -> Report:
     """Size, maximal split arity, and decomposition count of a word."""
     from .words import class_of, count_decompositions, encode, seq_of_word
@@ -440,10 +791,7 @@ def words_classify(alpha, text) -> Report:
     )
 
 
-@command(words, name="equiv")
-@click.argument("first")
-@click.argument("second")
-@click.pass_obj
+@command(words, "equiv", argument("first"), argument("second"))
 def words_equiv(alpha, first, second) -> Report:
     """Whether two comma-separated piece sequences denote the same word."""
     from .words import equivalent_seqs, word_of_seq
@@ -472,16 +820,22 @@ def _edge_pairs(handle) -> list[tuple[str, str]]:
     return pairs
 
 
-@command(main)
-@click.option("--domain", "domain_text", help="Comma-separated domain; defaults to the left elements in file order.")
-@click.argument("edges", type=click.Path(exists=True, dir_okay=False, allow_dash=True))
+@command(
+    ROOT,
+    "concurrent",
+    option("--domain", "domain_text", help="Comma-separated domain; defaults to the left elements in file order."),
+    argument("edges", "input"),
+)
 def concurrent(domain_text, edges) -> Report:
     """Concurrence of a relation read as an edge list ('x y' per line)."""
     from .concurrence import is_concurrent
     from .report import Report
 
-    with click.open_file(edges) as handle:
-        pairs = _edge_pairs(handle)
+    if edges == "-":
+        pairs = _edge_pairs(sys.stdin)
+    else:
+        with open(edges) as handle:
+            pairs = _edge_pairs(handle)
     if domain_text:
         domain = [part.strip() for part in domain_text.split(",") if part.strip()]
     else:
@@ -495,9 +849,7 @@ def concurrent(domain_text, edges) -> Report:
     return Report(command=f"concurrent {edges}", verdict=result.concurrent, data=data)
 
 
-@command(main)
-@click.option("--list", "list_demos", is_flag=True, help="List the available demos.")
-@click.argument("name", required=False)
+@command(ROOT, "demo", option("--list", "list_demos", "flag", "List the available demos."), argument("name", required=False))
 def demo(list_demos, name) -> Report:
     """Run a named demonstration; expected failures count as demonstrated."""
     from .demos import DEMOS, run_demo
@@ -510,20 +862,6 @@ def demo(list_demos, name) -> Report:
             data={"demos": {key: summary for key, (summary, _) in sorted(DEMOS.items())}},
         )
     return run_demo(name)
-
-
-def run(argv: list[str] | None = None) -> int:
-    """Invoke the CLI programmatically; returns the exit code."""
-    try:
-        result = main.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
-    except click.exceptions.Abort:
-        return 130
-    return result if isinstance(result, int) else 0
 
 
 if __name__ == "__main__":

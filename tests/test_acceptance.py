@@ -11,7 +11,7 @@ import random
 import time
 from pathlib import Path
 
-from click.testing import CliRunner
+from cli_runner import invoke
 
 from tarski_lab.sets import Mode, make_universe
 from tarski_lab.operators import (
@@ -44,7 +44,6 @@ from tarski_lab.classify import (
     lemma26_witness,
 )
 from tarski_lab.concurrence import is_concurrent, monotone_union_check
-from tarski_lab.cli import main as cli_main
 from tarski_lab.words import (
     alphabet,
     count_decompositions,
@@ -161,15 +160,10 @@ def test_criterion_05_axiomatic_witnesses():
 
 
 def test_criterion_06_join_and_composition_failures_match_goldens():
-    runner = CliRunner()
     witnesses = {}
     goldens_match = True
     for name in ("example-2.8", "example-3.4"):
-        result = runner.invoke(
-            cli_main,
-            ["demo", name, "--json"],
-            catch_exceptions=False,
-        )
+        result = invoke(["demo", name, "--json"])
         golden = (GOLDEN / f"demo-{name}.json").read_text()
         if result.exit_code != 0 or result.output != golden:
             goldens_match = False

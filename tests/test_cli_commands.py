@@ -13,9 +13,9 @@ import re
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke
 
-from tarski_lab.cli import main
+from tarski_lab.cli import ROOT
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cli-commands.json").read_text())
@@ -25,7 +25,7 @@ TIMING = re.compile(r"^time-ms: \d+\.\d$", re.M)
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_command_matches_golden(case):
-    result = CliRunner().invoke(main, case["argv"], input=case.get("stdin"))
+    result = invoke(case["argv"], input=case.get("stdin"))
     assert result.exit_code == case["exit_code"]
     if case["exit_code"] == 2:
         assert result.stdout == ""
@@ -36,15 +36,15 @@ def test_command_matches_golden(case):
 
 @pytest.mark.parametrize("case", HELP, ids=[" ".join(c["argv"]) for c in HELP])
 def test_help_matches_golden(case):
-    result = CliRunner().invoke(main, case["argv"], prog_name="tarski-lab", terminal_width=80)
+    result = invoke(case["argv"])
     assert result.exit_code == 0
     assert result.output == case["stdout"]
 
 
 def test_help_golden_covers_every_command():
-    words = main.commands["words"].commands
+    words = ROOT.commands["words"].commands
     assert [case["argv"][:-1] for case in HELP] == [
         [],
-        *([name] for name in main.commands),
+        *([name] for name in ROOT.commands),
         *(["words", "--alphabet", "ab", name] for name in words),
     ]

@@ -1,9 +1,9 @@
 """What a fresh interpreter loads: the lazy package surface and the per-command CLI.
 
 ``import tarski_lab`` loads no submodule, each CLI command loads only
-the package modules it runs, and none loads ``dataclasses`` unless click
-does.  Every case runs in its own interpreter, since this test process has
-long loaded them all.
+the package modules it runs, and none loads click, ``inspect`` or
+``dataclasses``.  Every case runs in its own interpreter, since this test
+process has long loaded them all.
 """
 
 import json
@@ -83,22 +83,37 @@ def test_a_command_loads_only_what_it_runs(argv, loaded):
     assert cli_loads(argv, stdin="0 1\n") == loaded
 
 
-@pytest.fixture(scope="module")
-def click_loads_dataclasses() -> bool:
-    return fresh("import click\nprint(json.dumps('dataclasses' in sys.modules))")
+# The front end loads no click, so nothing pulls in ``inspect`` or
+# ``dataclasses`` either: not the commands above, not the longest cli-cold
+# command, not a usage error with its suggestion.
+NOT_LOADED = ["click", "inspect", "dataclasses"]
+RUNS = [(argv, 0) for argv, _ in COMMAND_LOADS] + [(["enumerate", "--n", "4"], 0), (["check", "--jsn"], 2)]
 
 
-@pytest.mark.parametrize(
-    "argv", [argv for argv, _ in COMMAND_LOADS] + [["enumerate", "--n", "4"]], ids=" ".join
-)
-def test_a_command_loads_dataclasses_only_through_click(argv, click_loads_dataclasses):
-    code, loaded = fresh(
+@pytest.mark.parametrize("argv, code", RUNS, ids=[" ".join(argv) for argv, _ in RUNS])
+def test_a_command_loads_dataclasses_only_through_click(argv, code):
+    assert fresh(
         f"import tarski_lab.cli\ncode = tarski_lab.cli.run({argv!r})\n"
-        "print(json.dumps([code, 'dataclasses' in sys.modules]))",
+        f"print(json.dumps([code, [m for m in {NOT_LOADED!r} if m in sys.modules]]))",
         stdin="0 1\n",
+    ) == [code, []]
+
+
+def test_the_module_runs_as_main_without_click():
+    golden = json.loads((Path(__file__).parent / "golden" / "cli-commands.json").read_text())
+    argv = ["check", "--universe", "a,b,c", "cxy {a} {b}", "--json"]
+    expected = next(case["stdout"] for case in golden if case["argv"] == argv)
+    code = (
+        "import runpy, sys\n"
+        "sys.modules['click'] = None\n"
+        f"sys.argv = ['tarski-lab', *{argv!r}]\n"
+        "runpy.run_module('tarski_lab.cli', run_name='__main__', alter_sys=True)"
     )
-    assert code == 0
-    assert click_loads_dataclasses or not loaded
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
 
 
 @pytest.fixture(scope="module")

@@ -17,9 +17,7 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from tarski_lab.cli import main
+from cli_runner import invoke
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -40,7 +38,7 @@ def _in_process(workload):
 
 
 def _cli(request):
-    result = CliRunner().invoke(main, request["argv"], input=request.get("stdin"))
+    result = invoke(request["argv"], input=request.get("stdin"))
     return result.exit_code, result.stdout
 
 

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke
 
 from tarski_lab import demos
 from tarski_lab.algebra import equivalent, le
@@ -35,7 +35,6 @@ from tarski_lab.classify import (
     enumerate_operators,
     lemma26_witness,
 )
-from tarski_lab.cli import main
 from tarski_lab.concurrence import monotone_union_check
 from tarski_lab.demos import DEMOS, _parametric_lanes, _union_escapes, _union_pairs, run_demo
 from tarski_lab.operators import (
@@ -63,8 +62,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_demo_matches_golden(name):
-    runner = CliRunner()
-    result = runner.invoke(main, ["demo", name, "--json"], catch_exceptions=False)
+    result = invoke(["demo", name, "--json"])
     assert result.exit_code == 0
     expected = (GOLDEN / f"demo-{name}.json").read_text()
     assert result.output == expected

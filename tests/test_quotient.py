@@ -33,11 +33,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke
 
 from tarski_lab import algebra, classify, operators
 from tarski_lab.algebra import Comparison, equivalent, le
-from tarski_lab.cli import main
 from tarski_lab.classify import Verdict, check_axioms
 from tarski_lab.operators import (
     Compose,
@@ -219,7 +218,6 @@ def test_the_merged_model_agrees_with_the_unmerged_one(sample):
 
 def test_weak_join_at_a_set_equals_the_unmerged_model():
     rng = random.Random(2)
-    runner = CliRunner()
     for i in range(COUNT):
         joined = WeakJoin(random_expression(rng, rng.randint(0, 2)), random_expression(rng, rng.randint(0, 2)))
         probe = random_set(rng)
@@ -229,7 +227,7 @@ def test_weak_join_at_a_set_equals_the_unmerged_model():
         if i % 30 == 0:
             left, right = render_operator(joined.left), render_operator(joined.right)
             args = ["wjoin", "--universe", "cofinite", left, right, "--at", probe.literal(), "--json"]
-            result = runner.invoke(main, args)
+            result = invoke(args)
             assert result.exit_code == 0, result.output
             assert json.loads(result.output)["data"]["value"] == value.literal()
 
@@ -240,7 +238,7 @@ def test_weak_join_at_a_set_equals_the_unmerged_model():
 def test_the_example_fails_conclusively_at_co123():
     op = parse_operator(EXAMPLE, SpecContext(NAT))
     assert check_axioms(op).axiom_i == Verdict(False, witness=(NAT.cosubset([1, 2, 3]),))
-    result = CliRunner().invoke(main, ["check", "--universe", "cofinite", EXAMPLE, "--json"])
+    result = invoke(["check", "--universe", "cofinite", EXAMPLE, "--json"])
     assert result.exit_code == 1
     axiom_i = json.loads(result.output)["data"]["axiom-report"]["axiom-i"]
     assert axiom_i == {"conclusive": True, "passed": False, "witness": {"set": "co{1,2,3}"}}
@@ -289,7 +287,7 @@ def test_an_over_bound_model_is_refused_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(operators, "table", refuse)
     monkeypatch.setattr(operators, "_table", refuse)
     monkeypatch.setattr(classify, "table", refuse)
-    result = CliRunner().invoke(main, ["check", "--universe", "cofinite", text, "--json"])
+    result = invoke(["check", "--universe", "cofinite", text, "--json"])
     assert result.exit_code == 2
     assert "has 26 points; exact checks stop at 24" in result.output.splitlines()[-1]
 
@@ -382,10 +380,10 @@ def test_an_atom_pair_of_twenty_six_points_is_answered():
     x2, y2 = "{8,9,10,11,12,13,14,15,24,25}", "{16,17,18,19,20,21,22,23,24,25}"
     with pytest.raises(ValueError, match="has 26 points"):
         _Quotient(parse_operator(f"cxy {x1} {y1}", SpecContext(NAT)), parse_operator(f"cxy {x2} {y2}", SpecContext(NAT)))
-    result = CliRunner().invoke(main, ["order", "--universe", "cofinite", f"cxy {x1} {y1}", f"cxy {x2} {y2}", "--json"])
+    result = invoke(["order", "--universe", "cofinite", f"cxy {x1} {y1}", f"cxy {x2} {y2}", "--json"])
     assert result.exit_code == 1
     assert json.loads(result.output)["data"]["witness"] == "{4}"
-    result = CliRunner().invoke(main, ["chain", "--universe", "cofinite", f"cxy {x1} {y1}", f"cxy {x2} {y2}", "--json"])
+    result = invoke(["chain", "--universe", "cofinite", f"cxy {x1} {y1}", f"cxy {x2} {y2}", "--json"])
     assert result.exit_code == 1
 
 
@@ -462,22 +460,21 @@ def test_an_atomic_left_operand_gives_the_joint_models_witness(pairs):
 
 
 def test_order_and_chain_through_the_cli(pairs):
-    runner = CliRunner()
     args = ["order", "--universe", "cofinite", "join(cxy {0} {1}, cprime {2} {3})", "cxy {0} {1}", "--json"]
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 1
     data = json.loads(result.output)["data"]
     assert (data["witness"], data["left-value"], data["right-value"]) == ("{3}", "{2,3}", "{3}")
     args = ["chain", "--universe", "cofinite", "wjoin(cxy {0} {1}, cxy {1} {0})", "cxy {0,1} {0,1}", "--json"]
-    assert runner.invoke(main, args).exit_code == 0
+    assert invoke(args).exit_code == 0
     for a, b, ta, tb in pairs[::100]:
         left, right = render_operator(a), render_operator(b)
-        result = runner.invoke(main, ["order", "--universe", "cofinite", left, right, "--json"])
+        result = invoke(["order", "--universe", "cofinite", left, right, "--json"])
         comparison = le(a, b)
         assert result.exit_code == (0 if comparison.holds else 1), result.output
         if not comparison.holds:
             assert json.loads(result.output)["data"]["witness"] == comparison.witness.literal()
-        result = runner.invoke(main, ["chain", "--universe", "cofinite", left, right, "--json"])
+        result = invoke(["chain", "--universe", "cofinite", left, right, "--json"])
         comparable = comparison.holds or le(b, a).holds
         assert result.exit_code == (0 if comparable else 1), result.output
 
@@ -497,7 +494,7 @@ def test_an_over_bound_joint_model_is_refused_before_anything_is_built(monkeypat
     monkeypatch.setattr(operators, "_table", refuse)
     monkeypatch.setattr(algebra, "table", refuse)
     args = ["order", "--universe", "cofinite", joined(range(12)), joined(range(12, 24)), "--json"]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 2
     assert "has 26 points; exact checks stop at 24" in result.output.splitlines()[-1]
 
@@ -558,9 +555,8 @@ def test_the_order_witness_is_the_least_failing_set(pairs):
 
 def test_padding_by_the_identity_keeps_the_repro_witness():
     left, right = REPRO
-    runner = CliRunner()
     for operand in (left, f"join({left}, cxy {{}} {{3}})"):
-        result = runner.invoke(main, ["order", "--universe", "cofinite", operand, right, "--json"])
+        result = invoke(["order", "--universe", "cofinite", operand, right, "--json"])
         assert result.exit_code == 1, result.output
         assert json.loads(result.output)["data"]["witness"] == "{6}"
 
@@ -604,7 +600,7 @@ def test_finitarity_of_composites_is_the_least_failing_cofinite_set():
 
 def test_a_self_meet_loses_finitarity_at_co0_through_the_cli():
     args = ["check", "--universe", "cofinite", "meet(cprime {0} co{0}, cprime {0} co{0})", "--json"]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 0, result.output
     axiom_iii = json.loads(result.output)["data"]["axiom-report"]["axiom-iii"]
     assert axiom_iii == {"conclusive": True, "passed": False, "witness": {"element": 0, "set": "co{0}"}}
