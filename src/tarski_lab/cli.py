@@ -4,15 +4,17 @@ Exit codes: 0 for a true verdict (or plain success), 1 for a false verdict
 (the report carries the witness), 2 for usage or spec errors.  All
 commands accept --json for byte-stable machine-readable reports.
 
-Every command is registered through ``command(group, name, *params,
+Every command is registered through ``command(parent, name, *params,
 operands=False)``, which declares its options and arguments once (see
-``option`` and ``argument``).  Its body computes and returns a ``Report``;
-the front end adds ``--json`` (and, with ``operands``, ``--spec``/``--universe``,
-handing the body the parsed ``SpecContext`` as ``sctx``), times the body,
-renders the report, turns a ``ValueError``/``KeyError`` of either step into
-a usage error, prints the report, and exits 0 or 1 on its verdict.  A group
-(``words``) takes its own options before its subcommand; what its body
-returns is passed on to the subcommand's body.
+``option`` and ``argument``); ``ROOT.commands`` is the table of commands.
+Its body computes and returns a ``Report``; the front end adds ``--json``
+(and, with ``operands``, ``--spec``/``--universe``, handing the body the
+parsed ``SpecContext`` as ``sctx``), times the body, renders the report,
+turns a ``ValueError``/``KeyError`` of either step into a usage error,
+prints the report, and exits 0 or 1 on its verdict.  A group registered
+through ``group(parent, name, *params)`` (``words``) takes its own options
+before its subcommand; what its body returns is passed on to the
+subcommand's body.
 
 The front end uses only the standard library and keeps click's conventions:
 options may come before, between or after the arguments, ``--opt=value``
@@ -399,7 +401,10 @@ def _definitions(rows: list[tuple[str, str]]) -> str:
     column = min(max(len(term) for term, _ in rows), 30) + 2
     lines = []
     for term, text in rows:
-        pad = " " * (column - len(term)) if len(term) <= column - 2 else "\n" + " " * (column + 2)
+        if not text:  # a command without a docstring, as under python -OO
+            lines.append(f"  {term}")
+            continue
+        pad =" " * (column - len(term)) if len(term) <= column - 2 else "\n" + " " * (column + 2)
         wrapped = _wrap(text, max(WIDTH - column - 2, 10), "", "").split("\n")
         lines.append(f"  {term}{pad}" + ("\n" + " " * (column + 2)).join(wrapped))
     return "\n".join(lines)
@@ -431,7 +436,8 @@ def _short_help(help: str, limit: int) -> str:
 def _wrap(text: str, width: int, first: str, rest: str) -> str:
     import textwrap
 
-    return textwrap.TextWrapper(width, initial_indent=first, subsequent_indent=rest, replace_whitespace=False).fill(text)
+    wrapper = textwrap.TextWrapper(width, initial_indent=first, subsequent_indent=rest, replace_whitespace=False)
+    return wrapper.fill(text)
 
 
 # -- the commands --------------------------------------------------------------
@@ -705,7 +711,9 @@ def theories(sctx, expression) -> Report:
 
 
 @group(
-    ROOT, "words", option("--alphabet", "alphabet_text", help="Alphabet symbols in encoding order, e.g. 'abc'.", required=True)
+    ROOT,
+    "words",
+    option("--alphabet", "alphabet_text", help="Alphabet symbols in encoding order, e.g. 'abc'.", required=True),
 )
 def words(alphabet_text) -> dict:
     """Word encoding, decomposition, and equivalence utilities."""
@@ -849,7 +857,12 @@ def concurrent(domain_text, edges) -> Report:
     return Report(command=f"concurrent {edges}", verdict=result.concurrent, data=data)
 
 
-@command(ROOT, "demo", option("--list", "list_demos", "flag", "List the available demos."), argument("name", required=False))
+@command(
+    ROOT,
+    "demo",
+    option("--list", "list_demos", "flag", "List the available demos."),
+    argument("name", required=False),
+)
 def demo(list_demos, name) -> Report:
     """Run a named demonstration; expected failures count as demonstrated."""
     from .demos import DEMOS, run_demo

@@ -383,8 +383,8 @@ class TestFrontEnd:
         ],
     )
     def test_options_go_anywhere_and_take_attached_values(self, argv):
-        expected = invoke(["check", "--universe", "a,b", "I", "--json"])
-        assert (invoke(argv).exit_code, invoke(argv).stdout) == (0, expected.stdout)
+        result, expected = invoke(argv), invoke(["check", "--universe", "a,b", "I", "--json"])
+        assert (result.exit_code, result.stdout) == (0, expected.stdout)
 
     def test_a_usage_error_shows_the_usage_line_and_a_help_hint(self):
         result = invoke(["words", "--alphabet", "ab", "split", "ab"])
