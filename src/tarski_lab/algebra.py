@@ -1,22 +1,23 @@
 """The partial order and lattice algebra on consequence operators.
 
 ``le(a, b)`` holds when a(X) ⊆ b(X) for every subset X; a failure names
-the least counterexample.  Finite universes loop over both tables in
-ascending bitmask order.  On the naturals every expression is extensive
-and monotone, so an atomic left operand (``operators._closed_form``) fails
-first at a minimal argument, where ``le`` evaluates the right operand,
-whatever it is.  A "meets" operand (the identity, ``cxy X Y``) fails at A
-only at some y ∈ A ∩ Y, and then at {y}: the witness is {y} for the least
-y ∈ Y with X ⊄ b({y}), one y per class of the pair's joint model
-(``operators._classes``).  A "contains" operand (the top map,
-``cprime X Y``) fails only at supersets of Y, and then at Y, the witness.
-Any other left operand goes with the right one into one finite model,
-``operators._Quotient(a, b)``; the loop runs on its two tables and lifts
-the first failing mask (a model over ``MAX_SWEEP_SIZE`` points is refused).
-Least is in the set order of ``operators``, in which the atomic witnesses
-are the least failing sets, and so the model's least failing masks: the
-point at the least element of the first failing class, and Y's points.
-``equivalent`` on the naturals is ``le`` both ways.
+the least counterexample.  ``_orders`` decides ``le(a, b)`` and ``le(b, a)``
+in both universes, and ``le``, ``equivalent`` and ``is_chain`` read it.
+A finite pair loops over both tables in ascending bitmask order.  On the
+naturals the pair goes into one finite model, ``operators._Quotient(a, b)``.
+Every expression there is extensive and monotone, so an atomic left
+operand (``operators._closed_form``) fails first at a minimal argument,
+where ``_orders`` evaluates the right operand, whatever it is.  A "meets"
+operand (the identity, ``cxy X Y``) fails at A only at some y ∈ A ∩ Y, and
+then at {y}: the witness is {y} for the least y ∈ Y with X ⊄ b({y}), one y
+per class of the model, its least element.  A "contains" operand (the top
+map, ``cprime X Y``) fails only at supersets of Y, and then at Y, the
+witness.  Any other left operand is read on the model's two tables, and
+the loop lifts the first failing mask (a model over ``MAX_SWEEP_SIZE``
+points is refused before either table is built).  Least is in the set
+order of ``operators``, in which the atomic witnesses are the least
+failing sets, and so the model's least failing masks: the point at the
+least element of the first failing class, and Y's points.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from .sets import Mode, ModeError, SentenceSet, Universe, UniverseMismatchError, _Frozen, _setattr
 from .operators import (
-    Compose,
     Cxy,
     FromTable,
     Identity,
@@ -35,7 +35,7 @@ from .operators import (
     OperatorConstraintError,
     OperatorExpr,
     Top,
-    _classes,
+    _check_pair,
     _closed_form,
     _Quotient,
     evaluate,
@@ -45,6 +45,9 @@ from .operators import (
 
 if TYPE_CHECKING:
     from .classify import AxiomReport
+
+# Member k of the descending chain excludes k naturals, so its time and memory grow as N².
+MAX_DESCENDING_CHAIN = 2000
 
 
 class Comparison(_Frozen):
@@ -60,48 +63,43 @@ class Comparison(_Frozen):
 
 def le(a: OperatorExpr, b: OperatorExpr) -> Comparison:
     """Pointwise order; on failure carries the least witness X with a(X) ⊄ b(X)."""
-    if a.universe != b.universe:
-        raise UniverseMismatchError("operands from different universes")
-    if a.universe.mode is Mode.FINITE:
-        return _first_failure(table(a), table(b), a.universe.from_mask)
     return next(_orders(a, b))
 
 
 def equivalent(a: OperatorExpr, b: OperatorExpr) -> bool:
     """Pointwise equality of the denoted maps."""
-    if a.universe != b.universe:
-        raise UniverseMismatchError("operands from different universes")
-    if a.universe.mode is Mode.FINITE:
-        return table(a) == table(b)
-    return all(c.holds for c in _orders(a, b))
+    return all(_orders(a, b))
 
 
 def _first_failure(left: tuple[int, ...], right: tuple[int, ...], lift) -> Comparison:
     """The order on two tables: the first mask whose left image is not below
-    its right one, lifted to a set by ``lift``."""
-    for m, (p, q) in enumerate(zip(left, right)):
-        if p & ~q:
-            return Comparison(False, lift(m))
+    its right one, lifted to a set by ``lift``; equal tables skip the loop."""
+    if left != right:
+        for m, (p, q) in enumerate(zip(left, right)):
+            if p & ~q:
+                return Comparison(False, lift(m))
     return Comparison(True)
 
 
-def _orders(a: OperatorExpr, b: OperatorExpr) -> Iterator[Comparison]:
-    """``le(a, b)`` and then ``le(b, a)`` on the naturals, each decided when it
-    is asked for: an atomic left operand at its minimal arguments, any other
-    on the tables of the pair's joint model.  Each direction reads the
-    pair's classes or model, built once for both."""
-    leasts = tables = None
+def _orders(a: OperatorExpr, b: OperatorExpr, tables: tuple | None = None) -> Iterator[Comparison]:
+    """``le(a, b)`` and then ``le(b, a)``, each decided when it is asked for.
+    In finite mode both read the two operands' tables (``tables``, if given).
+    On the naturals both read the pair's joint model, built once: an atomic
+    left operand at the model's least elements, any other on its tables."""
+    _check_pair(a, b)
+    if a.universe.mode is Mode.FINITE:
+        model, lift = None, a.universe.from_mask
+        tables = tables or (table(a), table(b))
+    else:
+        model = _Quotient(a, b)
+        lift = model.lift
     for i, (left, right) in enumerate(((a, b), (b, a))):
-        shape = _closed_form(left)
+        shape = None if model is None else _closed_form(left)
         if shape is not None:
-            if leasts is None:
-                leasts = [least for least, _ in _classes(a, b)[1]]
-            yield _le_atomic(*shape, leasts, right)
+            yield _le_atomic(*shape, model.leasts, right)
             continue
-        if tables is None:
-            model = _Quotient(a, b)
-            tables = [table(op) for op in model.ops]
-        yield _first_failure(tables[i], tables[1 - i], model.lift)
+        tables = tables or model.tables()
+        yield _first_failure(tables[i], tables[1 - i], lift)
 
 
 def _le_atomic(
@@ -188,24 +186,23 @@ class ChainResult(_Frozen):
 def is_chain(family: list[OperatorExpr]) -> ChainResult:
     """Whether every pair in the family is comparable.
 
-    ``le`` decides each pair.  In finite mode composition decides it again
-    (for closure operators a ≤ b exactly when b∘a = b, Thm 3.5), and a
-    disagreement means a malformed operand and raises.  On the naturals
-    ``le`` alone decides each pair, exactly, both ways from the pair's
-    classes or model, built once.
+    ``_orders`` decides each pair, both ways.  In finite mode composition
+    decides it again on the same two tables (for closure operators a ≤ b
+    exactly when b∘a = b, Thm 3.5), and a disagreement means a malformed
+    operand and raises.
     """
     for i, a in enumerate(family):
         for b in family[i + 1 :]:
-            if a.universe.mode is not Mode.FINITE:
-                via_le = any(c.holds for c in _orders(a, b))
-            else:
-                via_le = le(a, b).holds or le(b, a).holds
-                if via_le != (equivalent(Compose(b, a), b) or equivalent(Compose(a, b), a)):
-                    raise OperatorConstraintError(
-                        "order and composition verdicts disagree; "
-                        "an operand is not a consequence operator"
-                    )
-            if not via_le:
+            _check_pair(a, b)
+            tables = (table(a), table(b)) if a.universe.mode is Mode.FINITE else None
+            comparable = any(_orders(a, b, tables))
+            # b∘a = b or a∘b = a: the outer table o gathered through the inner t is o.
+            if tables and comparable != any(tuple(map(o.__getitem__, t)) == o for t, o in (tables, tables[::-1])):
+                raise OperatorConstraintError(
+                    "order and composition verdicts disagree; "
+                    "an operand is not a consequence operator"
+                )
+            if not comparable:
                 return ChainResult(False, (a, b))
     return ChainResult(True)
 
@@ -333,7 +330,8 @@ def descending_chain(universe: Universe, n: int) -> list[OperatorExpr]:
     """A strictly decreasing chain of n operators on the infinite universe.
 
     The k-th member adds the cofinite set missing 1..k whenever the
-    argument contains 0.  Strict descent of adjacent links is verified via
+    argument contains 0; n over ``MAX_DESCENDING_CHAIN`` is refused before
+    any member is built.  Strict descent of adjacent links is verified via
     the exact cofinite comparison, and no member may collapse to the
     identity (probed at {0, 1}).
     """
@@ -341,6 +339,8 @@ def descending_chain(universe: Universe, n: int) -> list[OperatorExpr]:
         raise ModeError("the descending chain needs the infinite universe")
     if n < 1:
         raise ValueError("chain length must be positive")
+    if n > MAX_DESCENDING_CHAIN:
+        raise ValueError(f"chain length {n} is over the bound of {MAX_DESCENDING_CHAIN}")
     anchor = universe.subset([0])
     chain: list[OperatorExpr] = [
         Cxy(universe.cosubset(range(1, k + 1)), anchor) for k in range(1, n + 1)

@@ -8,8 +8,9 @@ subset, exhaustively, and reports least-bitmask witnesses.  On the
 infinite universe an atomic operator gets the exact verdicts of its shape
 (``operators._closed_form``).  Every other expression is extensive and
 monotone by its structure, so (ii) passes, and (i) and (iii) are decided on
-its finite model (``operators._Quotient``), least witnesses in the set order
-(S < T when the greatest element of S △ T lies in T; finite below cofinite).
+its finite model's table (``operators._Quotient``, none over 24 points),
+least witnesses in the set order (S < T when the greatest element of S △ T
+lies in T; finite below cofinite).
 
 ``axiom_witnesses`` finds the same least witnesses on an int table.  It
 packs the table into one int, one little-endian lane of 1, 2 or 4 bytes
@@ -142,7 +143,7 @@ def check_axioms(op: OperatorExpr) -> AxiomReport:
     if shape is not None:
         return _check_closed_form(*shape)
     model = _Quotient(op)
-    t = table(model.ops[0])
+    (t,) = model.tables()
     first, _, _ = axiom_witnesses(t)
     return AxiomReport(
         axiom_i=Verdict(True) if first is None else Verdict(False, witness=(model.lift(*first),)),

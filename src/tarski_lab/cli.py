@@ -222,11 +222,6 @@ def _dispatch(cmd: Command, path: str, args: list[str], passed: dict) -> int:
             raise UsageError("Missing command.")
         sub = cmd.commands.get(rest[0])
         if sub is None:
-            # Like click, read a name that starts like an option as the
-            # group's own options once more, so `-- --help` still helps.
-            if rest[0][:1] and not rest[0][:1].isalnum() and _parse(cmd, rest) is None:
-                _echo(sys.stdout, _help(cmd, path))
-                return 0
             raise UsageError(f"No such command {rest[0]!r}.{_suggestion(rest[0], cmd.commands)}")
         if cmd.body is not None:
             try:

@@ -18,12 +18,13 @@ b outside M, and at least two elements outside M).  The naive join of two
 closure operators need not be idempotent.
 
 On the naturals ``_closed_form`` gives the shape of the four atomic
-operators, which their axiom verdicts read, and ``algebra.le`` when one is
-the left operand.  Every expression is exactly an operator on a finite
-model, a ``_Quotient``, which one or more expressions share: ``check`` on a
-composite reads the model of one, and ``algebra.le`` with a composite left
-operand the joint model of both operands.  Its classes (``_classes``) are
-the listed elements (in some literal of a parameter of any of them),
+operators, which their axiom verdicts read, and ``algebra``'s order when
+one is the left operand.  Every expression is exactly an operator on a
+finite model, a ``_Quotient``, which one or more expressions share:
+``check`` on a composite reads the model of one's table, and ``algebra``'s
+order the joint model of both operands, at its classes' least elements or
+on its tables, which it refuses over ``MAX_SWEEP_SIZE`` points.  Classes
+are the listed elements (in some literal of a parameter of any of them),
 grouped by the parameters they lie in, and the tail of every unlisted
 natural, so each parameter is a union of classes.  By induction on the
 node, C(A) ∩ c is A ∩ c or c, and which depends only on whether each
@@ -487,50 +488,42 @@ def _parameters(op: OperatorExpr) -> list[SentenceSet]:
     return []
 
 
-def _classes(*ops: OperatorExpr) -> tuple[list[int], list[tuple[int, list[int] | None]]]:
-    """The listed elements of ``ops``, sorted, and the classes of their joint
-    finite model (module docstring) as (least element, members or None for
-    the tail), by least element."""
-    params = [s for op in ops for s in _parameters(op)]
-    listed = set().union(*(s.members for s in params))
-    # Refine the partition by one parameter at a time, each pass linear in the listed elements.
-    groups = [listed] if listed else []
-    for s in params:
-        members = set(s.members)
-        groups = [part for g in groups for part in (g & members, g - members) if part]
-    tail = min(set(range(len(listed) + 1)).difference(listed))
-    classes = [(members[0], members) for members in map(sorted, groups)] + [(tail, None)]
-    return sorted(listed), sorted(classes, key=lambda c: c[0])
-
-
 class _Quotient:
     """The finite model of one or more expressions on the naturals (module
-    docstring): bit i stands for ``points[i]``, ``tail`` holds the tail's two
-    points, and ``ops`` the expressions on the points.  Over
-    ``MAX_SWEEP_SIZE`` points it refuses before building anything."""
+    docstring): ``classes`` but the tail, their least elements and the
+    tail's in ``leasts``, bit i for ``points[i]``, and ``tail`` the tail's
+    two points.  Only ``tables`` refuses over ``MAX_SWEEP_SIZE`` points."""
 
     def __init__(self, *ops: OperatorExpr) -> None:
-        self.listed, classes = _classes(*ops)
-        self.classes = [members for _, members in classes if members]
+        self.ops, self.naturals = ops, ops[0].universe
+        params = [s for op in ops for s in _parameters(op)]
+        self.listed = set().union(*(s.members for s in params))
+        # Refine the partition by one parameter at a time, each pass linear in the listed elements.
+        groups = [self.listed] if self.listed else []
+        for s in params:
+            members = set(s.members)
+            groups = [part for g in groups for part in (g & members, g - members) if part]
+        self.classes = sorted(map(sorted, groups))
         self.tail = sorted(set(range(len(self.listed) + 2)).difference(self.listed))[:2]
+        self.leasts = sorted([members[0] for members in self.classes] + self.tail[:1])
         ends = {e for members in self.classes for e in (members[0], members[-1])}
         self.points = sorted(ends.union(self.tail[:1])) + self.tail[1:]
+
+    def tables(self) -> list[tuple[int, ...]]:
+        """The table of each expression on the points, in the order given."""
         if len(self.points) > MAX_SWEEP_SIZE:
             raise ValueError(f"the finite model has {len(self.points)} points; exact checks stop at {MAX_SWEEP_SIZE}")
-        self.naturals = ops[0].universe
-        self.universe = Universe(Mode.FINITE, tuple(map(str, self.points)))
-        self.ops = [self._on_model(op) for op in ops]
+        universe = Universe(Mode.FINITE, tuple(map(str, self.points)))
+        return [table(self._on_model(op, universe)) for op in self.ops]
 
-    def _on_model(self, op: OperatorExpr) -> OperatorExpr:
+    def _on_model(self, op: OperatorExpr, universe: Universe) -> OperatorExpr:
+        """``op`` on ``universe``, each parameter the points that lie in it."""
         if isinstance(op, _Parametric):
-            return type(op)(self._set(op.x), self._set(op.y))
+            masks = (sum(1 << i for i, p in enumerate(self.points) if p in s) for s in (op.x, op.y))
+            return type(op)(*map(universe.from_mask, masks))
         if isinstance(op, (_Binary, Compose)):
-            return type(op)(*map(self._on_model, op._values()))
-        return type(op)(self.universe)
-
-    def _set(self, s: SentenceSet) -> SentenceSet:
-        """The points that lie in s."""
-        return self.universe.from_mask(sum(1 << i for i, p in enumerate(self.points) if p in s))
+            return type(op)(*(self._on_model(child, universe) for child in op._values()))
+        return type(op)(universe)
 
     def lift(self, mask: int) -> SentenceSet:
         """The points in ``mask`` on the naturals, with each class whose points
@@ -538,7 +531,7 @@ class _Quotient:
         held = {p for i, p in enumerate(self.points) if mask >> i & 1}
         kept = held.union(*(c for c in self.classes if c[0] in held and c[-1] in held))
         if held.issuperset(self.tail):
-            return self.naturals.cosubset(sorted(set(self.listed).difference(kept)))
+            return self.naturals.cosubset(sorted(self.listed.difference(kept)))
         return self.naturals.subset(kept)
 
 

@@ -14,12 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from tarski_lab.sets import Mode, ModeError, make_universe
+from tarski_lab.sets import Mode, ModeError, UniverseMismatchError, make_universe
 from tarski_lab.operators import (
     ClosureSystem,
     CPrime,
     Cxy,
     FromSystem,
+    FromTable,
     Identity,
     Meet,
     NaiveJoin,
@@ -30,8 +31,9 @@ from tarski_lab.operators import (
     table,
     to_closure_system,
 )
-from tarski_lab import operators
+from tarski_lab import algebra, operators
 from tarski_lab.algebra import (
+    MAX_DESCENDING_CHAIN,
     ChainResult,
     Comparison,
     _distributive,
@@ -434,6 +436,32 @@ class TestIsChain:
     def test_singleton_chain(self, u):
         assert is_chain([Cxy(u.of_names("a"), u.of_names("b"))]).holds
 
+    def test_a_finite_pair_builds_its_two_tables_once(self, u, monkeypatch):
+        # Order and composition both read the pair's two tables.
+        built = []
+
+        def counted(op):
+            built.append(op)
+            return table(op)
+
+        monkeypatch.setattr(algebra, "table", counted)
+        monkeypatch.setattr(operators, "table", counted)
+        a, b = Cxy(u.of_names("a"), u.of_names("b")), Cxy(u.of_names("c"), u.of_names("b"))
+        assert not is_chain([a, b]).holds
+        assert built == [a, b]
+
+    def test_operands_from_different_universes(self, u, nat):
+        for family in ([Identity(u), Identity(nat)], [Identity(nat), Identity(u)]):
+            with pytest.raises(UniverseMismatchError):
+                is_chain(family)
+
+    def test_order_and_composition_disagree_on_a_non_closure(self):
+        # The complement map on one symbol and the identity are incomparable,
+        # yet the complement map absorbs the identity: c∘I = c.
+        one = make_universe(Mode.FINITE, ["a"])
+        with pytest.raises(OperatorConstraintError, match="disagree"):
+            is_chain([FromTable(one, (1, 0)), Identity(one)])
+
     def test_cofinite_chain(self, nat):
         chain = descending_chain(nat, 4)
         assert is_chain(list(reversed(chain)) + [Identity(nat), Top(nat)]).holds
@@ -519,3 +547,11 @@ class TestDescendingChain:
     def test_finite_mode_rejected(self, u):
         with pytest.raises(ModeError):
             descending_chain(u, 3)
+
+    def test_a_chain_past_the_bound_is_refused_before_any_member(self, nat, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a member was built")
+
+        monkeypatch.setattr(algebra, "Cxy", refuse)
+        with pytest.raises(ValueError, match=f"over the bound of {MAX_DESCENDING_CHAIN}"):
+            descending_chain(nat, MAX_DESCENDING_CHAIN + 1)

@@ -196,6 +196,18 @@ class TestCommands:
         assert result.exit_code == 0
         assert json.loads(result.output)["data"]["length"] == 100
 
+    def test_descend_past_the_bound_is_a_usage_error(self, monkeypatch):
+        from tarski_lab import algebra
+
+        def refuse(*args):
+            raise AssertionError("a member was built")
+
+        monkeypatch.setattr(algebra, "Cxy", refuse)
+        result = invoke(["descend", str(algebra.MAX_DESCENDING_CHAIN + 1), "--json"])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines()[-1] == "Error: chain length 2001 is over the bound of 2000"
+
     def test_enumerate_excludes_top_by_default(self):
         result = invoke(["enumerate", "--n", "3", "--json"])
         assert json.loads(result.output)["data"]["count"] == 60

@@ -30,6 +30,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -50,7 +51,6 @@ from tarski_lab.operators import (
     _closed_form,
     _Quotient,
     evaluate,
-    table,
 )
 from tarski_lab.parsing import SpecContext, parse_operator, render_operator
 from tarski_lab.sets import Mode, make_universe
@@ -253,7 +253,7 @@ def test_every_lane_is_a_set(sample):
     lanes = 0
     for op, _ in sample[:150]:
         model = _Quotient(op)
-        t = table(model.ops[0])
+        (t,) = model.tables()
         for m in range(len(t)):
             s = model.lift(m)
             image = evaluate(op, s)
@@ -378,13 +378,35 @@ def test_an_atom_pair_of_twenty_six_points_is_answered():
     # Twelve two-element classes and the tail: the joint model has 26 points.
     x1, y1 = "{2,3,6,7,10,11,14,15,18,19,22,23}", "{4,5,6,7,12,13,14,15,20,21,22,23}"
     x2, y2 = "{8,9,10,11,12,13,14,15,24,25}", "{16,17,18,19,20,21,22,23,24,25}"
+    model = _Quotient(parse_operator(f"cxy {x1} {y1}", SpecContext(NAT)), parse_operator(f"cxy {x2} {y2}", SpecContext(NAT)))
+    assert len(model.points) == 26
     with pytest.raises(ValueError, match="has 26 points"):
-        _Quotient(parse_operator(f"cxy {x1} {y1}", SpecContext(NAT)), parse_operator(f"cxy {x2} {y2}", SpecContext(NAT)))
+        model.tables()
     result = invoke(["order", "--universe", "cofinite", f"cxy {x1} {y1}", f"cxy {x2} {y2}", "--json"])
     assert result.exit_code == 1
     assert json.loads(result.output)["data"]["witness"] == "{4}"
     result = invoke(["chain", "--universe", "cofinite", f"cxy {x1} {y1}", f"cxy {x2} {y2}", "--json"])
     assert result.exit_code == 1
+
+
+def test_an_atom_and_a_composite_of_twenty_six_points(monkeypatch):
+    # The composite joins cxy {i} {i} for i = 0..23, the identity on ℕ; with
+    # the tail, its joint model with either atom below has 26 points.
+    composite = reduce(NaiveJoin, (Cxy(NAT.subset([i]), NAT.subset([i])) for i in range(24)))
+    fails, holds = Cxy(NAT.subset([1]), NAT.subset([0])), Cxy(NAT.empty(), NAT.subset([0]))
+    assert len(_Quotient(fails, composite).points) == len(_Quotient(holds, composite).points) == 26
+
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(operators, "table", refuse)
+    monkeypatch.setattr(operators, "_table", refuse)
+    monkeypatch.setattr(algebra, "table", refuse)
+    # cxy {1} {0} ≰ I at {0}, read at the atom's least elements alone.
+    assert equivalent(fails, composite) is False
+    # cxy {} {0} ≤ I, so the composite's direction reads the model's tables.
+    with pytest.raises(ValueError, match="has 26 points; exact checks stop at 24"):
+        equivalent(holds, composite)
 
 
 @pytest.fixture(scope="module")
@@ -451,7 +473,8 @@ def test_an_atomic_left_operand_gives_the_joint_models_witness(pairs):
             if _closed_form(left) is None:
                 continue
             model = _Quotient(a, b)
-            t, u = table(model.ops[i]), table(model.ops[1 - i])
+            tables = model.tables()
+            t, u = tables[i], tables[1 - i]
             m = next((m for m in range(len(t)) if t[m] & ~u[m]), None)
             expected = Comparison(True) if m is None else Comparison(False, model.lift(m))
             assert le(left, right) == expected, (left, right)
