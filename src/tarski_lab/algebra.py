@@ -23,18 +23,15 @@ least element of the first failing class, and Y's points.
 from __future__ import annotations
 
 from functools import reduce
+from operator import and_, or_
 from typing import TYPE_CHECKING, Iterator
 
 from .sets import Mode, ModeError, SentenceSet, Universe, UniverseMismatchError, _Frozen, _setattr
 from .operators import (
     Cxy,
     FromTable,
-    Identity,
-    Meet,
-    NaiveJoin,
     OperatorConstraintError,
     OperatorExpr,
-    Top,
     _check_pair,
     _closed_form,
     _Quotient,
@@ -48,6 +45,8 @@ if TYPE_CHECKING:
 
 # Member k of the descending chain excludes k naturals, so its time and memory grow as N².
 MAX_DESCENDING_CHAIN = 2000
+# The sublattice of G generators on n symbols checks its laws on G³ triples of 2ⁿ-entry tables.
+MAX_SUBLATTICE_WORK = 2**24
 
 
 class Comparison(_Frozen):
@@ -142,6 +141,7 @@ def relative_complement(
     lattice.  The returned report states whether the candidate is itself
     a consequence operator; the lattice check asserts the two defining
     equations (naive join back to ``c1``, meet down to the identity).
+    Every check reads the two operands' tables, each compiled once.
     """
     # Only the complement checks axioms; order, chain and the sublattice
     # commands load no ``classify``.
@@ -150,22 +150,22 @@ def relative_complement(
     universe = c.universe
     if universe.mode is not Mode.FINITE:
         raise ModeError("relative complements are computed in finite mode only")
-    if c.universe != c1.universe:
-        raise UniverseMismatchError("operands from different universes")
-    ident = Identity(universe)
-    if not include_top and equivalent(c1, Top(universe)):
+    _check_pair(c, c1)
+    high = table(c1)
+    if not include_top and high == (len(high) - 1,) * len(high):
         raise OperatorConstraintError(
             "the top map is excluded as a complement target (pass include_top to allow it)"
         )
-    if not (le(ident, c).holds and not equivalent(ident, c)):
+    low, identity = table(c), tuple(range(len(high)))
+    if low == identity or not _first_failure(identity, low, universe.from_mask):
         raise OperatorConstraintError("the lower operand must lie strictly above the identity")
-    if not (le(c, c1).holds and not equivalent(c, c1)):
+    if low == high or not _first_failure(low, high, universe.from_mask):
         raise OperatorConstraintError("the operands must be strictly ordered")
 
-    values = ((q & ~p) | m for m, (p, q) in enumerate(zip(table(c), table(c1))))
-    candidate = FromTable(universe, tuple(values))
+    values = tuple((q & ~p) | m for m, (p, q) in enumerate(zip(low, high)))
+    candidate = FromTable(universe, values)
     report = check_axioms(candidate)
-    lattice_ok = equivalent(NaiveJoin(c, candidate), c1) and equivalent(Meet(c, candidate), ident)
+    lattice_ok = tuple(map(or_, low, values)) == high and tuple(map(and_, low, values)) == identity
     return ComplementResult(candidate, report, lattice_ok)
 
 
@@ -186,18 +186,21 @@ class ChainResult(_Frozen):
 def is_chain(family: list[OperatorExpr]) -> ChainResult:
     """Whether every pair in the family is comparable.
 
-    ``_orders`` decides each pair, both ways.  In finite mode composition
-    decides it again on the same two tables (for closure operators a ≤ b
-    exactly when b∘a = b, Thm 3.5), and a disagreement means a malformed
-    operand and raises.
+    The members' universes are checked first.  In finite mode each
+    member's table is then compiled once, and each pair hands its two to
+    ``_orders``, which decides the pair both ways, and to composition,
+    which decides it again (for closure operators a ≤ b exactly when
+    b∘a = b, Thm 3.5); a disagreement means a malformed operand and raises.
     """
-    for i, a in enumerate(family):
-        for b in family[i + 1 :]:
-            _check_pair(a, b)
-            tables = (table(a), table(b)) if a.universe.mode is Mode.FINITE else None
-            comparable = any(_orders(a, b, tables))
+    for b in family[1:]:
+        _check_pair(family[0], b)
+    finite = len(family) > 1 and family[0].universe.mode is Mode.FINITE
+    tables = list(map(table, family)) if finite else [None] * len(family)
+    for i, (a, ta) in enumerate(zip(family, tables)):
+        for b, tb in zip(family[i + 1 :], tables[i + 1 :]):
+            comparable = any(_orders(a, b, (ta, tb) if finite else None))
             # b∘a = b or a∘b = a: the outer table o gathered through the inner t is o.
-            if tables and comparable != any(tuple(map(o.__getitem__, t)) == o for t, o in (tables, tables[::-1])):
+            if finite and comparable != any(tuple(map(o.__getitem__, t)) == o for t, o in ((ta, tb), (tb, ta))):
                 raise OperatorConstraintError(
                     "order and composition verdicts disagree; "
                     "an operand is not a consequence operator"
@@ -252,6 +255,7 @@ def sublattice_report(b: SentenceSet, generators: list[SentenceSet]) -> Sublatti
     for g in generators:
         if g.universe != universe:
             raise UniverseMismatchError("generator from a different universe")
+    check_sublattice_work(len(generators), universe.size)
     full = (1 << universe.size) - 1
     b_mask = b.mask
     # Meet and weak join are idempotent, so duplicate tables change no verdict.
@@ -283,14 +287,19 @@ def sublattice_report(b: SentenceSet, generators: list[SentenceSet]) -> Sublatti
             if a_mask and a_mask != full and b_mask & a_mask == b_mask and a_mask != b_mask:
                 a_set = universe.from_mask(a_mask)
                 d_set = universe.subset([universe.from_mask(full & ~a_mask).least()])
-                op_a, op_d = Cxy(a_set, b), Cxy(d_set, b)
-                if not le(op_a, op_d).holds and not le(op_d, op_a).holds:
+                if not any(_orders(Cxy(a_set, b), Cxy(d_set, b))):
                     witness = (a_set, d_set, b)
                     break
 
     return SublatticeReport(
         tuple(generators), inf_ok, sup_ok, joins_agree, distributive, witness
     )
+
+
+def check_sublattice_work(count: int, n: int) -> None:
+    """Refuse ``count`` generators on n symbols when G³·2ⁿ is over ``MAX_SUBLATTICE_WORK``."""
+    if count**3 << n > MAX_SUBLATTICE_WORK:
+        raise ValueError(f"{count} generators on {n} symbols are over the bound of {MAX_SUBLATTICE_WORK} on G³·2ⁿ")
 
 
 def _distributive(tables: list[tuple[int, ...]], joins: dict) -> bool:

@@ -580,8 +580,7 @@ def chain(sctx, expressions) -> Report:
 def sublattice(sctx, b_literal, all_generators, generators) -> Report:
     """Verify the lattice structure of the fixed-trigger family."""
     from .sets import Mode, ModeError
-    from .operators import Identity, table
-    from .algebra import sublattice_report
+    from .algebra import check_sublattice_work, sublattice_report
     from .parsing import parse_set
     from .report import Report, sublattice_payload
 
@@ -590,9 +589,8 @@ def sublattice(sctx, b_literal, all_generators, generators) -> Report:
         u = sctx.universe
         if u.mode is not Mode.FINITE:
             raise ModeError("the generated sublattice is analysed in finite mode only")
-        # The identity's table lists every mask, once table() has refused a
-        # universe too large to sweep.
-        gens = [u.from_mask(m) for m in table(Identity(u))]
+        check_sublattice_work(1 << u.size, u.size)
+        gens = [u.from_mask(m) for m in range(1 << u.size)]
     else:
         gens = [parse_set(g, sctx) for g in generators]
     result = sublattice_report(b, gens)

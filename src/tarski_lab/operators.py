@@ -52,7 +52,9 @@ has more; C is monotone, so (iii) fails at X exactly when C(X) ⊄ C(X↓) ∪ X
 on the model, at a mask holding both tail points, X↓ that mask less the top.
 
 In finite mode, ``table(op)`` is the whole map at once: ``table(op)[m]`` is
-the image mask of the subset with mask m, compiled bottom-up on ints.  A
+the image mask of the subset with mask m, compiled bottom-up on ints by
+``_table``, which reads each parameter set through a function: its ``mask``
+here, the points in it when a model compiles its expressions onto them.  A
 ``ClosureSystem`` is built from closed-set masks (``closed`` is for display)
 and stores its closure table (the least closed superset of every subset) in
 one form, packed: ``system.lanes``, built on first use and kept.
@@ -75,8 +77,8 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from operator import and_, or_
-from typing import Iterable, Iterator, Sequence
+from operator import and_, attrgetter, or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .sets import (
     Mode,
@@ -90,6 +92,7 @@ from .sets import (
 
 # Tables and exhaustive sweeps have 2^n entries; beyond this size they are hopeless.
 MAX_SWEEP_SIZE = 24
+_MASK = attrgetter("mask")
 
 # The ``struct`` code of a little-endian lane of 1, 2 or 4 bytes.
 _LANE_CODES = {1: "B", 2: "H", 4: "I"}
@@ -492,7 +495,8 @@ class _Quotient:
     """The finite model of one or more expressions on the naturals (module
     docstring): ``classes`` but the tail, their least elements and the
     tail's in ``leasts``, bit i for ``points[i]``, and ``tail`` the tail's
-    two points.  Only ``tables`` refuses over ``MAX_SWEEP_SIZE`` points."""
+    two points.  Only ``tables``, which compiles the expressions onto the
+    points, refuses over ``MAX_SWEEP_SIZE`` points."""
 
     def __init__(self, *ops: OperatorExpr) -> None:
         self.ops, self.naturals = ops, ops[0].universe
@@ -513,17 +517,8 @@ class _Quotient:
         """The table of each expression on the points, in the order given."""
         if len(self.points) > MAX_SWEEP_SIZE:
             raise ValueError(f"the finite model has {len(self.points)} points; exact checks stop at {MAX_SWEEP_SIZE}")
-        universe = Universe(Mode.FINITE, tuple(map(str, self.points)))
-        return [table(self._on_model(op, universe)) for op in self.ops]
-
-    def _on_model(self, op: OperatorExpr, universe: Universe) -> OperatorExpr:
-        """``op`` on ``universe``, each parameter the points that lie in it."""
-        if isinstance(op, _Parametric):
-            masks = (sum(1 << i for i, p in enumerate(self.points) if p in s) for s in (op.x, op.y))
-            return type(op)(*map(universe.from_mask, masks))
-        if isinstance(op, (_Binary, Compose)):
-            return type(op)(*(self._on_model(child, universe) for child in op._values()))
-        return type(op)(universe)
+        bits = [(1 << i, p) for i, p in enumerate(self.points)]
+        return [_table(op, 1 << len(bits), lambda s: sum(b for b, p in bits if p in s)) for op in self.ops]
 
     def lift(self, mask: int) -> SentenceSet:
         """The points in ``mask`` on the naturals, with each class whose points
@@ -546,38 +541,38 @@ def table(op: OperatorExpr) -> tuple[int, ...]:
     n = universe.size  # a ModeError on the infinite universe
     _refuse_oversized(n)
     try:
-        return _table(op, 1 << n)
+        return _table(op, 1 << n, _MASK)
     except OperatorConstraintError:
         # _table runs every operand at every argument; evaluation may not reach the failing one.
         return tuple(_eval(op, universe.from_mask(m)).mask for m in range(1 << n))
 
 
-def _table(op: OperatorExpr, size: int) -> tuple[int, ...]:
+def _table(op: OperatorExpr, size: int, mask: Callable[[SentenceSet], int]) -> tuple[int, ...]:
     full = size - 1
     if isinstance(op, Identity):
         return tuple(range(size))
     if isinstance(op, Top):
         return (full,) * size
     if isinstance(op, Cxy):
-        return _cxy_table(op.x.mask, op.y.mask, size)
+        return _cxy_table(mask(op.x), mask(op.y), size)
     if isinstance(op, CPrime):
-        return _cprime_table(op.x.mask, op.y.mask, size)
+        return _cprime_table(mask(op.x), mask(op.y), size)
     if isinstance(op, SExample):
         base, trigger = op.m.mask, 1 << op.b
         return tuple([full if m & trigger else m | base for m in range(size)])
     if isinstance(op, FromTable):
         return op.table
     if isinstance(op, Meet):
-        return tuple(map(and_, _table(op.left, size), _table(op.right, size)))
+        return tuple(map(and_, _table(op.left, size, mask), _table(op.right, size, mask)))
     if isinstance(op, NaiveJoin):
-        return tuple(map(or_, _table(op.left, size), _table(op.right, size)))
+        return tuple(map(or_, _table(op.left, size, mask), _table(op.right, size, mask)))
     if isinstance(op, Compose):
-        outer = _table(op.outer, size)
-        return tuple([outer[v] for v in _table(op.inner, size)])
+        outer = _table(op.outer, size, mask)
+        return tuple([outer[v] for v in _table(op.inner, size, mask)])
     if isinstance(op, FromSystem):
         return op.system.table
     if isinstance(op, WeakJoin):
-        return weak_join_table(_table(op.left, size), _table(op.right, size))
+        return weak_join_table(_table(op.left, size, mask), _table(op.right, size, mask))
     raise TypeError(f"unknown operator expression {op!r}")
 
 

@@ -34,9 +34,11 @@ from tarski_lab.operators import (
 from tarski_lab import algebra, operators
 from tarski_lab.algebra import (
     MAX_DESCENDING_CHAIN,
+    MAX_SUBLATTICE_WORK,
     ChainResult,
     Comparison,
     _distributive,
+    check_sublattice_work,
     descending_chain,
     equivalent,
     is_chain,
@@ -371,6 +373,28 @@ class TestRelativeComplement:
         )
         assert result.report.axiom_ii.passed == brute_monotone
 
+    def test_the_two_operands_tables_are_built_once(self, u, monkeypatch):
+        # Every check reads the operands' two tables; no node is built.
+        built = []
+
+        def counted(op):
+            built.append(op)
+            return table(op)
+
+        monkeypatch.setattr(algebra, "table", counted)
+        for name in ("Identity", "Top", "Meet", "NaiveJoin"):
+            assert not hasattr(algebra, name)
+        lower = Cxy(u.of_names("a"), u.of_names("b"))
+        upper = Cxy(u.of_names("a", "c"), u.of_names("b"))
+        assert relative_complement(lower, upper).lattice_ok
+        assert sorted(built, key=repr) == sorted([lower, upper], key=repr)
+
+    def test_operands_from_different_universes(self, u):
+        other = make_universe(Mode.FINITE, ["a", "b", "d"])
+        lower, upper = Cxy(u.of_names("a"), u.of_names("b")), Cxy(other.of_names("a", "d"), other.of_names("b"))
+        with pytest.raises(UniverseMismatchError, match="operands from different universes"):
+            relative_complement(lower, upper)
+
     def test_uniqueness_among_enumerated(self, u, oracle3):
         _, tables, ops = oracle3
         lower = Cxy(u.of_names("a"), u.of_names("b"))
@@ -449,6 +473,13 @@ class TestIsChain:
         a, b = Cxy(u.of_names("a"), u.of_names("b")), Cxy(u.of_names("c"), u.of_names("b"))
         assert not is_chain([a, b]).holds
         assert built == [a, b]
+        # A chain of k members builds each member's table once: k tables, not k(k − 1).
+        for k in (4, 8):
+            v = make_universe(Mode.FINITE, [f"s{i}" for i in range(k)])
+            family = [Cxy(v.from_mask((1 << j) - 1), v.from_mask(1)) for j in range(k)]
+            built.clear()
+            assert is_chain(family).holds
+            assert built == family
 
     def test_operands_from_different_universes(self, u, nat):
         for family in ([Identity(u), Identity(nat)], [Identity(nat), Identity(u)]):
@@ -506,6 +537,48 @@ class TestSublattice:
         assert a_set == u.of_names("a", "c")
         assert d_set == u.of_names("b")
         assert probe == b
+
+    def test_the_non_chain_search_orders_each_candidate_once(self, u, monkeypatch):
+        # {a,c} is the one qualifying set of the closure of {a} and {c}; both
+        # directions of its pair come from one call of _orders.
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return orders(a, b)
+
+        def refuse(*args):
+            raise AssertionError("le was called")
+
+        orders = algebra._orders
+        monkeypatch.setattr(algebra, "_orders", counted)
+        monkeypatch.setattr(algebra, "le", refuse)
+        result = sublattice_report(u.of_names("a"), [u.of_names("a"), u.of_names("c")])
+        assert result.non_chain_witness == (u.of_names("a", "c"), u.of_names("b"), u.of_names("a"))
+        assert calls == [(Cxy(u.of_names("a", "c"), u.of_names("a")), Cxy(u.of_names("b"), u.of_names("a")))]
+
+    def test_over_the_work_bound_is_refused_before_any_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(algebra, "table", refuse)
+        v = make_universe(Mode.FINITE, [f"s{i}" for i in range(7)])
+        generators = [v.from_mask(m) for m in range(1 << 7)]
+        with pytest.raises(ValueError, match=f"^128 generators on 7 symbols are over the bound of {MAX_SUBLATTICE_WORK}"):
+            sublattice_report(v.of_names("s0"), generators)
+        # G counts the generators as given, duplicates too: 33³·2⁹ is over, 32³·2⁹ is not.
+        w = make_universe(Mode.FINITE, "abcdefghi")
+        with pytest.raises(ValueError, match="^33 generators on 9 symbols"):
+            sublattice_report(w.full(), [w.full()] * 33)
+
+    def test_the_uses_of_today_are_inside_the_bound(self):
+        # G³·2ⁿ: demo thm-3.1 (8 generators on 3 symbols), four generators on
+        # four symbols, and every subset of six symbols, exactly at the bound.
+        for count, n in ((8, 3), (4, 4), (4, 7), (64, 6)):
+            check_sublattice_work(count, n)
+        assert 64**3 << 6 == MAX_SUBLATTICE_WORK
+        with pytest.raises(ValueError):
+            check_sublattice_work(65, 6)
 
     def test_empty_generators_rejected(self, u):
         with pytest.raises(ValueError):

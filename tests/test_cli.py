@@ -191,6 +191,22 @@ class TestCommands:
         payload = json.loads(result.output)
         assert payload["data"]["non-chain-witness"]["first"] == "{a,b}"
 
+    def test_all_generators_past_the_work_bound_is_a_usage_error(self, monkeypatch):
+        from tarski_lab import algebra
+        from tarski_lab.sets import Universe
+
+        def refuse(*args):
+            raise AssertionError("a generator or a table was built")
+
+        monkeypatch.setattr(algebra, "table", refuse)
+        monkeypatch.setattr(Universe, "from_mask", refuse)
+        argv = ["sublattice", "--universe", "a,b,c,d,e,f,g", "--b", "{a}", "--all-generators", "--json"]
+        result = invoke(argv)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert "Traceback" not in result.stderr
+        bound = algebra.MAX_SUBLATTICE_WORK
+        assert result.stderr.splitlines()[-1] == f"Error: 128 generators on 7 symbols are over the bound of {bound} on G³·2ⁿ"
+
     def test_descend(self):
         result = invoke(["descend", "100", "--json"])
         assert result.exit_code == 0

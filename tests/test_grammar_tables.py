@@ -12,9 +12,13 @@ tables on one, two and three symbols.  Every text parses back to its table,
 and every procedure below is compared with the reference, not with another
 path of the program: the axiom reports, the packed axiom kernel on one
 table and on all of them in one pass, Lemma 2.6's witness, its
-co-singleton scan, and the order.
+co-singleton scan, the order, equivalence on all 46,656 ordered pairs, and
+the relative complement: its candidate and lattice check on every pair
+with I < a < b, and its three refusals on a seeded sample of the others.
 """
 
+import random
+import re
 import sys
 from functools import lru_cache
 from operator import and_, or_
@@ -22,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from tarski_lab.algebra import le
+from tarski_lab import classify
+from tarski_lab.algebra import equivalent, le, relative_complement
 from tarski_lab.classify import (
     _axiom_flags,
     _slots,
@@ -32,7 +37,7 @@ from tarski_lab.classify import (
     enumerate_operators,
     lemma26_witness,
 )
-from tarski_lab.operators import FromTable, table, to_closure_system
+from tarski_lab.operators import FromTable, OperatorConstraintError, table, to_closure_system
 from tarski_lab.parsing import SpecContext, parse_operator
 from tarski_lab.report import axiom_report_payload
 from tarski_lab.sets import Mode, make_universe
@@ -236,3 +241,59 @@ def test_order_matches_the_reference_on_every_pair(three):
             result = le(a_op, b_op)
             witness = None if result.holds else result.witness.mask
             assert witness == oracle.le_witness(a, b)
+
+
+def test_equivalence_is_equality_of_the_literal_tables(three):
+    u, ops = three
+    operands = [(t, FromTable(u, t)) for t in ops]
+    for a, a_op in operands:
+        assert [equivalent(a_op, b_op) for _, b_op in operands] == [a == b for b, _ in operands]
+
+
+REFUSALS = {
+    "top": "the top map is excluded as a complement target (pass include_top to allow it)",
+    "lower": "the lower operand must lie strictly above the identity",
+    "order": "the operands must be strictly ordered",
+}
+
+
+def test_relative_complement_matches_the_literal_reference(three, monkeypatch):
+    u, ops = three
+    identity, top = tuple(range(8)), (7,) * 8
+    operands = {t: FromTable(u, t) for t in ops}
+
+    def below(p, q):
+        return p != q and oracle.le_witness(list(p), list(q)) is None
+
+    # The 7,569 pairs share 2,071 candidates; each candidate's axiom report
+    # is computed once, and checked against the reference below.
+    reports, check = {}, classify.check_axioms
+
+    def check_once(op):
+        if op.table not in reports:
+            reports[op.table] = check(op)
+        return reports[op.table]
+
+    monkeypatch.setattr(classify, "check_axioms", check_once)
+    strict, others = [], []
+    for a in ops:
+        above = below(identity, a)
+        for b in ops:
+            (strict if above and below(a, b) else others).append((a, b))
+    assert len(strict) == 7569
+    for a, b in strict:
+        result = relative_complement(operands[a], operands[b], include_top=True)
+        candidate = tuple((q & ~p) | m for m, (p, q) in enumerate(zip(a, b)))
+        assert result.candidate.table == candidate
+        assert result.lattice_ok == (tuple(map(or_, a, candidate)) == b and tuple(map(and_, a, candidate)) == identity)
+    for t, report in reports.items():
+        assert axiom_report_payload(report) == oracle.axiom_payload(list(t), 3)
+    # Without include_top, every pair with b = U is refused first.
+    refused = {kind: [] for kind in REFUSALS}
+    for a, b in others + [(a, b) for a, b in strict if b == top]:
+        refused["top" if b == top else "lower" if not below(identity, a) else "order"].append((a, b))
+    rng = random.Random(7)
+    for kind, pairs in refused.items():
+        for a, b in rng.sample(pairs, min(len(pairs), 300)):
+            with pytest.raises(OperatorConstraintError, match=f"^{re.escape(REFUSALS[kind])}$"):
+                relative_complement(operands[a], operands[b])

@@ -53,7 +53,7 @@ from tarski_lab.operators import (
     evaluate,
 )
 from tarski_lab.parsing import SpecContext, parse_operator, render_operator
-from tarski_lab.sets import Mode, make_universe
+from tarski_lab.sets import Mode, Universe, make_universe
 
 from oracles import bounded_family, closed_form_le
 
@@ -261,6 +261,21 @@ def test_every_lane_is_a_set(sample):
             assert t[m] == points(model, image) and model.lift(t[m]) == image, (op, m)
         lanes += len(t)
     assert lanes > 10000
+
+
+def test_the_model_compiles_its_expressions_onto_its_points(monkeypatch):
+    # Once the operand is parsed, its tables build no expression node and no
+    # universe: the compile reads each parameter as the points in it.
+    op = parse_operator(f"wjoin({EXAMPLE}, meet(U, cprime {{4}} {{1,3}}))", SpecContext(NAT))
+    model = _Quotient(op)
+    expected = tuple(points(model, evaluate(op, model.lift(m))) for m in range(1 << len(model.points)))
+
+    def refuse(*args):
+        raise AssertionError("a node or a universe was built")
+
+    for cls in (operators._Parametric, operators._Binary, Compose, operators._OnUniverse, Universe):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert _Quotient(op).tables() == [expected]
 
 
 def test_the_witness_is_the_least_failing_mask(sample):
