@@ -1,4 +1,5 @@
-"""The partial order and lattice algebra on consequence operators.
+"""The partial order and lattice algebra on consequence operators, and Thm
+3.1's sublattice on masks and ``Cxy`` tables, its laws on one table store.
 
 ``le(a, b)`` holds when a(X) ⊆ b(X) for every subset X; a failure names
 the least counterexample.  ``_orders`` decides ``le(a, b)`` and ``le(b, a)``
@@ -22,7 +23,8 @@ least element of the first failing class, and Y's points.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partialmethod, reduce
+from itertools import combinations_with_replacement, product
 from operator import and_, or_
 from typing import TYPE_CHECKING, Iterator
 
@@ -34,6 +36,7 @@ from .operators import (
     OperatorExpr,
     _check_pair,
     _closed_form,
+    _cxy_table,
     _Quotient,
     evaluate,
     table,
@@ -70,14 +73,14 @@ def equivalent(a: OperatorExpr, b: OperatorExpr) -> bool:
     return all(_orders(a, b))
 
 
-def _first_failure(left: tuple[int, ...], right: tuple[int, ...], lift) -> Comparison:
+def _first_failure(left: tuple[int, ...], right: tuple[int, ...]) -> int | None:
     """The order on two tables: the first mask whose left image is not below
-    its right one, lifted to a set by ``lift``; equal tables skip the loop."""
+    its right one, or None when there is none; equal tables skip the loop."""
     if left != right:
         for m, (p, q) in enumerate(zip(left, right)):
             if p & ~q:
-                return Comparison(False, lift(m))
-    return Comparison(True)
+                return m
+    return None
 
 
 def _orders(a: OperatorExpr, b: OperatorExpr, tables: tuple | None = None) -> Iterator[Comparison]:
@@ -98,7 +101,8 @@ def _orders(a: OperatorExpr, b: OperatorExpr, tables: tuple | None = None) -> It
             yield _le_atomic(*shape, model.leasts, right)
             continue
         tables = tables or model.tables()
-        yield _first_failure(tables[i], tables[1 - i], lift)
+        failure = _first_failure(tables[i], tables[1 - i])
+        yield Comparison(True) if failure is None else Comparison(False, lift(failure))
 
 
 def _le_atomic(
@@ -157,9 +161,9 @@ def relative_complement(
             "the top map is excluded as a complement target (pass include_top to allow it)"
         )
     low, identity = table(c), tuple(range(len(high)))
-    if low == identity or not _first_failure(identity, low, universe.from_mask):
+    if low == identity or _first_failure(identity, low) is not None:
         raise OperatorConstraintError("the lower operand must lie strictly above the identity")
-    if low == high or not _first_failure(low, high, universe.from_mask):
+    if low == high or _first_failure(low, high) is not None:
         raise OperatorConstraintError("the operands must be strictly ordered")
 
     values = tuple((q & ~p) | m for m, (p, q) in enumerate(zip(low, high)))
@@ -229,71 +233,52 @@ class SublatticeReport(_Frozen):
 
     @property
     def ok(self) -> bool:
-        return (
-            self.inf_closed_form
-            and self.sup_closed_form
-            and self.joins_agree
-            and self.distributive
-        )
+        return self.inf_closed_form and self.sup_closed_form and self.joins_agree and self.distributive
 
 
 def sublattice_report(b: SentenceSet, generators: list[SentenceSet]) -> SublatticeReport:
-    """Verify the lattice structure of the family {Cxy(X, b) : X in generators}.
+    """Verify the lattice structure of the family {Cxy(X, b) : X in generators} (Thm 3.1).
 
     Checks the closed forms of the family infimum and supremum, that the
-    naive join agrees with the weak join on every pair, distributivity of
-    the meet and the weak join on every triple, and emits a non-comparability witness (a qualifying set
-    A, the singleton D, and the probe set) whenever some set in the
-    union/intersection closure of the generators satisfies the
-    non-chain hypothesis: nonempty b ⊆ A with A ≠ b and A ≠ L.
+    naive join is the weak join on every pair, and both distributive laws
+    on every triple.  The non-chain witness (A, the singleton D of the least
+    element outside A, and b) has the least A in the ∪/∩ closure of the
+    generators with nonempty b ⊆ A, A ≠ b and A ≠ L whose two ``Cxy`` are
+    incomparable.  Past the refusals all is ints: each distinct mask X
+    becomes the table of ``Cxy(X, b)`` (``_cxy_table``), the closure is
+    every ∪ of every ∩ of the masks, and only the witness becomes sets.
     """
     universe = b.universe
     if universe.mode is not Mode.FINITE:
         raise ModeError("the generated sublattice is analysed in finite mode only")
     if not generators:
         raise ValueError("at least one generator is required")
-    for g in generators:
-        if g.universe != universe:
-            raise UniverseMismatchError("generator from a different universe")
+    if any(g.universe != universe for g in generators):
+        raise UniverseMismatchError("generator from a different universe")
     check_sublattice_work(len(generators), universe.size)
-    full = (1 << universe.size) - 1
-    b_mask = b.mask
-    # Meet and weak join are idempotent, so duplicate tables change no verdict.
-    tables = list(dict.fromkeys(table(Cxy(g, b)) for g in generators))
-
-    inf_table = sup_table = tables[0]
-    for t in tables[1:]:
-        inf_table = tuple(p & q for p, q in zip(inf_table, t))
-        sup_table = weak_join_table(sup_table, t)
-    inf_ok = inf_table == table(Cxy(reduce(SentenceSet.intersect, generators), b))
-    sup_ok = sup_table == table(Cxy(reduce(SentenceSet.union, generators), b))
-
-    joins = {(t1, t2): weak_join_table(t1, t2) for t1 in tables for t2 in tables}
-    joins_agree = all(tuple(p | q for p, q in zip(t1, t2)) == w for (t1, t2), w in joins.items())
-    distributive = _distributive(tables, joins)
+    size, b_mask = 1 << universe.size, b.mask
+    masks = list(dict.fromkeys(g.mask for g in generators))
+    lattice = _Lattice([_cxy_table(g, b_mask, size) for g in masks])
+    inf_ok = lattice.tables[reduce(lattice.meet, lattice.given)] == _cxy_table(reduce(and_, masks), b_mask, size)
+    sup_ok = lattice.tables[reduce(lattice.join, lattice.given)] == _cxy_table(reduce(or_, masks), b_mask, size)
 
     witness = None
     if b_mask:
-        closure = {g.mask for g in generators}
-        frontier = list(closure)
-        while frontier:
-            m = frontier.pop()
-            for other in list(closure):
-                for new in (m | other, m & other):
-                    if new not in closure:
-                        closure.add(new)
-                        frontier.append(new)
-        for a_mask in sorted(closure):
-            if a_mask and a_mask != full and b_mask & a_mask == b_mask and a_mask != b_mask:
-                a_set = universe.from_mask(a_mask)
-                d_set = universe.subset([universe.from_mask(full & ~a_mask).least()])
-                if not any(_orders(Cxy(a_set, b), Cxy(d_set, b))):
-                    witness = (a_set, d_set, b)
+        meets: set[int] = set()
+        for g in masks:
+            meets |= {g & m for m in meets} | {g}
+        closure: set[int] = set()
+        for m in meets:
+            closure |= {m | c for c in closure} | {m}
+        for a in sorted(closure):
+            if a != size - 1 and a & b_mask == b_mask and a != b_mask:
+                d = ~a & (a + 1)
+                ta, td = _cxy_table(a, b_mask, size), _cxy_table(d, b_mask, size)
+                if _first_failure(ta, td) is not None and _first_failure(td, ta) is not None:
+                    witness = (universe.from_mask(a), universe.from_mask(d), b)
                     break
 
-    return SublatticeReport(
-        tuple(generators), inf_ok, sup_ok, joins_agree, distributive, witness
-    )
+    return SublatticeReport(tuple(generators), inf_ok, sup_ok, lattice.joins_agree(), lattice.distributive(), witness)
 
 
 def check_sublattice_work(count: int, n: int) -> None:
@@ -302,34 +287,47 @@ def check_sublattice_work(count: int, n: int) -> None:
         raise ValueError(f"{count} generators on {n} symbols are over the bound of {MAX_SUBLATTICE_WORK} on G³·2ⁿ")
 
 
-def _distributive(tables: list[tuple[int, ...]], joins: dict) -> bool:
-    """Both distributive laws on every triple of tables, in the operator lattice.
+class _Lattice:
+    """The table store of the sublattice: closure tables, each named by an
+    index and hashed once, when made; ``given`` names those it is built from.
+    ``meet`` (``&`` per mask, as ``_table`` compiles ``Meet``) and ``join``
+    (the weak join) map two names to one, each pair computed once."""
 
-    The meet is ``&`` on tables and the join is the weak join; ``joins``
-    holds the weak joins already computed, keyed by operand pair, and
-    grows with the ones the laws need.  Meets are memoised for this call
-    the same way: the triples revisit a few distinct tables many times.
-    """
-    meets: dict = {}
+    def __init__(self, tables: list[tuple[int, ...]]) -> None:
+        self.tables: list[tuple[int, ...]] = []
+        self._names: dict[tuple[int, ...], int] = {}
+        self._done: dict[tuple[bool, int, int], int] = {}
+        self.given = list(dict.fromkeys(map(self._name, tables)))
 
-    def join(p, q):
-        if (p, q) not in joins:
-            joins[p, q] = weak_join_table(p, q)
-        return joins[p, q]
+    def _name(self, t: tuple[int, ...]) -> int:
+        name = self._names.setdefault(t, len(self.tables))
+        if name == len(self.tables):
+            self.tables.append(t)
+        return name
 
-    def meet(p, q):
-        if (p, q) not in meets:
-            meets[p, q] = tuple(x & y for x, y in zip(p, q))
-        return meets[p, q]
+    def _combine(self, join: bool, i: int, j: int) -> int:
+        # Both operations commute on closure tables and keep them closure tables.
+        key = (join, min(i, j), max(i, j))
+        if key not in self._done:
+            p, q = self.tables[i], self.tables[j]
+            self._done[key] = self._name(weak_join_table(p, q) if join else tuple(map(and_, p, q)))
+        return self._done[key]
 
-    for t1 in tables:
-        for t2 in tables:
-            for t3 in tables:
-                if meet(t1, join(t2, t3)) != join(meet(t1, t2), meet(t1, t3)):
-                    return False
-                if join(t1, meet(t2, t3)) != meet(join(t1, t2), join(t1, t3)):
-                    return False
-    return True
+    meet = partialmethod(_combine, False)
+    join = partialmethod(_combine, True)
+
+    def joins_agree(self) -> bool:
+        """Whether the naive join (``|`` per mask) is the weak join on every pair."""
+        pairs = combinations_with_replacement(self.given, 2)
+        return all(tuple(map(or_, self.tables[i], self.tables[j])) == self.tables[self.join(i, j)] for i, j in pairs)
+
+    def distributive(self) -> bool:
+        """Both distributive laws on every triple, each symmetric in its last two operands."""
+        meet, join = self.meet, self.join
+        return all(
+            meet(i, join(j, k)) == join(meet(i, j), meet(i, k)) and join(i, meet(j, k)) == meet(join(i, j), join(i, k))
+            for i, (j, k) in product(self.given, combinations_with_replacement(self.given, 2))
+        )
 
 
 # -- the strictly descending chain ------------------------------------------------

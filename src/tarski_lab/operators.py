@@ -343,9 +343,10 @@ class ClosureSystem(_Frozen):
         return self._closed
 
     @classmethod
-    def _trusted(cls, universe: Universe, masks: tuple[int, ...], lanes: bytes) -> ClosureSystem:
-        """A system from sorted masks known to hold L and to be intersection-closed,
-        and its ``lanes``, unvalidated; only ``classify``'s store builds these."""
+    def _trusted(cls, universe: Universe, masks: tuple[int, ...], lanes: bytes | None) -> ClosureSystem:
+        """A system from sorted masks and its ``lanes`` (None: built on first use),
+        unvalidated: the masks must hold L and be intersection-closed, as
+        ``classify``'s store knows and ``to_closure_system`` then checks."""
         system = object.__new__(cls)
         system._fill(universe, masks, lanes)
         return system
@@ -606,9 +607,12 @@ def weak_join_table(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int,
 def to_closure_system(op: OperatorExpr) -> ClosureSystem:
     """The family of fixed points of ``op`` (finite mode).
 
-    For a closure operator this is its closed-set family; the constructor
-    validates that the result contains L and is intersection-closed, so a
-    non-closure operand surfaces as a constraint error.  A ``FromSystem``
+    For a closure operator this is its closed-set family.  One
+    ``_closure_lanes`` pass checks that the fixed points hold L and are
+    intersection-closed: their closure table fixes L and every intersection
+    of them, and nothing else, so it fixes as many lanes as there are fixed
+    points exactly when they pass.  A family that fails goes to the
+    validating constructor, whose error names what is missing.  A ``FromSystem``
     operand's fixed points are its own closed sets, so its system is
     returned as it is, with no table built.
     """
@@ -617,4 +621,8 @@ def to_closure_system(op: OperatorExpr) -> ClosureSystem:
         raise ModeError("closed-set families are enumerated in finite mode only")
     if isinstance(op, FromSystem):
         return op.system
-    return ClosureSystem(universe, tuple(m for m, v in enumerate(table(op)) if v == m))
+    fixed = tuple(m for m, v in enumerate(table(op)) if v == m)
+    system = ClosureSystem._trusted(universe, fixed, None)
+    if sum(map(int.__eq__, system.table, range(1 << universe.size))) != len(fixed):
+        return ClosureSystem(universe, fixed)
+    return system

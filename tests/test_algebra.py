@@ -8,13 +8,14 @@ are asserted against these tables.
 """
 
 import itertools
+import random
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from tarski_lab.sets import Mode, ModeError, UniverseMismatchError, make_universe
+from tarski_lab.sets import Mode, ModeError, SentenceSet, Universe, UniverseMismatchError, make_universe
 from tarski_lab.operators import (
     ClosureSystem,
     CPrime,
@@ -37,7 +38,7 @@ from tarski_lab.algebra import (
     MAX_SUBLATTICE_WORK,
     ChainResult,
     Comparison,
-    _distributive,
+    _Lattice,
     check_sublattice_work,
     descending_chain,
     equivalent,
@@ -539,29 +540,71 @@ class TestSublattice:
         assert probe == b
 
     def test_the_non_chain_search_orders_each_candidate_once(self, u, monkeypatch):
-        # {a,c} is the one qualifying set of the closure of {a} and {c}; both
-        # directions of its pair come from one call of _orders.
-        calls = []
+        # {a,c} is the one qualifying set of the closure of {a} and {c}.  From
+        # the bound check to the report the work is on masks and tables: no
+        # Cxy node, no table, _orders or le, and no SentenceSet operation but
+        # the two from_mask calls that make the witness.  Its pair is compiled
+        # once: the generators, the inf and sup references, then A and D.
+        b, generators = u.of_names("a"), [u.of_names("a"), u.of_names("c")]
+        compiled, lifted, during = [], [], pytest.MonkeyPatch()
 
-        def counted(a, b):
-            calls.append((a, b))
-            return orders(a, b)
+        def refuse(*args, **kwargs):
+            raise AssertionError("expression, order or set work in the search")
 
-        def refuse(*args):
-            raise AssertionError("le was called")
+        def compile_cxy(x, y, size):
+            compiled.append(x)
+            return cxy_table(x, y, size)
 
-        orders = algebra._orders
-        monkeypatch.setattr(algebra, "_orders", counted)
-        monkeypatch.setattr(algebra, "le", refuse)
-        result = sublattice_report(u.of_names("a"), [u.of_names("a"), u.of_names("c")])
-        assert result.non_chain_witness == (u.of_names("a", "c"), u.of_names("b"), u.of_names("a"))
-        assert calls == [(Cxy(u.of_names("a", "c"), u.of_names("a")), Cxy(u.of_names("b"), u.of_names("a")))]
+        def lift(universe, mask):
+            lifted.append(mask)
+            return from_mask(universe, mask)
+
+        def bound_checked(count, n):
+            check(count, n)
+            for name in ("Cxy", "_orders", "le", "table"):
+                during.setattr(algebra, name, refuse)
+            for name, value in vars(SentenceSet).items():
+                if callable(value) and name not in ("__init__", "__new__"):
+                    during.setattr(SentenceSet, name, refuse)
+            for name in ("cosubset", "of_names", "empty", "full"):
+                during.setattr(Universe, name, refuse)
+            during.setattr(Universe, "from_mask", lift)
+
+        check, cxy_table, from_mask = algebra.check_sublattice_work, algebra._cxy_table, Universe.from_mask
+        monkeypatch.setattr(algebra, "check_sublattice_work", bound_checked)
+        monkeypatch.setattr(algebra, "_cxy_table", compile_cxy)
+        try:
+            result = sublattice_report(b, generators)
+        finally:
+            during.undo()
+        assert result.non_chain_witness == (u.of_names("a", "c"), u.of_names("b"), b)
+        assert result.ok and lifted == [u.of_names("a", "c").mask, u.of_names("b").mask]
+        assert compiled == [1, 4, 0, 5, 5, 2]
+
+    def test_the_witness_and_the_flags_match_the_reference(self):
+        # Thm 3.1 on seeded families on 1-6 symbols: all four flags hold, and
+        # the witness is the least qualifying incomparable set of perfbench's
+        # literal closure loop (empty b and A = b included).
+        rng = random.Random(31)
+        witnesses = 0
+        for _ in range(2400):
+            n = rng.randint(1, 6)
+            v = make_universe(Mode.FINITE, list(oracle.SYMBOLS[:n]))
+            b = rng.randrange(1 << n) if rng.random() < 0.9 else 0
+            masks = [rng.randrange(1 << n) for _ in range(rng.randint(1, 5))]
+            result = sublattice_report(v.from_mask(b), [v.from_mask(m) for m in masks])
+            assert result.ok, (n, b, masks)
+            witness = result.non_chain_witness
+            got = None if witness is None else dict(zip(("first", "second", "probe"), (s.literal() for s in witness)))
+            assert got == oracle.non_chain_witness(b, masks, n), (n, b, masks)
+            witnesses += witness is not None
+        assert 500 < witnesses < 2000
 
     def test_over_the_work_bound_is_refused_before_any_table(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a table was built")
 
-        monkeypatch.setattr(algebra, "table", refuse)
+        monkeypatch.setattr(algebra, "_cxy_table", refuse)
         v = make_universe(Mode.FINITE, [f"s{i}" for i in range(7)])
         generators = [v.from_mask(m) for m in range(1 << 7)]
         with pytest.raises(ValueError, match=f"^128 generators on 7 symbols are over the bound of {MAX_SUBLATTICE_WORK}"):
@@ -591,9 +634,9 @@ class TestSublattice:
         families = [(u.empty().mask,), (u.of_names("a").mask,), (u.of_names("b").mask,)]
         full = u.full().mask
         tables = [table(FromSystem(ClosureSystem(u, f + (full,)))) for f in families]
-        assert _distributive(tables, {}) is False
+        assert _Lattice(tables).distributive() is False
         gens = [u.empty(), u.of_names("a"), u.of_names("c")]
-        assert _distributive([table(Cxy(g, u.of_names("b"))) for g in gens], {}) is True
+        assert _Lattice([table(Cxy(g, u.of_names("b"))) for g in gens]).distributive() is True
 
 
 class TestDescendingChain:

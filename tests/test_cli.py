@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 import types
@@ -198,7 +200,7 @@ class TestCommands:
         def refuse(*args):
             raise AssertionError("a generator or a table was built")
 
-        monkeypatch.setattr(algebra, "table", refuse)
+        monkeypatch.setattr(algebra, "_cxy_table", refuse)
         monkeypatch.setattr(Universe, "from_mask", refuse)
         argv = ["sublattice", "--universe", "a,b,c,d,e,f,g", "--b", "{a}", "--all-generators", "--json"]
         result = invoke(argv)
@@ -206,6 +208,22 @@ class TestCommands:
         assert "Traceback" not in result.stderr
         bound = algebra.MAX_SUBLATTICE_WORK
         assert result.stderr.splitlines()[-1] == f"Error: 128 generators on 7 symbols are over the bound of {bound} on G³·2ⁿ"
+
+    def test_theories_of_the_identity_on_sixteen_symbols(self):
+        # The 65,536 fixed points are checked as a family by one pass over
+        # their closure lanes, not pair by pair.
+        symbols = ",".join(f"s{i}" for i in range(16))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "tarski_lab.cli", "theories", "--universe", symbols, "I", "--json"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=20,
+            check=True,
+        )
+        assert json.loads(result.stdout)["data"]["count"] == 65536
 
     def test_descend(self):
         result = invoke(["descend", "100", "--json"])

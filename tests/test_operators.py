@@ -1,8 +1,10 @@
 """Operator expressions: construction constraints, evaluation, closed-set
 families, and the weak-join fixed point."""
 
+import collections
 import inspect
 import itertools
+import random
 
 import pytest
 
@@ -271,6 +273,39 @@ class TestClosureSystems:
         for s in all_subsets(u):
             assert evaluate(back, s) == evaluate(op, s)
         assert to_closure_system(back) == system
+
+    def test_fixed_points_are_checked_as_the_constructor_checks_them(self):
+        # to_closure_system checks the family by counting its closure table's
+        # fixed lanes: it must raise exactly when the validating constructor
+        # does, with its message, and otherwise build an equal system with
+        # equal lanes.  Half the tables fix a random family, closed under ∩
+        # and holding L or not; the rest are random maps.
+        rng = random.Random(36)
+        outcomes = collections.Counter()
+        for _ in range(5000):
+            n = rng.randint(1, 6)
+            v = make_universe(Mode.FINITE, [f"s{i}" for i in range(n)])
+            size = 1 << n
+            if rng.random() < 0.5:
+                family = {m for m in range(size) if rng.random() < 0.3} | ({size - 1} if rng.random() < 0.8 else set())
+                while rng.random() < 0.5 and not {p & q for p in family for q in family} <= family:
+                    family |= {p & q for p in family for q in family}
+                values = tuple(m if m in family else (m + 1) % size for m in range(size))
+            else:
+                values = tuple(rng.randrange(size) for _ in range(size))
+            fixed = tuple(m for m, w in enumerate(values) if w == m)
+            try:
+                expected = ClosureSystem(v, fixed)
+            except OperatorConstraintError as error:
+                with pytest.raises(OperatorConstraintError) as raised:
+                    to_closure_system(FromTable(v, values))
+                assert str(raised.value) == str(error)
+                outcomes[str(error).split(":")[0]] += 1
+                continue
+            system = to_closure_system(FromTable(v, values))
+            assert system == expected and system.lanes == expected.lanes
+            outcomes["closed"] += 1
+        assert min(outcomes.values()) > 500 and len(outcomes) == 3, outcomes
 
     def test_from_singleton_family_is_top(self, u):
         op = FromSystem(ClosureSystem(u, (u.full().mask,)))
